@@ -17,7 +17,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from collections.abc import Collection
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +68,7 @@ def _flat_rat(x: Rational) -> str:
 
 def _emit(payload: dict, rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     else:
         buf = io.StringIO()
         fields: list[str] = []
@@ -85,20 +87,26 @@ def _parse_rational(text: str) -> Rational:
     return Rational(frac.numerator) / frac.denominator
 
 
-def _check_kmax(k: int) -> int:
+def _check_kmax(k: int, exact_gf: bool) -> None:
+    """The one --kmax check, run for every subcommand before it starts.
+
+    The ceiling and the stretch warning concern the exact generating
+    functions, so they apply only to the subcommands that build them.
+    """
     if k < 0:
         raise ValueError("kmax must be >= 0")
+    if not exact_gf:
+        return
     if k > STRETCH_KMAX:
         raise ValueError(
             f"kmax={k} is not computable exactly; the hard ceiling is {STRETCH_KMAX}"
         )
     if k > DEFAULT_KMAX:
         print(
-            f"warning: kmax={k} is a stretch run (minutes of big-rational "
-            "arithmetic); treat the output as new data",
+            f"warning: kmax={k} is a stretch run (the exact arithmetic grows "
+            "about 4x per level of k); treat the output as new data",
             file=sys.stderr,
         )
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,13 @@ def _cache_path(cache_dir: Path, kind: str, k: int) -> Path:
     return cache_dir / f"{kind}.{k}.json"
 
 
-def load_cache(cache_dir: Path) -> int:
-    """Seed the in-memory memo from disk; returns the number of entries."""
+def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
+    """Seed the in-memory memo from disk; returns the number of entries.
+
+    An entry is accepted when it parses, carries the current format, and
+    its kind and k match its file name.  Accepted paths are added to
+    ``accepted`` when given, so that save_cache can rewrite the others.
+    """
     loaded = 0
     if not cache_dir.is_dir():
         return 0
@@ -122,23 +135,37 @@ def load_cache(cache_dir: Path) -> int:
         if blob.get("format") != CACHE_FORMAT:
             continue
         kind, k = blob.get("kind"), blob.get("k")
-        if kind not in KINDS or not isinstance(k, int):
+        if kind not in KINDS or not isinstance(k, int) or path != _cache_path(cache_dir, kind, k):
             continue
         genfun.cache_insert(kind, k, PLExpr.from_records(blob["terms"]))
         loaded += 1
+        if accepted is not None:
+            accepted.add(path)
     return loaded
 
 
-def save_cache(cache_dir: Path) -> int:
-    """Write every memoized expression missing from disk; returns count."""
+def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
+    """Write every memoized expression; returns the number written.
+
+    Paths in ``keep`` (the entries load_cache accepted) are left alone, and
+    every other entry is replaced, so an unreadable file is repaired.  Each
+    file is written under a temporary name and renamed into place, so a
+    reader never sees a partial entry.
+    """
     cache_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     for (kind, k), expr in sorted(genfun.cache_snapshot().items()):
         path = _cache_path(cache_dir, kind, k)
-        if path.exists():
+        if path in keep:
             continue
         blob = {"format": CACHE_FORMAT, "kind": kind, "k": k, "terms": expr.to_records()}
-        path.write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         written += 1
     return written
 
@@ -148,7 +175,7 @@ def save_cache(cache_dir: Path) -> int:
 
 
 def cmd_constants(args) -> int:
-    kmax = _check_kmax(args.kmax)
+    kmax = args.kmax
     table = genfun.constants_table(kmax)
     rows_json = []
     rows_csv = []
@@ -189,7 +216,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    kmax = _check_kmax(args.kmax)
+    kmax = args.kmax
     table = genfun.tail_report(kmax)
     rows_json = []
     rows_csv = []
@@ -232,8 +259,6 @@ def cmd_oracle(args) -> int:
     kmax = args.kmax
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
     if n > oracle.DEFAULT_N_CAP:
         print(
             f"warning: n={n} exceeds the default cap {oracle.DEFAULT_N_CAP}; "
@@ -303,7 +328,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    kmax = _check_kmax(args.kmax)
+    kmax = args.kmax
     rows_json = []
     rows_csv = []
     all_pass = True
@@ -493,6 +518,8 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1 or args.trials < 2:
+        raise ValueError("verify needs n >= 1 and trials >= 2 (a standard error needs two trials)")
     checks = _verify_checks(args)
     rows = []
     failed = 0
@@ -510,7 +537,7 @@ def cmd_verify(args) -> int:
         "checks": rows,
         "pass": failed == 0,
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
@@ -522,18 +549,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ranktree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, kmax=DEFAULT_KMAX):
-        p.add_argument("--kmax", type=int, default=kmax)
+    def common(p, *, exact_gf=False):
+        p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--cache-dir", type=Path, default=None)
+        p.set_defaults(exact_gf=exact_gf)
 
     p = sub.add_parser("constants", help="exact c_k, f_k, g_k, S_k tables")
-    common(p)
+    common(p, exact_gf=True)
     p.add_argument("--dump-gf", choices=KINDS, default=None)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("bounds", help="exact tails vs proven envelopes")
-    common(p)
+    common(p, exact_gf=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("oracle", help="exact finite-n tables")
@@ -551,7 +579,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("factor", help="denominator factorizations and verdicts")
-    common(p)
+    common(p, exact_gf=True)
     p.add_argument("--factor-bound", type=int, default=1000)
     p.set_defaults(func=cmd_factor)
 
@@ -569,13 +597,15 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cache_dir = getattr(args, "cache_dir", None)
+    cache_dir = args.cache_dir
+    accepted: set[Path] = set()
     try:
+        _check_kmax(args.kmax, args.exact_gf)
         if cache_dir is not None:
-            load_cache(cache_dir)
+            load_cache(cache_dir, accepted)
         code = args.func(args)
         if cache_dir is not None:
-            save_cache(cache_dir)
+            save_cache(cache_dir, accepted)
         return code
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

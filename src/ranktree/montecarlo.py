@@ -211,7 +211,7 @@ def greedy_path_length(t: DecreasingTree, rng, sizes: list[int] | None = None) -
 @dataclass(frozen=True)
 class StatSummary:
     mean: float
-    stderr: float
+    stderr: float | None  # None with fewer than 2 trials
     trials: int
 
     def to_dict(self) -> dict:
@@ -258,8 +258,8 @@ class _Welford:
         self.m2 += d * (x - self.mean)
 
     def summary(self) -> StatSummary:
-        if self.count < 2:
-            return StatSummary(mean=self.mean, stderr=float("inf"), trials=self.count)
+        if self.count < 2:  # one sample gives no error estimate
+            return StatSummary(mean=self.mean, stderr=None, trials=self.count)
         var = self.m2 / (self.count - 1)
         return StatSummary(
             mean=self.mean, stderr=sqrt(max(var, 0.0) / self.count), trials=self.count

@@ -68,6 +68,7 @@ class RankDP:
         self._f: dict[int, list[int]] = {}
         self._g: dict[int, list[int]] = {}
         self._x: dict[int, list[int]] = {}
+        self._binom: list[list[int]] = []  # half rows, see _binom_half
         if n > 0 and kmax >= 0:
             self.ensure(n, kmax)
 
@@ -81,30 +82,39 @@ class RankDP:
         for k in range(kmax + 1):
             self._p_table(k, n)
 
-    @staticmethod
-    def _binom_row(m: int) -> list[int]:
-        row = [1] * (m + 1)
-        c = 1
-        for j in range(1, m + 1):
-            c = c * (m - j + 1) // j
-            row[j] = c
-        return row
+    def _binom_half(self, m: int) -> list[int]:
+        """C(m, j) for j <= m // 2; the rest follows from C(m, j) = C(m, m - j).
+
+        Rows are built once per m and kept, since every table convolves at
+        the same sizes.
+        """
+        rows = self._binom
+        while len(rows) <= m:
+            r = len(rows)
+            row = [1]
+            c = 1
+            for j in range(1, r // 2 + 1):
+                c = c * (r - j + 1) // j
+                row.append(c)
+            rows.append(row)
+        return rows[m]
 
     def _conv(self, a: list[int], b: list[int], n: int) -> int:
         """sum_{j=0}^{n-1} C(n-1, j) a[j] b[n-1-j]."""
-        row = self._binom_row(n - 1)
+        m = n - 1
+        half = self._binom_half(m)
         total = 0
         for j in range(n):
             aj = a[j]
             if aj:
-                bj = b[n - 1 - j]
+                bj = b[m - j]
                 if bj:
-                    total += row[j] * aj * bj
+                    total += half[j if 2 * j <= m else m - j] * aj * bj
         return total
 
     def _conv_self(self, a: list[int], n: int) -> int:
         """sum_{j=0}^{n-1} C(n-1, j) a[j] a[n-1-j], halved by symmetry."""
-        row = self._binom_row(n - 1)
+        row = self._binom_half(n - 1)
         total = 0
         half = (n - 1) // 2
         for j in range(half + 1):

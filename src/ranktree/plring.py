@@ -10,14 +10,28 @@ nonnegative integer c.  The family {u^b v^c} is linearly independent on
 term maps coincide.  The class is closed under the ring operations,
 differentiation and antidifferentiation, which is what makes it the
 right kernel for the generating-function recurrences in genfun.
+
+Representation.  A PLExpr holds integer numerators over one shared
+denominator: a map (b, c) -> int and a positive int ``den``.  The form is
+canonical: every numerator is nonzero, gcd(den, *numerators) == 1, and
+zero is the empty map over 1.  Equality and hashing therefore compare the
+two parts directly.  A product multiplies integers only and reduces once,
+with one gcd pass over its output; a sum rescales both sides to the lcm of
+their denominators; the calculus and series operations scale numerators by
+integer factors over one common multiplier.  No rational is formed per
+term inside the kernel: ``terms``, ``coeff``, iteration and the scalar
+results (``value_at_0``, ``integral01``, ``series``) hand out reduced
+Rationals built from the integer parts.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 from typing import Iterable, Mapping
 
-try:  # gmpy2 speeds up the big-rational arithmetic considerably
+try:  # when gmpy2 is installed, exact values are handed out as its mpq
     from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rational
@@ -49,36 +63,35 @@ class DivergentIntegral(ValueError):
     """Raised when integrating a term (1-x)^b with b < 0 over [0, 1]."""
 
 
-def _as_coeff(a) -> Rational:
-    if isinstance(a, (int, Rational)):
-        return Rational(a)
-    from fractions import Fraction
-
-    if isinstance(a, Fraction):
-        return rational(a.numerator, a.denominator)
+def _ratio(a) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int or rational coefficient."""
+    if isinstance(a, int):
+        return a, 1
+    if isinstance(a, (Rational, Fraction)):
+        return int(a.numerator), int(a.denominator)
     raise TypeError(f"cannot use {a!r} as a coefficient")
 
 
-class PLExpr:
-    """Canonical, immutable term map (upow, vpow) -> nonzero coefficient."""
+def _int(text) -> int:
+    return int(text) if isinstance(text, str) else operator.index(text)
 
-    __slots__ = ("_terms",)
+
+class PLExpr:
+    """Canonical, immutable term map (upow, vpow) -> numerator, over one denominator."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        canon: dict[tuple[int, int], Rational] = {}
-        if terms:
-            for (b, c), a in terms.items():
-                if c < 0:
-                    raise ValueError("vpow must be nonnegative")
-                a = _as_coeff(a)
-                if a:
-                    key = (int(b), int(c))
-                    s = canon.get(key, 0) + a
-                    if s:
-                        canon[key] = s
-                    else:
-                        canon.pop(key, None)
-        self._terms = canon
+        parts = []
+        for (b, c), a in (terms or {}).items():
+            if c < 0:
+                raise ValueError("vpow must be nonnegative")
+            parts.append(((int(b), int(c)), *_ratio(a)))
+        den = math.lcm(*(q for _, _, q in parts))
+        num: dict[tuple[int, int], int] = {}
+        for key, p, q in parts:
+            num[key] = num.get(key, 0) + p * (den // q)
+        self._num, self._den = _reduce(num, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -94,32 +107,33 @@ class PLExpr:
 
     @property
     def terms(self) -> dict[tuple[int, int], Rational]:
-        return dict(self._terms)
+        den = self._den
+        return {key: Rational(n, den) for key, n in self._num.items()}
 
     def coeff(self, upow: int, vpow: int) -> Rational:
-        return self._terms.get((upow, vpow), Rational(0))
+        return Rational(self._num.get((upow, vpow), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __iter__(self):
-        return iter(sorted(self._terms.items()))
+        return iter(sorted(self.terms.items()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PLExpr):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "PLExpr(0)"
-        bits = [f"({a})*u^{b}*v^{c}" for (b, c), a in sorted(self._terms.items())]
+        bits = [f"({a})*u^{b}*v^{c}" for (b, c), a in self]
         return "PLExpr[" + " + ".join(bits) + "]"
 
     # -- ring operations ---------------------------------------------------
@@ -129,19 +143,21 @@ class PLExpr:
             other = PLExpr.const(other)
         if not isinstance(other, PLExpr):
             return NotImplemented
-        out = dict(self._terms)
-        for key, a in other._terms.items():
-            s = out.get(key, 0) + a
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw(out)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        g = math.gcd(self._den, other._den)
+        m1, m2 = other._den // g, self._den // g
+        out = {key: n * m1 for key, n in self._num.items()} if m1 != 1 else dict(self._num)
+        for key, n in other._num.items():
+            out[key] = out.get(key, 0) + n * m2
+        return _canon(out, self._den * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PLExpr":
-        return _raw({k: -a for k, a in self._terms.items()})
+        return _raw({key: -n for key, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "PLExpr":
         if isinstance(other, (int, Rational)):
@@ -154,26 +170,35 @@ class PLExpr:
         return (-self) + other
 
     def scale(self, a) -> "PLExpr":
-        a = _as_coeff(a)
-        if not a:
+        p, q = _ratio(a)
+        if not p:
             return ZERO
-        return _raw({k: c * a for k, c in self._terms.items()})
+        return _canon({key: n * p for key, n in self._num.items()}, self._den * q)
 
     def __mul__(self, other) -> "PLExpr":
         if isinstance(other, (int, Rational)):
             return self.scale(other)
         if not isinstance(other, PLExpr):
             return NotImplemented
-        out: dict[tuple[int, int], Rational] = {}
-        for (b1, c1), a1 in self._terms.items():
-            for (b2, c2), a2 in other._terms.items():
-                key = (b1 + b2, c1 + c2)
-                s = out.get(key, 0) + a1 * a2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return _raw(out)
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        if other is self:
+            # a square: each cross term once, doubled
+            items = list(self._num.items())
+            for i, ((b1, c1), n1) in enumerate(items):
+                key = (b1 + b1, c1 + c1)
+                out[key] = get(key, 0) + n1 * n1
+                n1 += n1
+                for (b2, c2), n2 in items[i + 1 :]:
+                    key = (b1 + b2, c1 + c2)
+                    out[key] = get(key, 0) + n1 * n2
+        else:
+            right = list(other._num.items())
+            for (b1, c1), n1 in self._num.items():
+                for (b2, c2), n2 in right:
+                    key = (b1 + b2, c1 + c2)
+                    out[key] = get(key, 0) + n1 * n2
+        return _canon(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -193,75 +218,98 @@ class PLExpr:
 
     def differentiate(self) -> "PLExpr":
         """Exact d/dx:  u^b v^c  ->  -b u^(b-1) v^c + c u^(b-1) v^(c-1)."""
-        out: dict[tuple[int, int], Rational] = {}
-        for (b, c), a in self._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (b, c), n in self._num.items():
             if b:
-                _acc(out, (b - 1, c), -b * a)
+                key = (b - 1, c)
+                out[key] = out.get(key, 0) - b * n
             if c:
-                _acc(out, (b - 1, c - 1), c * a)
-        return _raw(out)
+                key = (b - 1, c - 1)
+                out[key] = out.get(key, 0) + c * n
+        return _canon(out, self._den)
 
     def antiderivative(self, value_at_0=0) -> "PLExpr":
         """The antiderivative F with F(0) = value_at_0, exact.
 
         u^(-1) v^c integrates to v^(c+1)/(c+1); for b != -1 integration by
         parts trades one power of v for a 1/(b+1) factor until c reaches 0.
+        All terms go over the denominator den * scale, where scale is a
+        multiple of every (b+1)^(c+1) and c+1 that occurs and of the
+        denominator of value_at_0, so each new numerator is an exact
+        integer quotient.
         """
-        out: dict[tuple[int, int], Rational] = {}
-        for (b, c), a in self._terms.items():
+        p, q = _ratio(value_at_0)
+        scale = math.lcm(
+            q, *{c + 1 if b == -1 else abs(b + 1) ** (c + 1) for b, c in self._num}
+        )
+        out: dict[tuple[int, int], int] = {}
+        for (b, c), n in self._num.items():
             if b == -1:
-                _acc(out, (0, c + 1), a / Rational(c + 1))
-            else:
-                # - v^c u^(b+1)/(b+1) + (c/(b+1)) * integral(u^b v^(c-1))
-                factor = a
-                while c > 0:
-                    _acc(out, (b + 1, c), -factor / Rational(b + 1))
-                    factor = factor * c / Rational(b + 1)
-                    c -= 1
-                _acc(out, (b + 1, 0), -factor / Rational(b + 1))
-        result = _raw(out)
-        shift = _as_coeff(value_at_0) - result.value_at_0()
-        if shift:
-            result = result + PLExpr.const(shift)
-        return result
+                key = (0, c + 1)
+                out[key] = out.get(key, 0) + n * scale // (c + 1)
+                continue
+            # - v^c u^(b+1)/(b+1) + (c/(b+1)) * integral(u^b v^(c-1))
+            w = b + 1
+            t = -n * scale // w
+            while c > 0:
+                key = (w, c)
+                out[key] = out.get(key, 0) + t
+                t = t * c // w
+                c -= 1
+            key = (w, 0)
+            out[key] = out.get(key, 0) + t
+        den = self._den * scale
+        # fix the constant: F(0) is the sum of the v-free numerators
+        at0 = sum(t for (_, c), t in out.items() if c == 0)
+        out[(0, 0)] = out.get((0, 0), 0) + p * (den // q) - at0
+        return _canon(out, den)
 
     def value_at_0(self) -> Rational:
         """Exact value at x = 0, where u = 1 and v = 0."""
-        total = Rational(0)
-        for (b, c), a in self._terms.items():
-            if c == 0:
-                total += a
-        return total
+        return Rational(sum(n for (_, c), n in self._num.items() if c == 0), self._den)
 
     def integral01(self) -> Rational:
         """Exact integral over [0, 1]: each term contributes c!/(b+1)^(c+1)."""
-        total = Rational(0)
-        for (b, c), a in self._terms.items():
+        for b, c in self._num:
             if b < 0:
-                raise DivergentIntegral(
-                    f"term u^{b} v^{c} diverges on [0, 1]"
-                )
-            total += a * Rational(math.factorial(c)) / Rational(b + 1) ** (c + 1)
-        return total
+                raise DivergentIntegral(f"term u^{b} v^{c} diverges on [0, 1]")
+        scale = math.lcm(*{(b + 1) ** (c + 1) for b, c in self._num})
+        total = sum(
+            n * math.factorial(c) * (scale // (b + 1) ** (c + 1))
+            for (b, c), n in self._num.items()
+        )
+        return Rational(total, self._den * scale)
 
     # -- power series ------------------------------------------------------
 
     def series(self, order: int) -> list[Rational]:
-        """Exact Taylor coefficients [x^0 .. x^order] at x = 0."""
+        """Exact Taylor coefficients [x^0 .. x^order] at x = 0.
+
+        The u^b factors have integer coefficients; the v^c factors are kept
+        scaled by order!, which makes them integers too.  Terms are summed
+        per power of v first, so each v^c series is convolved once.
+        """
         if order < 0:
             raise ValueError("order must be nonnegative")
         n = order + 1
-        total = [Rational(0)] * n
-        for (b, c), a in self._terms.items():
+        by_c: dict[int, list[int]] = {}
+        for (b, c), a in self._num.items():
             if c > order:
                 continue  # v^c = O(x^c)
-            ts = _u_pow_series(b, order)
-            if c:
-                ts = _convolve(ts, _v_pow_series(c, order), n)
-            for i, t in enumerate(ts):
+            acc = by_c.setdefault(c, [0] * n)
+            for i, t in enumerate(_u_pow_series(b, order)):
                 if t:
-                    total[i] += a * t
-        return total
+                    acc[i] += a * t
+        fact = math.factorial(order)
+        total = [0] * n
+        for c, acc in by_c.items():
+            vs = _v_pow_series(c, order)
+            for i, ai in enumerate(acc):
+                if ai:
+                    for j in range(n - i):
+                        total[i + j] += ai * vs[j]
+        den = self._den * fact
+        return [Rational(t, den) for t in total]
 
     # -- numerics ----------------------------------------------------------
 
@@ -271,82 +319,98 @@ class PLExpr:
             raise ValueError(f"x={x} outside [0, 1)")
         u = 1.0 - x
         v = -math.log1p(-x)
-        return sum(float(a) * u**b * v**c for (b, c), a in self._terms.items())
+        den = self._den
+        return sum(n / den * u**b * v**c for (b, c), n in self._num.items())
 
     # -- stable text form --------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        """Stable serialization, sorted by (upow, vpow); bit-exact round trip."""
-        return [
-            {
-                "num": str(a.numerator),
-                "den": str(a.denominator),
-                "upow": b,
-                "vpow": c,
-            }
-            for (b, c), a in sorted(self._terms.items())
-        ]
+        """Stable serialization, sorted by (upow, vpow); bit-exact round trip.
+
+        Each record holds its own coefficient in lowest terms.
+        """
+        den = self._den
+        records = []
+        for (b, c), n in sorted(self._num.items()):
+            g = math.gcd(n, den)
+            records.append(
+                {"num": str(n // g), "den": str(den // g), "upow": b, "vpow": c}
+            )
+        return records
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> "PLExpr":
-        return cls(
-            {
-                (int(r["upow"]), int(r["vpow"])): rational(r["num"], r["den"])
-                for r in records
-            }
-        )
+        parts = {}
+        for r in records:
+            p, q = _int(r["num"]), _int(r["den"])
+            if not q:
+                raise ZeroDivisionError(f"record {r!r} has a zero denominator")
+            if q < 0:
+                p, q = -p, -q
+            c = int(r["vpow"])
+            if c < 0:
+                raise ValueError("vpow must be nonnegative")
+            parts[(int(r["upow"]), c)] = (p, q)  # a repeated key: the last one wins
+        den = math.lcm(*(q for _, q in parts.values()))
+        return _canon({key: p * (den // q) for key, (p, q) in parts.items()}, den)
 
 
-def _raw(terms: dict[tuple[int, int], Rational]) -> PLExpr:
+def _reduce(num: dict[tuple[int, int], int], den: int) -> tuple[dict, int]:
+    """Canonical parts: zero numerators dropped, common factor divided out."""
+    num = {key: n for key, n in num.items() if n}
+    if not num:
+        return {}, 1
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {key: n // g for key, n in num.items()}
+        den //= g
+    return num, den
+
+
+def _raw(num: dict[tuple[int, int], int], den: int) -> PLExpr:
+    """Wrap parts that are already canonical."""
     expr = PLExpr.__new__(PLExpr)
-    expr._terms = terms
+    expr._num = num
+    expr._den = den
     return expr
 
 
-def _acc(out: dict, key: tuple[int, int], a) -> None:
-    s = out.get(key, 0) + a
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
+def _canon(num: dict[tuple[int, int], int], den: int) -> PLExpr:
+    return _raw(*_reduce(num, den))
 
 
-def _u_pow_series(b: int, order: int) -> list[Rational]:
-    """Coefficients of (1-x)^b; finite binomial for b >= 0, else geometric-type."""
-    coeffs = [Rational(1)]
-    c = Rational(1)
+def _u_pow_series(b: int, order: int) -> list[int]:
+    """Coefficients of (1-x)^b, all integers: finite binomial for b >= 0."""
+    coeffs = [1]
+    c = 1
     for i in range(order):
-        # C(b, i+1)(-1)^(i+1) = previous * (i - b) / (i + 1), valid for any b
-        c = c * Rational(i - b) / Rational(i + 1)
+        # C(b, i+1)(-1)^(i+1) = previous * (i - b) / (i + 1), exact for any b
+        c = c * (i - b) // (i + 1)
         coeffs.append(c)
     return coeffs
 
 
-_V_SERIES_CACHE: dict[tuple[int, int], list[Rational]] = {}
+_V_SERIES_CACHE: dict[tuple[int, int], list[int]] = {}
 
 
-def _v_pow_series(c: int, order: int) -> list[Rational]:
+def _v_pow_series(c: int, order: int) -> list[int]:
+    """order! times the coefficients of v^c up to x^order, all integers."""
     cached = _V_SERIES_CACHE.get((c, order))
     if cached is not None:
         return cached
     n = order + 1
-    v1 = [Rational(0)] + [Rational(1) / Rational(i) for i in range(1, n)]
-    if c == 1:
-        out = v1
+    fact = math.factorial(order)
+    if c == 0:
+        out = [fact] + [0] * order
+    elif c == 1:
+        out = [0] + [fact // i for i in range(1, n)]
     else:
-        out = _convolve(_v_pow_series(c - 1, order), v1, n)
+        # order! [x^m] v^c = c! |s(m, c)| order!/m!, an integer for m <= order
+        prev, v1 = _v_pow_series(c - 1, order), _v_pow_series(1, order)
+        out = [
+            sum(prev[j] * v1[m - j] for j in range(m + 1)) // fact for m in range(n)
+        ]
     _V_SERIES_CACHE[(c, order)] = out
-    return out
-
-
-def _convolve(a: list[Rational], b: list[Rational], n: int) -> list[Rational]:
-    out = [Rational(0)] * n
-    for i, ai in enumerate(a[:n]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: n - i]):
-            if bj:
-                out[i + j] += ai * bj
     return out
 
 

@@ -112,6 +112,59 @@ def test_cached_expression_matches_recomputation(tmp_path):
     assert PLExpr.from_records(blob["terms"]) == genfun.root_rank_gf(2)
 
 
+def test_truncated_cache_entry_is_rewritten(capsys, tmp_path):
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
+    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    entry = cache / "root_rank.2.json"
+    entry.write_text(entry.read_text()[:40])
+    for _ in range(2):
+        code, out, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+        assert code == 0
+        assert out == cold
+        assert entry.read_bytes() == (fresh / "root_rank.2.json").read_bytes()
+    # nothing but the entries themselves: no temporary file is left behind
+    assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in fresh.iterdir())
+
+
+def test_misnamed_cache_entry_is_not_accepted(tmp_path):
+    genfun.root_rank_gf(2)
+    cli.save_cache(tmp_path)
+    (tmp_path / "root_rank.2.json").rename(tmp_path / "root_rank.9.json")
+    accepted = set()
+    loaded = cli.load_cache(tmp_path, accepted)
+    assert tmp_path / "root_rank.9.json" not in accepted
+    assert loaded == len(accepted)
+
+
+def test_simulate_output_is_strict_json(capsys):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out, _ = run(capsys, "simulate", "--n", "30", "--trials", "1", "--kmax", "2")
+    assert code == 0
+    payload = json.loads(out, parse_constant=refuse)
+    stats = payload["statistics"]
+    assert stats["leaf_fraction"]["trials"] == 1
+    assert all(stat["stderr"] is None for stat in stats.values())
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["constants", "bounds", "oracle", "simulate", "factor", "verify"]
+)
+def test_negative_kmax_is_a_usage_error(capsys, subcommand):
+    code, out, err = run(capsys, subcommand, "--kmax", "-1")
+    assert code == cli.EXIT_USAGE
+    assert "usage error: kmax must be >= 0" in err
+    assert out == ""
+
+
+def test_verify_needs_two_trials(capsys):
+    code, _, err = run(capsys, "verify", "--trials", "1")
+    assert code == cli.EXIT_USAGE
+    assert "usage error" in err
+
+
 def test_load_cache_ignores_foreign_files(tmp_path):
     (tmp_path / "junk.json").write_text("{not json")
     (tmp_path / "other.json").write_text('{"format": "something-else"}')

@@ -190,3 +190,18 @@ def test_denominators_divide_factorial():
         for k in range(3):
             value = oracle.root_rank_tail(n, k)
             assert math.factorial(n) % value.denominator == 0
+
+
+def test_binomial_convolutions_match_math_comb():
+    dp = oracle.RankDP()
+    # sizes out of order, so rows are built ahead of use and then reused
+    for n in (9, 1, 2, 12, 5, 6, 11, 3):
+        m = n - 1
+        a = [0 if j % 4 == 1 else 3 * j + 1 for j in range(n)]
+        b = [(-1) ** j * (j + 2) for j in range(n)]
+        assert dp._conv(a, b, n) == sum(math.comb(m, j) * a[j] * b[m - j] for j in range(n))
+        assert dp._conv_self(a, n) == sum(
+            math.comb(m, j) * a[j] * a[m - j] for j in range(n)
+        )
+    for m in range(12):
+        assert dp._binom_half(m) == [math.comb(m, j) for j in range(m // 2 + 1)]

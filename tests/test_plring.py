@@ -1,11 +1,14 @@
 """Kernel tests: exact arithmetic, calculus, series, and serialization."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import reference_plring as ref
+from ranktree import genfun
 from ranktree.plring import (
     ONE,
     U,
@@ -139,3 +142,114 @@ def test_eval_real_matches_terms(e, x):
 def test_power_operator():
     assert (U + V) ** 2 == U * U + 2 * U * V + V * V
     assert (U + ONE) ** 0 == ONE
+
+
+# -- the integer-numerator kernel against the dict-of-Fraction reference -----
+
+fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+
+
+def _nonzero(d):
+    return {key: a for key, a in d.items() if a}
+
+
+ref_exprs = st.dictionaries(exponents, fractions, max_size=6).map(_nonzero)
+ref_convergent = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 5)), fractions, max_size=6
+).map(_nonzero)
+
+
+def _assert_canonical(e):
+    assert e._den > 0
+    assert all(e._num.values())
+    if e._num:
+        assert math.gcd(e._den, *e._num.values()) == 1
+    else:
+        assert e._den == 1
+
+
+@given(ref_exprs, ref_exprs, fractions)
+@settings(max_examples=80, deadline=None)
+def test_ring_operations_match_reference(a, b, s):
+    ea, eb = PLExpr(a), PLExpr(b)
+    for got, want in (
+        (ea + eb, ref.add(a, b)),
+        (ea - eb, ref.sub(a, b)),
+        (ea * eb, ref.mul(a, b)),
+        (ea * ea, ref.mul(a, a)),
+        (ea.scale(s), ref.scale(a, s)),
+        (ea**3, ref.power(a, 3)),
+    ):
+        assert got.terms == want
+        _assert_canonical(got)
+
+
+@given(ref_exprs, fractions)
+@settings(max_examples=80, deadline=None)
+def test_calculus_matches_reference(a, v0):
+    e = PLExpr(a)
+    assert e.differentiate().terms == ref.differentiate(a)
+    assert e.antiderivative(v0).terms == ref.antiderivative(a, v0)
+    assert e.antiderivative().terms == ref.antiderivative(a)
+    assert e.value_at_0() == ref.value_at_0(a)
+    _assert_canonical(e.antiderivative(v0))
+
+
+@given(ref_convergent)
+@settings(max_examples=80, deadline=None)
+def test_integral01_matches_reference(a):
+    assert PLExpr(a).integral01() == ref.integral01(a)
+
+
+@given(ref_exprs, st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_series_matches_reference(a, order):
+    assert PLExpr(a).series(order) == ref.series(a, order)
+
+
+@given(ref_exprs)
+@settings(max_examples=80, deadline=None)
+def test_records_match_reference(a):
+    e = PLExpr(a)
+    assert e.to_records() == ref.records(a)
+    back = PLExpr.from_records(ref.records(a))
+    assert back == e
+    _assert_canonical(back)
+
+
+@given(ref_exprs, ref_exprs, ref_exprs)
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_is_route_independent(a, b, c):
+    ea, eb, ec = PLExpr(a), PLExpr(b), PLExpr(c)
+    routes = [
+        (ea + eb) * ec,
+        ea * ec + eb * ec,
+        ec * eb + ((ea * ec).scale(rational(3, 7)) + (ea * ec).scale(rational(4, 7))),
+        PLExpr.from_records(((ea + eb) * ec).to_records()),
+    ]
+    for e in routes:
+        _assert_canonical(e)
+        assert e == routes[0]
+        assert hash(e) == hash(routes[0])
+    zero = ea - ea
+    assert zero == ZERO and hash(zero) == hash(ZERO)
+    _assert_canonical(zero)
+
+
+def test_from_records_accepts_unreduced_and_signed_records():
+    records = [
+        {"num": "6", "den": "-4", "upow": 1, "vpow": 0},
+        {"num": "0", "den": "5", "upow": 2, "vpow": 1},
+        {"num": "10", "den": "15", "upow": 0, "vpow": 2},
+    ]
+    e = PLExpr.from_records(records)
+    _assert_canonical(e)
+    assert e.terms == {(1, 0): rational(-3, 2), (0, 2): rational(2, 3)}
+    with pytest.raises(ZeroDivisionError):
+        PLExpr.from_records([{"num": "1", "den": "0", "upow": 0, "vpow": 0}])
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_root_rank_records_match_reference_kernel(k):
+    # pins the bytes of the disk cache: cached records are to_records output
+    assert genfun.root_rank_gf(k).to_records() == ref.records(ref.root_rank_gf(k))
