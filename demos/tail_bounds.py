@@ -8,10 +8,10 @@ lower reference.  Whether the decay rate of the tails itself converges
 is open, so the last column is reported, never asserted.
 """
 
-from ranktree import conjecture, genfun
+from ranktree import genfun
 
 table = genfun.tail_report(5)
-a0 = conjecture.alpha0(1e-12)
+a0 = table.alpha0
 print(f"alpha_0 = {a0:.12f}  (root of a + a log(2/a) = 1)")
 print()
 print(f"{'k':>2} {'1-S_k':>12} {'2 I_k1':>12} {'(6k+7)/3^k+1':>13} {'lower ref':>12}")
@@ -23,7 +23,7 @@ for row in table.rows:
 
 print()
 print("successive tail ratios (open question: do they converge?)")
-envelope = conjecture.lower_envelope_report(5)
-for row in envelope.rows[1:]:
-    print(f"k={row.k}: (1 - S_k)/(1 - S_(k-1)) = {row.decay_ratio:.6f}")
+for row in table.rows[1:]:
+    ratio = float(row.exact_tail / row.exact_tail_prev)
+    print(f"k={row.k}: (1 - S_k)/(1 - S_(k-1)) = {ratio:.6f}")
 print(f"for comparison: 1/3 = {1 / 3:.6f}, e^(-1/alpha_0) = {2.718281828 ** (-1 / a0):.6f}")

@@ -20,10 +20,10 @@ import json
 import os
 import sys
 from collections.abc import Collection
-from fractions import Fraction
 from pathlib import Path
 
-from . import conjecture, genfun, montecarlo, oracle
+from . import checks, conjecture, genfun, montecarlo, oracle
+from .checks import approx, flat_rat
 from .genfun import KINDS, InternalInconsistency
 from .plring import PLExpr, Rational
 
@@ -54,16 +54,8 @@ class _Parser(argparse.ArgumentParser):
 # Output helpers
 
 
-def _approx(x) -> float:
-    return float(f"{float(x):.12g}")
-
-
 def _rat(x: Rational) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator), "approx": _approx(x)}
-
-
-def _flat_rat(x: Rational) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return {"num": str(x.numerator), "den": str(x.denominator), "approx": approx(x)}
 
 
 def _emit(payload: dict, rows: list[dict], fmt: str) -> None:
@@ -80,11 +72,6 @@ def _emit(payload: dict, rows: list[dict], fmt: str) -> None:
         writer.writeheader()
         writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
-
-
-def _parse_rational(text: str) -> Rational:
-    frac = Fraction(text)
-    return Rational(frac.numerator) / frac.denominator
 
 
 def _check_kmax(k: int, exact_gf: bool) -> None:
@@ -194,13 +181,13 @@ def cmd_constants(args) -> int:
         rows_csv.append(
             {
                 "k": row.k,
-                "c": _flat_rat(row.c),
-                "c_approx": _approx(row.c),
-                "f": _flat_rat(row.f),
-                "g": _flat_rat(row.g),
-                "partial_sum_approx": _approx(row.partial_sum),
-                "f_over_c": _flat_rat(row.f_over_c),
-                "g_over_c": _flat_rat(row.g_over_c),
+                "c": flat_rat(row.c),
+                "c_approx": approx(row.c),
+                "f": flat_rat(row.f),
+                "g": flat_rat(row.g),
+                "partial_sum_approx": approx(row.partial_sum),
+                "f_over_c": flat_rat(row.f_over_c),
+                "g_over_c": flat_rat(row.g_over_c),
             }
         )
     payload: dict = {"command": "constants", "kmax": kmax, "rows": rows_json}
@@ -228,23 +215,23 @@ def cmd_bounds(args) -> int:
                 "exact_tail_prev": _rat(row.exact_tail_prev),
                 "moment_bound": _rat(row.moment_bound),
                 "theorem_bound": _rat(row.theorem_bound),
-                "lower_reference": _approx(row.lower_reference),
+                "lower_reference": approx(row.lower_reference),
             }
         )
         rows_csv.append(
             {
                 "k": row.k,
-                "exact_tail": _flat_rat(row.exact_tail),
-                "exact_tail_approx": _approx(row.exact_tail),
-                "moment_bound_approx": _approx(row.moment_bound),
-                "theorem_bound_approx": _approx(row.theorem_bound),
-                "lower_reference": _approx(row.lower_reference),
+                "exact_tail": flat_rat(row.exact_tail),
+                "exact_tail_approx": approx(row.exact_tail),
+                "moment_bound_approx": approx(row.moment_bound),
+                "theorem_bound_approx": approx(row.theorem_bound),
+                "lower_reference": approx(row.lower_reference),
             }
         )
     payload = {
         "command": "bounds",
         "kmax": kmax,
-        "alpha0": _approx(conjecture.alpha0(1e-12)),
+        "alpha0": approx(table.alpha0),
         "moments": {
             f"{k},{t}": _rat(value) for (k, t), value in sorted(table.moments.items())
         },
@@ -286,26 +273,20 @@ def cmd_oracle(args) -> int:
         rows_csv.append(
             {
                 "k": k,
-                "root_rank_tail": _flat_rat(p_gt),
-                "root_rank_prob_approx": _approx(p_eq),
-                "rank_count_approx": _approx(e_k),
-                "leaf_pairs_approx": _approx(f_k),
-                "closest_pairs_approx": _approx(g_k),
+                "root_rank_tail": flat_rat(p_gt),
+                "root_rank_prob_approx": approx(p_eq),
+                "rank_count_approx": approx(e_k),
+                "leaf_pairs_approx": approx(f_k),
+                "closest_pairs_approx": approx(g_k),
             }
         )
     payload: dict = {"command": "oracle", "n": n, "kmax": kmax, "rows": rows_json}
     if args.rho is not None:
-        rho = _parse_rational(args.rho)
+        rho = checks.parse_rational(args.rho)
         payload["moment_ratio"] = {"rho": args.rho, **_rat(oracle.moment_gf_ratio(n, rho))}
     if args.series_order is not None:
         order = args.series_order
-        agree = True
-        for k in range(kmax + 1):
-            coeffs = genfun.root_rank_cdf_gf(k).series(order)
-            for m in range(1, order + 1):
-                if coeffs[m] != 1 - oracle.root_rank_tail(m, k):
-                    agree = False
-        if not agree:
+        if not checks.cdf_series_vs_oracle(kmax, order)[1]:
             raise InternalInconsistency(
                 "generating-function series disagrees with the exact DP"
             )
@@ -370,160 +351,12 @@ def cmd_factor(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-# ---------------------------------------------------------------------------
-# Verification suite
-
-
-def _se_window(observed, exact, stderr, sigmas: float = 4.0) -> bool:
-    slack = sigmas * stderr if stderr > 0 else 1e-12
-    return abs(observed - float(exact)) <= slack
-
-
-def _verify_checks(args) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, bool(ok), detail))
-
-    # exact low-order constants, each computed along two independent routes
-    c = [genfun.rank_constant(k) for k in range(6)]
-    expected = [Rational(1) / 3, Rational(3) / 10, Rational(1721) / 8100]
-    add(
-        "constants-exact",
-        c[:3] == expected,
-        f"c_0..c_2 = {[_flat_rat(x) for x in c[:3]]}",
-    )
-    add(
-        "constants-windows",
-        abs(float(c[4]) - 0.0364) <= 5e-4 and abs(float(c[5]) - 0.0074) <= 5e-4,
-        f"c_4 ~ {_approx(c[4])}, c_5 ~ {_approx(c[5])}",
-    )
-
-    f = [genfun.leaf_pair_constant(k) for k in range(3)]
-    g = [genfun.closest_leaf_constant(k) for k in range(3)]
-    ratios = [genfun.per_vertex_ratios(k) for k in range(3)]
-    f_exp = [Rational(1) / 3, Rational(17) / 30, Rational(152389) / 170100]
-    g_exp = [Rational(1) / 3, Rational(1) / 3, Rational(49) / 180]
-    r_exp = [
-        (Rational(1), Rational(1)),
-        (Rational(17) / 9, Rational(10) / 9),
-        (Rational(152389) / 36141, Rational(2205) / 1721),
-    ]
-    add(
-        "pair-constants-exact",
-        f == f_exp and g == g_exp and ratios == r_exp,
-        f"f = {[_flat_rat(x) for x in f]}, g = {[_flat_rat(x) for x in g]}",
-    )
-
-    s = [genfun.partial_sum(k) for k in range(6)]
-    add(
-        "partial-sum-windows",
-        0.954 < float(s[3]) < 0.956
-        and 0.9913 < float(s[4]) < 0.9915
-        and 0.9987 < float(s[5]) < 0.9988,
-        f"S_3..S_5 ~ {[_approx(x) for x in s[3:6]]}",
-    )
-
-    ok_tails = True
-    for k in range(11):
-        ik1 = genfun.tail_moment(k, 1)
-        upper = Rational(6 * k + 7) / 6 / Rational(3) ** k
-        lower = genfun.tail_moment(0, 1) / Rational(3) ** k
-        ok_tails = ok_tails and lower <= ik1 <= upper
-    for k in range(6):
-        ok_tails = ok_tails and 1 - s[k] <= 2 * genfun.tail_moment(k, 1)
-    add("tail-bounds", ok_tails, "moment bounds hold for k <= 10, tails for k <= 5")
-
-    residual_ranges = {
-        "root_rank": range(0, 6),
-        "root_rank_cdf": range(0, 6),
-        "leaf_pair_tail": range(0, 4),
-        "closest_leaf": range(1, 4),
-        "greedy_tail": range(0, 7),
-    }
-    ok_res = all(
-        genfun.ode_residual(kind, k).is_zero()
-        for kind, ks in residual_ranges.items()
-        for k in ks
-    )
-    add("ode-residuals", ok_res, "all five defining equations have zero residual")
-
-    ok_series = True
-    for k in range(6):
-        coeffs = genfun.root_rank_cdf_gf(k).series(50)
-        for n in range(1, 51):
-            ok_series = ok_series and coeffs[n] == 1 - oracle.root_rank_tail(n, k)
-    for k in range(4):
-        tail = genfun.leaf_pair_tail_gf(k).series(25)
-        hat = genfun.closest_leaf_gf(k).series(25)
-        for n in range(1, 26):
-            ok_series = ok_series and tail[n] == oracle.expected_leaf_pairs_tail(n, k)
-            ok_series = ok_series and hat[n] == oracle.expected_closest_pairs(n, k)
-    add("series-vs-oracle", ok_series, "coefficients match the exact DP tables")
-
-    ok_struct = True
-    for k in range(6):
-        verdict = conjecture.check_conjectures(k, c[k])
-        structure = conjecture.check_pl_structure(k)
-        ok_struct = ok_struct and verdict.smoothness_pass and structure.passed
-        if k >= 2:
-            ok_struct = ok_struct and verdict.gap_free is True
-    add("structure-and-factorizations", ok_struct, "k <= 5")
-
-    a0 = conjecture.alpha0(1e-12)
-    add("alpha0-window", 0.3725 < a0 < 0.3735, f"alpha0 ~ {_approx(a0)}")
-
-    rho = _parse_rational(args.rho)
-    ratios_by_n = [float(oracle.moment_gf_ratio(n, rho)) for n in (100, 200, 400)]
-    spread = (max(ratios_by_n) - min(ratios_by_n)) / max(ratios_by_n)
-    add(
-        "moment-ratio-stability",
-        spread < 0.05,
-        f"rho={args.rho}, spread {_approx(spread * 100)}% over n in 100..400",
-    )
-
-    # seeded simulation against the exact oracle, 4-standard-error windows
-    rep = montecarlo.estimate(args.n, args.trials, args.seed, kmax=3)
-    ok_mc = True
-    for k in range(4):
-        stat = rep[f"rank_fraction/{k}"]
-        exact = oracle.expected_rank_counts(args.n, k)[k] / args.n
-        ok_mc = ok_mc and _se_window(stat.mean, exact, stat.stderr)
-    leaf = rep["leaf_fraction"]
-    ok_mc = ok_mc and _se_window(
-        leaf.mean, oracle.expected_rank_counts(args.n, 0)[0] / args.n, leaf.stderr
-    )
-    add("simulation-rank-fractions", ok_mc, f"n={args.n}, trials={args.trials}")
-
-    rep200 = montecarlo.estimate(200, args.trials, args.seed + 1, kmax=3)
-    ok_root = all(
-        _se_window(
-            rep200[f"root_rank_freq/{k}"].mean,
-            oracle.root_rank_prob(200, k),
-            rep200[f"root_rank_freq/{k}"].stderr,
-        )
-        for k in range(4)
-    )
-    add("simulation-root-rank", ok_root, f"n=200, trials={args.trials}")
-
-    rep30 = montecarlo.estimate(30, args.trials, args.seed + 2, kmax=5)
-    ok_greedy = True
-    for k in range(6):
-        stat = rep30[f"greedy_gt/{k}"]
-        exact = genfun.greedy_tail_gf(k).series(30)[30]
-        ok_greedy = ok_greedy and _se_window(stat.mean, exact, stat.stderr)
-    add("simulation-greedy-walk", ok_greedy, f"n=30, trials={args.trials}")
-
-    return checks
-
-
 def cmd_verify(args) -> int:
     if args.n < 1 or args.trials < 2:
         raise ValueError("verify needs n >= 1 and trials >= 2 (a standard error needs two trials)")
-    checks = _verify_checks(args)
     rows = []
     failed = 0
-    for name, ok, detail in checks:
+    for name, ok, detail in checks.verify_checks(args.n, args.trials, args.seed, args.rho):
         status = "PASS" if ok else "FAIL"
         failed += 0 if ok else 1
         print(f"{status} {name}: {detail}")
@@ -549,42 +382,49 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ranktree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, exact_gf=False):
-        p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--cache-dir", type=Path, default=None)
+    # each subcommand takes only the shared options it reads
+    shared = {
+        "--kmax": dict(type=int, default=DEFAULT_KMAX),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--cache-dir": dict(type=Path, default=None),
+    }
+    parser.set_defaults(kmax=None, cache_dir=None)
+
+    def common(p, *flags, exact_gf=False):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.set_defaults(exact_gf=exact_gf)
 
     p = sub.add_parser("constants", help="exact c_k, f_k, g_k, S_k tables")
-    common(p, exact_gf=True)
+    common(p, "--kmax", "--format", "--cache-dir", exact_gf=True)
     p.add_argument("--dump-gf", choices=KINDS, default=None)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("bounds", help="exact tails vs proven envelopes")
-    common(p, exact_gf=True)
+    common(p, "--kmax", "--format", "--cache-dir", exact_gf=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("oracle", help="exact finite-n tables")
-    common(p)
+    common(p, "--kmax", "--format", "--cache-dir")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--rho", default=None)
     p.add_argument("--series-order", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
-    common(p)
+    common(p, "--kmax", "--format")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("factor", help="denominator factorizations and verdicts")
-    common(p, exact_gf=True)
+    common(p, "--kmax", "--format", "--cache-dir", exact_gf=True)
     p.add_argument("--factor-bound", type=int, default=1000)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    common(p)
+    common(p, "--cache-dir")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
@@ -599,8 +439,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cache_dir = args.cache_dir
     accepted: set[Path] = set()
+    # exact values from k = 7 on have more decimal digits than Python 3.11+
+    # converts by default (4300), in the output and in the cache entries;
+    # the limit is lifted for this run only
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        _check_kmax(args.kmax, args.exact_gf)
+        if args.kmax is not None:
+            _check_kmax(args.kmax, args.exact_gf)
         if cache_dir is not None:
             load_cache(cache_dir, accepted)
         code = args.func(args)
@@ -613,6 +460,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

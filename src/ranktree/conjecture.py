@@ -10,7 +10,7 @@ shortest-path constant alpha_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import genfun
@@ -20,13 +20,11 @@ __all__ = [
     "FactorReport",
     "ConjectureVerdict",
     "PLStructureReport",
-    "EnvelopeRow",
     "primes_upto",
     "factor_smooth",
     "check_conjectures",
     "check_pl_structure",
     "alpha0",
-    "lower_envelope_report",
 ]
 
 
@@ -210,53 +208,3 @@ def alpha0(tol: float) -> float:
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-@dataclass(frozen=True)
-class EnvelopeRow:
-    k: int
-    exact_tail: Rational
-    lower_reference: float          # (2/3) e^{-k/alpha0}
-    upper_bound: Rational           # (6k+7)/3 * (1/3)^k
-    decay_ratio: float | None       # (1 - S_k)/(1 - S_{k-1})
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "exact_tail": str(self.exact_tail),
-            "exact_tail_float": float(self.exact_tail),
-            "lower_reference": self.lower_reference,
-            "upper_bound_float": float(self.upper_bound),
-            "decay_ratio": self.decay_ratio,
-        }
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    alpha0: float
-    rows: list[EnvelopeRow] = field(default_factory=list)
-
-
-def lower_envelope_report(kmax: int) -> EnvelopeReport:
-    """Exact tails next to the exponential envelopes.
-
-    The decay-ratio column is reported, never asserted: whether
-    k^-1 log(1/c_k) converges (inside [log 3, 1/alpha_0]) is open.
-    """
-    a0 = alpha0(1e-12)
-    rows = []
-    prev_tail = None
-    for k in range(kmax + 1):
-        tail = 1 - genfun.partial_sum(k)
-        ratio = float(tail / prev_tail) if prev_tail else None
-        rows.append(
-            EnvelopeRow(
-                k=k,
-                exact_tail=tail,
-                lower_reference=(2.0 / 3.0) * math.exp(-k / a0),
-                upper_bound=Rational(6 * k + 7) / 3 / Rational(3) ** k,
-                decay_ratio=ratio,
-            )
-        )
-        prev_tail = tail
-    return EnvelopeReport(alpha0=a0, rows=rows)

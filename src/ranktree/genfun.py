@@ -11,6 +11,22 @@ Builds, inside the (1-x)^b log(1/(1-x))^c ring:
 and from them the limiting constants c_k, f_k, g_k, the tail moments
 I_{k,t} = integral of (1-y)^t P_{>k}(y), and the tail-bound tables.
 
+Each family is described once, in the table _FAMILIES: its first k, its
+value there, the order of its differential equation in x, and the
+right-hand side of that equation as a function of k.  One generic build
+(gf_by_kind) antidifferentiates the right-hand side ``order`` times from
+0, and ode_residual differentiates ``order`` times and subtracts the same
+right-hand side.  That residual therefore checks the calculus layer, not
+the recurrences themselves; each family keeps an independent guard:
+
+* B_k: the partial-sum route to c_k (rank_constant), and B_{<=k} equal
+  to the sum of the levels B_0..B_k;
+* B_{<=k}: its series against the finite-n DP to order 50;
+* Bcal_{>k}, Bhat_k: their series against the DP, and the exact f_k and
+  g_k values;
+* P_{>k}: the moment recurrence against the direct integral for k <= 6,
+  and the simulated greedy walk at n = 30.
+
 Whenever two independent routes to the same exact value exist (the
 constants and the tail moments), both are computed and compared; any
 mismatch raises InternalInconsistency, since it can only mean a bug.
@@ -20,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .plring import ONE, PLExpr, Rational, U, UINV, X, ZERO
 
 __all__ = [
     "InternalInconsistency",
-    "GFFamily",
     "ConstantsTable",
     "ConstantsRow",
     "TailTable",
@@ -43,6 +59,7 @@ __all__ = [
     "per_vertex_ratios",
     "greedy_tail_gf",
     "tail_moment",
+    "tail_envelope",
     "tail_report",
     "ode_residual",
     "constants_table",
@@ -56,27 +73,56 @@ class InternalInconsistency(AssertionError):
     """Two independent exact routes to the same value disagreed."""
 
 
-KINDS = ("root_rank", "root_rank_cdf", "leaf_pair_tail", "closest_leaf", "greedy_tail")
+# ---------------------------------------------------------------------------
+# The five families
 
 
-@dataclass(frozen=True)
-class GFFamily:
-    kind: str
-    k: int
-    expr: PLExpr
+class _Family(NamedTuple):
+    first: int                      # smallest k of the family
+    base: PLExpr                    # its value at k = first
+    order: int                      # order of the equation in x
+    rhs: Callable[[int], PLExpr]    # d^order/dx^order F_k, for k > first
+
+
+def _root_rank_rhs(k: int) -> PLExpr:
+    # summed from the levels, not read from B_{<=k-2}, so that the two
+    # routes to c_k share no generating function
+    prev = root_rank_gf(k - 1)
+    below = sum((root_rank_gf(j) for j in range(k - 1)), ZERO)
+    return 2 * prev * (UINV - below) - prev * prev
+
+
+def _greedy_tail_rhs(k: int) -> PLExpr:
+    prev = greedy_tail_gf(k - 1)
+    return 2 * prev.differentiate() + 2 * PLExpr.term(1, -2, 0) * prev
+
+
+_FAMILIES: dict[str, _Family] = {
+    "root_rank": _Family(0, X, 1, _root_rank_rhs),
+    # d/dx(1/(1-x) - B_{<=k}) = (1/(1-x) - B_{<=k-1})^2 - 1
+    "root_rank_cdf": _Family(
+        -1, ZERO, 1,
+        lambda k: UINV * UINV - ((UINV - root_rank_cdf_gf(k - 1)) ** 2 - ONE),
+    ),
+    # base: the GF of E[L_n] = (n+1)/3 for n >= 2, 1 for n = 1
+    "leaf_pair_tail": _Family(
+        -1, PLExpr({(-2, 0): Rational(1, 3), (1, 0): Rational(-1, 3)}), 1,
+        lambda k: 2 * (UINV - root_rank_cdf_gf(k - 1)) * leaf_pair_tail_gf(k - 1),
+    ),
+    # bracket 1 + B_{>=k-1}(x) read as 1/(1-x) - B_{<=k-2}(x)
+    "closest_leaf": _Family(
+        0, X, 1,
+        lambda k: 2 * (UINV - root_rank_cdf_gf(k - 2)) * closest_leaf_gf(k - 1),
+    ),
+    "greedy_tail": _Family(-1, UINV - ONE, 2, _greedy_tail_rhs),
+}
+
+KINDS = tuple(_FAMILIES)
 
 
 # In-memory memo, keyed by (kind, k).  Idempotent fill: recomputation is
 # deterministic, so concurrent duplicate writes store identical values.
 _CACHE: dict[tuple[str, int], PLExpr] = {}
-
-
-def _memo(kind: str, k: int, build) -> PLExpr:
-    key = (kind, k)
-    hit = _CACHE.get(key)
-    if hit is None:
-        hit = _CACHE.setdefault(key, build())
-    return hit
 
 
 def cache_snapshot() -> dict[tuple[str, int], PLExpr]:
@@ -90,42 +136,55 @@ def cache_insert(kind: str, k: int, expr: PLExpr) -> None:
     _CACHE.setdefault((kind, k), expr)
 
 
+def gf_by_kind(kind: str, k: int) -> PLExpr:
+    """F_k of one family: its base value, or its right-hand side
+    antidifferentiated ``order`` times from 0; memoized."""
+    try:
+        first, expr, order, rhs = _FAMILIES[kind]
+    except KeyError:
+        raise ValueError(f"unknown GF kind {kind!r}") from None
+    if k < first:
+        raise ValueError(f"k must be >= {first}")
+    key = (kind, k)
+    hit = _CACHE.get(key)
+    if hit is None:
+        if k > first:
+            expr = rhs(k)
+            for _ in range(order):
+                expr = expr.antiderivative(0)
+        hit = _CACHE.setdefault(key, expr)
+    return hit
+
+
+def ode_residual(kind: str, k: int) -> PLExpr:
+    """Plug the computed F_k back into its defining equation.
+
+    Returns the ``order``-th derivative minus the right-hand side (at the
+    first k, the value minus the base value), which must be the zero
+    element: any nonzero residual means the calculus layer, or a memo
+    entry, is broken.
+    """
+    expr = gf_by_kind(kind, k)  # rejects an unknown kind or k
+    first, base, order, rhs = _FAMILIES[kind]
+    if k == first:
+        return expr - base
+    for _ in range(order):
+        expr = expr.differentiate()
+    return expr - rhs(k)
+
+
 # ---------------------------------------------------------------------------
 # Root rank generating functions
 
 
 def root_rank_gf(k: int) -> PLExpr:
     """B_k: sum of x^n P(root of the random n-tree has rank k)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-
-    def build() -> PLExpr:
-        if k == 0:
-            return X
-        prev = root_rank_gf(k - 1)
-        below = ZERO
-        for j in range(k - 1):
-            below = below + root_rank_gf(j)
-        rhs = 2 * prev * (UINV - below) - prev * prev
-        return rhs.antiderivative(0)
-
-    return _memo("root_rank", k, build)
+    return gf_by_kind("root_rank", k)
 
 
 def root_rank_cdf_gf(k: int) -> PLExpr:
     """B_{<=k}: sum of x^n P(root rank <= k); B_{<=-1} = 0."""
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    if k == -1:
-        return ZERO
-
-    def build() -> PLExpr:
-        prev = root_rank_cdf_gf(k - 1)
-        # d/dx(1/(1-x) - B_{<=k}) = (1/(1-x) - B_{<=k-1})^2 - 1
-        deriv = UINV * UINV - ((UINV - prev) ** 2 - ONE)
-        return deriv.antiderivative(0)
-
-    return _memo("root_rank_cdf", k, build)
+    return gf_by_kind("root_rank_cdf", k)
 
 
 _PARTIAL_SUMS: dict[int, Rational] = {}
@@ -164,18 +223,7 @@ def rank_constant(k: int) -> Rational:
 
 def leaf_pair_tail_gf(k: int) -> PLExpr:
     """Bcal_{>k}: GF of expected (root rank > k) x (leaf count) products."""
-    if k < -1:
-        raise ValueError("k must be >= -1")
-
-    def build() -> PLExpr:
-        if k == -1:
-            # generating function of E[L_n] = (n+1)/3 for n >= 2, 1 for n = 1
-            third = Rational(1) / 3
-            return PLExpr({(-2, 0): third, (1, 0): -third})
-        deriv = 2 * (UINV - root_rank_cdf_gf(k - 1)) * leaf_pair_tail_gf(k - 1)
-        return deriv.antiderivative(0)
-
-    return _memo("leaf_pair_tail", k, build)
+    return gf_by_kind("leaf_pair_tail", k)
 
 
 def leaf_pair_gf(k: int) -> PLExpr:
@@ -194,17 +242,7 @@ def leaf_pair_constant(k: int) -> Rational:
 
 def closest_leaf_gf(k: int) -> PLExpr:
     """Bhat_k: GF of expected (root rank = k) x (closest-leaf count) products."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-
-    def build() -> PLExpr:
-        if k == 0:
-            return X
-        # bracket 1 + B_{>=k-1}(x) read as 1/(1-x) - B_{<=k-2}(x)
-        deriv = 2 * (UINV - root_rank_cdf_gf(k - 2)) * closest_leaf_gf(k - 1)
-        return deriv.antiderivative(0)
-
-    return _memo("closest_leaf", k, build)
+    return gf_by_kind("closest_leaf", k)
 
 
 def closest_leaf_constant(k: int) -> Rational:
@@ -224,17 +262,7 @@ def per_vertex_ratios(k: int) -> tuple[Rational, Rational]:
 
 def greedy_tail_gf(k: int) -> PLExpr:
     """P_{>k}: GF of P(randomized greedy root-to-leaf walk is longer than k)."""
-    if k < -1:
-        raise ValueError("k must be >= -1")
-
-    def build() -> PLExpr:
-        if k == -1:
-            return UINV - ONE  # x/(1-x)
-        prev = greedy_tail_gf(k - 1)
-        second = 2 * prev.differentiate() + 2 * PLExpr.term(1, -2, 0) * prev
-        return second.antiderivative(0).antiderivative(0)
-
-    return _memo("greedy_tail", k, build)
+    return gf_by_kind("greedy_tail", k)
 
 
 _TAIL_MOMENTS: dict[tuple[int, int], Rational] = {}
@@ -270,6 +298,11 @@ def tail_moment(k: int, t: int) -> Rational:
     return _TAIL_MOMENTS.setdefault(key, value)
 
 
+def tail_envelope(k: int) -> Rational:
+    """(6k+7)/3 * (1/3)^k, the proven bound on 1 - S_k; half of it bounds I_{k,1}."""
+    return Rational(6 * k + 7, 3) / Rational(3) ** k
+
+
 @dataclass(frozen=True)
 class TailRow:
     k: int
@@ -283,6 +316,7 @@ class TailRow:
 @dataclass(frozen=True)
 class TailTable:
     kmax: int
+    alpha0: float
     rows: list[TailRow] = field(default_factory=list)
     moments: dict[tuple[int, int], Rational] = field(default_factory=dict)
 
@@ -305,7 +339,7 @@ def tail_report(kmax: int, tmax: int = 4) -> TailTable:
         tail = 1 - partial_sum(k)
         tail_prev = 1 - partial_sum(k - 1)
         bound2i = 2 * tail_moment(k, 1)
-        theorem = Rational(6 * k + 7, 3) / Rational(3) ** k
+        theorem = tail_envelope(k)
         if tail > bound2i:
             raise InternalInconsistency(f"1 - S_{k} exceeds 2 I_{{{k},1}}")
         if tail > theorem:
@@ -320,53 +354,11 @@ def tail_report(kmax: int, tmax: int = 4) -> TailTable:
                 lower_reference=(2.0 / 3.0) * math.exp(-k / a0),
             )
         )
-    return TailTable(kmax=kmax, rows=rows, moments=moments)
+    return TailTable(kmax=kmax, alpha0=a0, rows=rows, moments=moments)
 
 
 # ---------------------------------------------------------------------------
 # Constants table
-
-
-def ode_residual(kind: str, k: int) -> PLExpr:
-    """Plug the computed family back into its defining equation.
-
-    Returns derivative-minus-right-hand-side, which must be the zero
-    element: the recurrences integrate these exact equations, so any
-    nonzero residual means the calculus layer is broken.
-    """
-    if kind == "root_rank":
-        if k == 0:
-            return root_rank_gf(0) - X
-        below = ZERO
-        for j in range(k - 1):
-            below = below + root_rank_gf(j)
-        prev = root_rank_gf(k - 1)
-        rhs = 2 * prev * (UINV - below) - prev * prev
-        return root_rank_gf(k).differentiate() - rhs
-    if kind == "root_rank_cdf":
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        # d/dx of 1/(1-x) - cdf_k is u^-2 - cdf_k'
-        lhs = PLExpr.term(1, -2, 0) - root_rank_cdf_gf(k).differentiate()
-        rhs = (UINV - root_rank_cdf_gf(k - 1)) ** 2 - ONE
-        return lhs - rhs
-    if kind == "leaf_pair_tail":
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        rhs = 2 * (UINV - root_rank_cdf_gf(k - 1)) * leaf_pair_tail_gf(k - 1)
-        return leaf_pair_tail_gf(k).differentiate() - rhs
-    if kind == "closest_leaf":
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        rhs = 2 * (UINV - root_rank_cdf_gf(k - 2)) * closest_leaf_gf(k - 1)
-        return closest_leaf_gf(k).differentiate() - rhs
-    if kind == "greedy_tail":
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        prev = greedy_tail_gf(k - 1)
-        rhs = 2 * prev.differentiate() + 2 * PLExpr.term(1, -2, 0) * prev
-        return greedy_tail_gf(k).differentiate().differentiate() - rhs
-    raise ValueError(f"unknown GF kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -401,17 +393,3 @@ def constants_table(kmax: int) -> ConstantsTable:
             )
         )
     return ConstantsTable(kmax=kmax, rows=rows)
-
-
-def gf_by_kind(kind: str, k: int) -> PLExpr:
-    builders = {
-        "root_rank": root_rank_gf,
-        "root_rank_cdf": root_rank_cdf_gf,
-        "leaf_pair_tail": leaf_pair_tail_gf,
-        "closest_leaf": closest_leaf_gf,
-        "greedy_tail": greedy_tail_gf,
-    }
-    try:
-        return builders[kind](k)
-    except KeyError:
-        raise ValueError(f"unknown GF kind {kind!r}") from None

@@ -1,4 +1,7 @@
-"""Acceptance suite: one pass/fail line per criterion (run with -s to see them).
+"""Acceptance suite: one pass/fail line per check (run with -s to see them).
+
+The checks that ``ranktree verify`` also runs come from ranktree.checks;
+each test adds only the assertions verify does not make.
 
 Criterion 1 is split: the printed approximation for the k = 3 constant in
 the source table is inconsistent with its own exactly-stated denominator
@@ -9,40 +12,34 @@ the decisions ledger for the full evidence.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from exact_values import (
-    C3_DEN_FACTORS,
-    C5_DEN_FACTORS,
-    C_EXACT,
-    F_EXACT,
-    F_OVER_C,
-    G_EXACT,
-    G_OVER_C,
-)
-from ranktree import cli, conjecture, genfun, montecarlo, oracle
-from ranktree.plring import PLExpr, Rational
+from exact_values import C3_DEN_FACTORS, C5_DEN_FACTORS, C_EXACT, F_OVER_C, G_OVER_C
+from ranktree import checks, cli, conjecture, genfun, montecarlo, oracle
+from ranktree.plring import PLExpr
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def report(tag: str, ok: bool, detail: str = "") -> None:
-    suffix = f" — {detail}" if detail else ""
-    print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'}{suffix}")
-    assert ok, f"criterion {tag} failed: {detail}"
+def report(tag: str, *results: checks.Check) -> None:
+    """Print one line per (name, ok, detail) result, then require them all."""
+    for name, ok, detail in results:
+        print(f"ACCEPTANCE {tag} {name}: {'PASS' if ok else 'FAIL'} — {detail}")
+    failed = [name for name, ok, _ in results if not ok]
+    assert not failed, f"criterion {tag} failed: {failed}"
 
 
 def test_criterion_1_exact_constants():
-    ok = (
-        genfun.rank_constant(0) == C_EXACT[0]
-        and genfun.rank_constant(1) == C_EXACT[1]
-        and genfun.rank_constant(2) == C_EXACT[2]
-        and genfun.rank_constant(4) == C_EXACT[4]
-        and abs(float(genfun.rank_constant(4)) - 0.0364) <= 5e-4
-        and abs(float(genfun.rank_constant(5)) - 0.0074) <= 5e-4
-        and conjecture.check_conjectures(5, genfun.rank_constant(5)).denominator.factors
-        == C5_DEN_FACTORS
+    c5_factors = conjecture.check_conjectures(5, genfun.rank_constant(5)).denominator.factors
+    report(
+        "1",
+        checks.constants_exact(),
+        checks.constants_windows(),
+        ("c4-exact", genfun.rank_constant(4) == C_EXACT[4], "c_4 equals the frozen value"),
+        ("c5-factorization", c5_factors == C5_DEN_FACTORS, "denominator of c_5"),
     )
-    report("1", ok, "c_0..c_2, c_4 exact; c_4, c_5 windows; c_5 factorization")
 
 
 @pytest.mark.xfail(
@@ -54,7 +51,7 @@ def test_criterion_1_exact_constants():
 )
 def test_criterion_1_c3_printed_window():
     c3 = float(genfun.rank_constant(3))
-    report("1-c3-window", abs(c3 - 0.105) <= 1e-3, f"c_3 ~ {c3:.6f}")
+    report("1", ("c3-window", abs(c3 - 0.105) <= 1e-3, f"c_3 ~ {c3:.6f}"))
 
 
 def test_criterion_1_c3_corrected_value():
@@ -68,142 +65,91 @@ def test_criterion_1_c3_corrected_value():
         and abs(float(c3) - 0.109153) < 1e-5
         and abs(finite - float(c3)) < 2e-3
     )
-    report("1-c3-corrected", ok, f"c_3 = {c3} ~ {float(c3):.6f}, E_300/300 ~ {finite:.6f}")
+    report(
+        "1",
+        ("c3-corrected", ok, f"c_3 = {c3} ~ {float(c3):.6f}, E_300/300 ~ {finite:.6f}"),
+    )
 
 
 def test_criterion_2_pair_constants():
-    ok = (
-        [genfun.leaf_pair_constant(k) for k in range(3)] == F_EXACT
-        and [genfun.closest_leaf_constant(k) for k in range(3)] == G_EXACT
-        and [genfun.per_vertex_ratios(k) for k in range(3)]
-        == list(zip(F_OVER_C, G_OVER_C))
-    )
-    report("2", ok, "f, g, and both ratio families exact for k <= 2")
+    report("2", checks.pair_constants_exact())
 
 
 def test_criterion_3_partial_sums():
-    s = [float(genfun.partial_sum(k)) for k in range(6)]
-    ok = 0.954 < s[3] < 0.956 and 0.9913 < s[4] < 0.9915 and 0.9987 < s[5] < 0.9988
-    report("3", ok, f"S_3..S_5 = {s[3]:.6f}, {s[4]:.6f}, {s[5]:.6f}")
+    report("3", checks.partial_sum_windows())
 
 
 def test_criterion_4_tail_bounds():
-    ok = True
-    i01 = genfun.tail_moment(0, 1)
-    for k in range(11):
-        ik1 = genfun.tail_moment(k, 1)
-        ok = ok and i01 / Rational(3) ** k <= ik1 <= Rational(6 * k + 7) / 6 / Rational(3) ** k
-    for k in range(6):
-        ok = ok and 1 - genfun.partial_sum(k) <= 2 * genfun.tail_moment(k, 1)
-    for k in range(7):
-        for t in range(1, 5):
-            direct = (PLExpr.term(1, t, 0) * genfun.greedy_tail_gf(k)).integral01()
-            ok = ok and genfun.tail_moment(k, t) == direct
-    report("4", ok, "moment envelopes k <= 10; tails k <= 5; dual routes k <= 6")
+    dual = all(
+        genfun.tail_moment(k, t)
+        == (PLExpr.term(1, t, 0) * genfun.greedy_tail_gf(k)).integral01()
+        for k in range(7)
+        for t in range(1, 5)
+    )
+    report(
+        "4",
+        checks.tail_bounds(),
+        ("tail-moment-dual-routes", dual, "recurrence equals the integral for k <= 6, t <= 4"),
+    )
 
 
 def test_criterion_5_coefficient_equivalence():
-    ok = True
-    for k in range(6):
-        coeffs = genfun.root_rank_cdf_gf(k).series(50)
-        for n in range(1, 51):
-            ok = ok and coeffs[n] == 1 - oracle.root_rank_tail(n, k)
-    for k in range(4):
-        tail = genfun.leaf_pair_tail_gf(k).series(25)
-        hat = genfun.closest_leaf_gf(k).series(25)
-        for n in range(1, 26):
-            ok = ok and tail[n] == oracle.expected_leaf_pairs_tail(n, k)
-            ok = ok and hat[n] == oracle.expected_closest_pairs(n, k)
-    report("5", ok, "series coefficients equal the exact DP tables")
+    report("5", checks.series_vs_oracle())
 
 
 def test_criterion_6_symbolic_residuals():
-    ranges = {
-        "root_rank": range(0, 6),
-        "root_rank_cdf": range(0, 6),
-        "leaf_pair_tail": range(0, 4),
-        "closest_leaf": range(1, 4),
-        "greedy_tail": range(0, 7),
-    }
-    ok = all(
-        genfun.ode_residual(kind, k).is_zero() for kind, ks in ranges.items() for k in ks
-    )
-    report("6", ok, "all five families satisfy their equations identically")
+    report("6", checks.ode_residuals())
 
 
 def test_criterion_7_structure_and_conjectures():
-    ok = True
-    for k in range(6):
-        verdict = conjecture.check_conjectures(k, genfun.rank_constant(k))
-        ok = ok and verdict.smoothness_pass
-        if k >= 2:
-            ok = ok and verdict.gap_free is True
-        ok = ok and conjecture.check_pl_structure(k).passed
-    report("7", ok, "structure bounds and both denominator conjectures, k <= 5")
+    report("7", checks.structure_and_factorizations())
 
 
 def test_criterion_8_monte_carlo_vs_oracle():
-    n, trials = 1000, 2000
-    rep = montecarlo.estimate(n, trials, seed=0, kmax=3)
-    ok = True
-    for k in range(4):
-        stat = rep[f"rank_fraction/{k}"]
-        exact = float(oracle.expected_rank_counts(n, k)[k]) / n
-        ok = ok and abs(stat.mean - exact) <= 4 * stat.stderr
-    leaf = rep["leaf_fraction"]
-    ok = ok and abs(leaf.mean - float(oracle.expected_rank_counts(n, 0)[0]) / n) <= (
-        4 * leaf.stderr
+    trials = 2000
+    report(
+        "8",
+        checks.simulation_rank_fractions(1000, trials, seed=0),
+        checks.simulation_root_rank(trials, seed=1),
+        checks.simulation_greedy_walk(trials, seed=2),
     )
-    rep200 = montecarlo.estimate(200, trials, seed=1, kmax=3)
-    for k in range(4):
-        stat = rep200[f"root_rank_freq/{k}"]
-        ok = ok and abs(stat.mean - float(oracle.root_rank_prob(200, k))) <= (
-            4 * stat.stderr
-        )
-    rep30 = montecarlo.estimate(30, trials, seed=2, kmax=5)
-    for k in range(6):
-        stat = rep30[f"greedy_gt/{k}"]
-        exact = float(genfun.greedy_tail_gf(k).series(30)[30])
-        ok = ok and abs(stat.mean - exact) <= 4 * stat.stderr
-    report("8", ok, f"rank/leaf at n={n}, root rank at n=200, greedy at n=30")
 
 
 def test_criterion_9_asymptotic_behavior():
-    rho = Rational(7) / 5
-    ratios = [float(oracle.moment_gf_ratio(n, rho)) for n in (100, 200, 400)]
-    ok = (max(ratios) - min(ratios)) / max(ratios) < 0.05
-
     # pairwise factorization of rank counts at n = 10^4
     n, trials = 10**4, 300
     rep = montecarlo.estimate(n, trials, seed=5, kmax=2, pair_kmax=2)
+    pairs_ok = True
     for k1 in range(3):
         for k2 in range(3):
             stat = rep[f"pair_joint/{k1},{k2}"]
             product = float(genfun.rank_constant(k1) * genfun.rank_constant(k2))
-            ok = ok and abs(stat.mean - product) <= 4 * stat.stderr
+            pairs_ok = pairs_ok and abs(stat.mean - product) <= 4 * stat.stderr
 
     # per-vertex descendant-leaf ratios at n = 10^5
     big = montecarlo.estimate(10**5, 8, seed=6, kmax=2)
-    for k in range(3):
-        ok = ok and abs(big[f"leaf_ratio/{k}"].mean - float(F_OVER_C[k])) <= (
-            0.05 * float(F_OVER_C[k])
-        )
-        ok = ok and abs(big[f"closest_ratio/{k}"].mean - float(G_OVER_C[k])) <= (
-            0.05 * float(G_OVER_C[k])
-        )
+    ratios_ok = all(
+        abs(big[f"{stat}/{k}"].mean - float(exact[k])) <= 0.05 * float(exact[k])
+        for stat, exact in (("leaf_ratio", F_OVER_C), ("closest_ratio", G_OVER_C))
+        for k in range(3)
+    )
 
-    a0 = conjecture.alpha0(1e-12)
-    ok = ok and 0.3725 < a0 < 0.3735
-    report("9", ok, f"moment ratio, pair factorization, per-vertex ratios, alpha0 ~ {a0:.6f}")
+    report(
+        "9",
+        checks.moment_ratio_stability("7/5"),
+        ("pair-factorization", pairs_ok, f"n={n}, trials={trials}"),
+        ("per-vertex-ratios", ratios_ok, "n=100000, 8 trials"),
+        checks.alpha0_window(),
+    )
 
 
-def test_criterion_10_verify_determinism(capsys, tmp_path):
+def test_criterion_10_verify_determinism(capsys):
     argv = ["verify", "--n", "150", "--trials", "200", "--seed", "3"]
     code_a = cli.main(list(argv))
     out_a = capsys.readouterr().out
     code_b = cli.main(list(argv))
     out_b = capsys.readouterr().out
-    ok = code_a == 0 and code_b == 0 and out_a == out_b
+    golden = (GOLDEN / "verify-n150.out").read_text()
     payload = json.loads(out_a[out_a.index("{") :])
-    ok = ok and payload["pass"] is True
-    report("10", ok, "verify twice with identical config is byte-identical")
+    ok = code_a == 0 and code_b == 0 and out_a == out_b == golden and payload["pass"] is True
+    report("10", ("verify-determinism", ok, "verify twice is byte-identical to the golden output"))

@@ -1,0 +1,56 @@
+"""The shared verification checks report a failure when a value they read is wrong."""
+
+import pytest
+
+from ranktree import checks, conjecture, genfun, oracle
+from ranktree.plring import PLExpr, Rational
+
+
+def shift(delta):
+    return lambda fn: lambda *args: fn(*args) + delta
+
+
+def scale(factor):
+    return lambda fn: lambda *args: fn(*args) * factor
+
+
+def times_n(fn):
+    return lambda n, *args: n * fn(n, *args)
+
+
+# (check, its arguments, module, function the check reads, how to break it)
+BROKEN = [
+    (checks.constants_exact, (), genfun, "rank_constant", shift(Rational(1, 10**30))),
+    (checks.constants_windows, (), genfun, "rank_constant", shift(Rational(1, 1000))),
+    (checks.pair_constants_exact, (), genfun, "leaf_pair_constant", shift(1)),
+    (checks.pair_constants_exact, (), genfun, "closest_leaf_constant", shift(1)),
+    (checks.partial_sum_windows, (), genfun, "partial_sum", shift(Rational(-1, 100))),
+    (checks.tail_bounds, (), genfun, "tail_moment", scale(10)),
+    (checks.tail_bounds, (), genfun, "partial_sum", shift(-1)),
+    (checks.cdf_series_vs_oracle, (3, 12), oracle, "root_rank_tail", shift(Rational(1, 10**9))),
+    (checks.series_vs_oracle, (), oracle, "root_rank_tail", shift(Rational(1, 10**9))),
+    (checks.series_vs_oracle, (), oracle, "expected_leaf_pairs_tail", shift(1)),
+    (checks.series_vs_oracle, (), oracle, "expected_closest_pairs", shift(1)),
+    # the prime 1009 in every denominator breaks the smoothness bound
+    (checks.structure_and_factorizations, (), genfun, "rank_constant", scale(Rational(1, 1009))),
+    (checks.alpha0_window, (), conjecture, "alpha0", scale(2)),
+    (checks.moment_ratio_stability, ("7/5",), oracle, "moment_gf_ratio", times_n),
+]
+
+
+@pytest.mark.parametrize(
+    "check,args,module,attr,breaker",
+    BROKEN,
+    ids=[f"{check.__name__}-{attr}" for check, _, _, attr, _ in BROKEN],
+)
+def test_check_fails_on_a_wrong_value(monkeypatch, check, args, module, attr, breaker):
+    assert check(*args)[1] is True
+    monkeypatch.setattr(module, attr, breaker(getattr(module, attr)))
+    assert check(*args)[1] is False
+
+
+def test_ode_residuals_fails_on_a_perturbed_memo_entry(monkeypatch):
+    wrong = genfun.root_rank_gf(1) + PLExpr.term(1, 5, 0)
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    genfun.cache_insert("root_rank", 1, wrong)
+    assert checks.ode_residuals()[1] is False

@@ -1,12 +1,16 @@
 """Front-end: schemas, exit codes, determinism, and the disk cache."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from ranktree import cli, genfun
 from ranktree.genfun import InternalInconsistency
-from ranktree.plring import PLExpr
+from ranktree.plring import PLExpr, Rational
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -149,14 +153,70 @@ def test_simulate_output_is_strict_json(capsys):
     assert all(stat["stderr"] is None for stat in stats.values())
 
 
-@pytest.mark.parametrize(
-    "subcommand", ["constants", "bounds", "oracle", "simulate", "factor", "verify"]
-)
+@pytest.mark.parametrize("subcommand", ["constants", "bounds", "oracle", "simulate", "factor"])
 def test_negative_kmax_is_a_usage_error(capsys, subcommand):
     code, out, err = run(capsys, subcommand, "--kmax", "-1")
     assert code == cli.EXIT_USAGE
     assert "usage error: kmax must be >= 0" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kmax", "2"],
+        ["verify", "--format", "csv"],
+        ["simulate", "--cache-dir", "unused"],
+    ],
+    ids=["verify-kmax", "verify-format", "simulate-cache-dir"],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        ("bounds-kmax5.json", ["bounds", "--kmax", "5"]),
+        ("bounds-kmax5.csv", ["bounds", "--kmax", "5", "--format", "csv"]),
+        ("factor-kmax5.json", ["factor", "--kmax", "5"]),
+        (
+            "oracle-n40.json",
+            ["oracle", "--n", "40", "--kmax", "3", "--rho", "7/5", "--series-order", "12"],
+        ),
+    ],
+)
+def test_stdout_matches_golden(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_values_beyond_the_int_digit_limit(capsys, monkeypatch, tmp_path):
+    # about 1/3, with 5001-digit parts: past the 4300 digits Python 3.11+
+    # converts by default; the expected text needs no int-to-str conversion
+    big = Rational(10**5000 + 1) / (3 * 10**5000)
+    num, den = "1" + "0" * 4999 + "1", "3" + "0" * 5000
+    row = genfun.ConstantsRow(0, big, big, big, big, big, big)
+    monkeypatch.setattr(genfun, "constants_table", lambda kmax: genfun.ConstantsTable(0, [row]))
+    monkeypatch.setattr(genfun, "_CACHE", {("root_rank", 0): PLExpr.term(big)})
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+
+    code, out, _ = run(capsys, "constants", "--kmax", "0", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["rows"][0]["c"] == {"num": num, "den": den, "approx": 0.333333333333}
+    code, out, _ = run(capsys, "constants", "--kmax", "0", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"0,{num}/{den},")
+    # a fresh memo is seeded from the entry just written
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    code, _, _ = run(capsys, "constants", "--kmax", "0", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert genfun.cache_snapshot() == {("root_rank", 0): PLExpr.term(big)}
+    assert get_limit() == limit
 
 
 def test_verify_needs_two_trials(capsys):
@@ -191,7 +251,7 @@ def test_kmax_ceiling_is_enforced(capsys):
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "_verify_checks", lambda args: [("doomed", False, "synthetic")]
+        cli.checks, "verify_checks", lambda *args: [("doomed", False, "synthetic")]
     )
     code, out, _ = run(capsys, "verify")
     assert code == cli.EXIT_VERIFY

@@ -82,14 +82,3 @@ def test_alpha0_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         conjecture.alpha0(0)
 
-
-def test_lower_envelope_report():
-    report = conjecture.lower_envelope_report(5)
-    assert report.alpha0 == pytest.approx(conjecture.alpha0(1e-12))
-    assert [row.k for row in report.rows] == list(range(6))
-    for row in report.rows:
-        assert row.exact_tail <= row.upper_bound
-        # the exponential reference is a guide, never an assertion
-        assert row.lower_reference > 0
-    ratios = [row.decay_ratio for row in report.rows[1:]]
-    assert all(0 < r < 1 for r in ratios)

@@ -3,7 +3,7 @@
 import pytest
 
 from exact_values import C_EXACT, F_EXACT, F_OVER_C, G_EXACT, G_OVER_C, I1_EXACT
-from ranktree import genfun
+from ranktree import checks, conjecture, genfun
 from ranktree.plring import ONE, PLExpr, Rational, U, UINV, X, rational
 
 
@@ -77,19 +77,24 @@ def test_pair_ratios_bracket_each_other():
         assert 1 <= g_ratio <= f_ratio
 
 
-@pytest.mark.parametrize(
-    "kind,ks",
-    [
-        ("root_rank", range(0, 6)),
-        ("root_rank_cdf", range(0, 6)),
-        ("leaf_pair_tail", range(0, 4)),
-        ("closest_leaf", range(1, 4)),
-        ("greedy_tail", range(0, 7)),
-    ],
-)
+@pytest.mark.parametrize("kind,ks", list(checks.ODE_RESIDUAL_RANGES.items()))
 def test_ode_residuals_identically_zero(kind, ks):
     for k in ks:
         assert genfun.ode_residual(kind, k).is_zero()
+
+
+@pytest.mark.parametrize("kind", genfun.KINDS)
+@pytest.mark.parametrize("step", [0, 1])
+def test_ode_residual_sees_a_perturbed_memo_entry(monkeypatch, kind, step):
+    # the residual shares its right-hand side with the build, so it must
+    # still catch a wrong F_k; u^5 survives two differentiations
+    k = min(checks.ODE_RESIDUAL_RANGES[kind]) + step
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    wrong = genfun.gf_by_kind(kind, k) + PLExpr.term(1, 5, 0)
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    genfun.cache_insert(kind, k, wrong)
+    assert genfun.gf_by_kind(kind, k) == wrong
+    assert not genfun.ode_residual(kind, k).is_zero()
 
 
 def test_greedy_tail_base_and_first_level():
@@ -124,11 +129,14 @@ def test_tail_moment_bounds_through_k10():
 
 def test_tail_report_rows_and_invariants():
     table = genfun.tail_report(5)
+    assert table.alpha0 == conjecture.alpha0(1e-12)
     assert [row.k for row in table.rows] == list(range(6))
     for row in table.rows:
         assert row.exact_tail <= row.moment_bound
-        assert row.exact_tail <= row.theorem_bound
-        assert row.exact_tail < row.exact_tail_prev
+        assert row.exact_tail <= row.theorem_bound == genfun.tail_envelope(row.k)
+        assert 0 < row.exact_tail / row.exact_tail_prev < 1
+        # the exponential reference is a guide, never an assertion
+        assert row.lower_reference > 0
     # spot value: the k=5 tail leaves about 0.125 percent of vertices
     assert float(table.rows[5].exact_tail) == pytest.approx(0.0012461, abs=1e-6)
 

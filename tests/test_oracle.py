@@ -1,10 +1,11 @@
-"""Exact finite-n tables, checked against combinatorics and the GF layer."""
+"""Exact finite-n tables, checked against combinatorics (the checks against
+the GF series are in ranktree.checks, run by the acceptance tests)."""
 
 import math
 
 import pytest
 
-from ranktree import genfun, oracle
+from ranktree import oracle
 from ranktree.plring import Rational, rational
 
 
@@ -88,27 +89,6 @@ def test_expected_leaf_count():
     # E[# leaves] = (n+1)/3 for n >= 2
     for n in range(2, 30):
         assert oracle.expected_rank_counts(n, 0)[0] == Rational(n + 1) / 3
-
-
-def test_cdf_series_matches_dp():
-    for k in range(6):
-        coeffs = genfun.root_rank_cdf_gf(k).series(50)
-        for n in range(1, 51):
-            assert coeffs[n] == 1 - oracle.root_rank_tail(n, k)
-
-
-def test_leaf_pair_series_matches_dp():
-    for k in range(4):
-        tail = genfun.leaf_pair_tail_gf(k).series(25)
-        for n in range(1, 26):
-            assert tail[n] == oracle.expected_leaf_pairs_tail(n, k)
-
-
-def test_closest_leaf_series_matches_dp():
-    for k in range(4):
-        hat = genfun.closest_leaf_gf(k).series(25)
-        for n in range(1, 26):
-            assert hat[n] == oracle.expected_closest_pairs(n, k)
 
 
 def test_pair_identities_at_rank_zero():
