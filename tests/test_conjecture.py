@@ -82,3 +82,23 @@ def test_alpha0_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         conjecture.alpha0(0)
 
+
+
+def test_lower_envelope_report():
+    # the envelope rows now live in genfun.tail_report; the lower
+    # reference must be (2/3) e^{-k/alpha0} with this module's alpha0
+    report = genfun.tail_report(5)
+    assert report.alpha0 == pytest.approx(conjecture.alpha0(1e-12))
+    assert [row.k for row in report.rows] == list(range(6))
+    for row in report.rows:
+        assert row.exact_tail <= row.theorem_bound
+        # the exponential reference is a guide, never an assertion
+        assert row.lower_reference > 0
+        assert row.lower_reference == pytest.approx(
+            (2.0 / 3.0) * math.exp(-row.k / report.alpha0)
+        )
+    ratios = [
+        float(row.exact_tail / prev.exact_tail)
+        for prev, row in zip(report.rows, report.rows[1:])
+    ]
+    assert all(0 < r < 1 for r in ratios)
