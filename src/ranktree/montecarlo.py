@@ -2,21 +2,41 @@
 
 A permutation p of 1..n maps to the tree whose root carries the largest
 label, with the left/right subtrees built from the substrings on either
-side.  Trees are stored as flat child-index arrays and every per-tree
-statistic is computed iteratively, so n = 10^6 works without recursion.
+side.  A single tree is stored as flat child-index arrays (build_tree).
+
+The census runs as one numpy kernel on a chunk of trees at once.  The
+chunk's labels sit side by side in one flat int32 array, each row behind
+a sentinel larger than every label.  Every step is a whole-array
+operation: the nearest larger label on either side of each vertex (L, R)
+by pointer jumping; the subtree of a vertex is the open interval (L, R),
+so its size is R - L - 1 and its leaves are the local minima in it; its
+parent is whichever of L and R carries the smaller label.  Ranks are then
+filled in passes k = 0, 1, 2, ... from the leaves upwards, and per-tree
+totals come from bincount.  No recursion is involved, so n = 10^6 is
+routine.  The number of passes follows the depth of the jump chains and
+the root rank, O(log n) for random permutations; inputs such as sorted
+permutations need up to n passes.  estimate() feeds the kernel chunks of
+about _CHUNK_LABELS labels, a fixed budget that sets its peak memory.
 
 Reproducibility contract: estimate(n, trials, seed, ...) derives one
-PCG64 stream per trial from numpy's SeedSequence(seed).spawn, so the
-report depends only on (n, trials, seed, kmax), trials never share a
-stream, and any execution order yields the same aggregate.
+PCG64 stream per trial from numpy's SeedSequence, so the report depends
+only on (n, trials, seed, kmax) and trials never share a stream.  Each
+stream draws its permutation, then the random choices of that trial's
+greedy walk.  The samples are folded into the running means and
+variances in trial order, whatever the chunking, which is what makes the
+report reproducible bit for bit: Welford accumulation taken in another
+order differs in the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
+
+from .genfun import InternalInconsistency
 
 __all__ = [
     "DecreasingTree",
@@ -32,6 +52,10 @@ __all__ = [
 ]
 
 NO_CHILD = -1
+
+# labels per census kernel call in estimate(); 4096 keeps the kernel's
+# arrays within a few hundred kB, larger chunks cost memory for little time
+_CHUNK_LABELS = 4096
 
 
 @dataclass(frozen=True)
@@ -95,19 +119,144 @@ def build_tree_naive(perm) -> DecreasingTree:
     )
 
 
-def _postorder(t: DecreasingTree) -> list[int]:
-    """Vertices in an order that visits children before parents."""
-    order: list[int] = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        if t.left[v] != NO_CHILD:
-            stack.append(t.left[v])
-        if t.right[v] != NO_CHILD:
-            stack.append(t.right[v])
-    order.reverse()
-    return order
+# ---------------------------------------------------------------------------
+# Batched census kernel
+
+
+class _Forest(NamedTuple):
+    """Per-position arrays of a chunk of trees laid out side by side.
+
+    Position t*(n+1) is the sentinel in front of row t, and vertex i of
+    row t sits at t*(n+1) + 1 + i; one more sentinel closes the array.
+    Child entries are positions, or NO_CHILD.  Entries at sentinels are
+    meaningless.
+    """
+
+    n: int
+    left: np.ndarray
+    right: np.ndarray
+    size: np.ndarray     # vertices in the subtree
+    rank: np.ndarray     # distance to the nearest leaf
+    leaves: np.ndarray   # leaves in the subtree
+    closest: np.ndarray  # leaves at distance rank
+    roots: np.ndarray    # position of each row's root, in row order
+
+
+def _nearest_larger(labels: np.ndarray, vertices: np.ndarray, step: int) -> np.ndarray:
+    """Position of the nearest larger label on one side (step -1 or +1) of each vertex.
+
+    Pointer jumping: every candidate starts at the neighbour, and a vertex
+    whose candidate carries a smaller label takes over that candidate's own
+    candidate.  All labels strictly between a vertex and its candidate stay
+    below the vertex's label, so it settles on the nearest larger one; each
+    round works only on the vertices not settled yet, and the sentinels stop
+    every row.
+    """
+    near = np.arange(step, labels.size + step)
+    active = vertices
+    while active.size:
+        cand = near[active]
+        jump = labels[cand] < labels[active]
+        active = active[jump]
+        near[active] = near[cand[jump]]
+    return near[vertices]
+
+
+def _forest(perms) -> _Forest:
+    """Tree structure and census of every row of ``perms`` (permutations of 1..n)."""
+    perms = np.asarray(perms)
+    trees, n = perms.shape
+    labels = np.full(trees * (n + 1) + 1, n + 1, dtype=np.int32)
+    labels[:-1].reshape(trees, n + 1)[:, 1:] = perms
+    vertices = np.flatnonzero(labels <= n)
+    lpos = _nearest_larger(labels, vertices, -1)
+    rpos = _nearest_larger(labels, vertices, 1)
+    llab, rlab = labels[lpos], labels[rpos]
+
+    # the subtree of a vertex is the open interval (L, R); the parent is the
+    # smaller of the two bounding labels, and both are sentinels at a root
+    size = np.zeros(labels.size, dtype=np.int32)
+    size[vertices] = rpos - lpos - 1
+    lchild, rchild = rlab < llab, llab < rlab  # child of R / of L
+    parent = np.zeros(labels.size, dtype=np.intp)
+    parent[vertices] = np.where(rchild, lpos, rpos)
+    is_lchild = np.zeros(labels.size, dtype=bool)
+    is_lchild[vertices] = lchild
+    left = np.full(labels.size, NO_CHILD, dtype=np.intp)
+    right = np.full(labels.size, NO_CHILD, dtype=np.intp)
+    left[rpos[lchild]] = vertices[lchild]
+    right[lpos[rchild]] = vertices[rchild]
+
+    leaf_pos = vertices[size[vertices] == 1]
+    prefix = np.zeros(labels.size, dtype=np.int32)
+    prefix[leaf_pos] = 1
+    np.cumsum(prefix, out=prefix)
+    leaves = np.zeros(labels.size, dtype=np.int32)
+    leaves[vertices] = prefix[rpos - 1] - prefix[lpos]
+
+    # pass k gives rank k to every vertex not yet ranked that has a child
+    # of rank k-1, and sums the closest-leaf counts of those children; a
+    # parent has at most one left and one right child, so the two sides
+    # are scattered one after the other
+    rank = np.zeros(labels.size, dtype=np.int32)
+    closest = np.zeros(labels.size, dtype=np.int32)
+    unranked = labels <= n
+    unranked[leaf_pos] = False
+    closest[leaf_pos] = 1
+    frontier = leaf_pos
+    k = 0
+    while frontier.size:
+        k += 1
+        side = is_lchild[frontier]
+        lkid, rkid = frontier[side], frontier[~side]
+        lpar, rpar = parent[lkid], parent[rkid]
+        keep = unranked[lpar]
+        lkid, lpar = lkid[keep], lpar[keep]
+        keep = unranked[rpar]
+        rkid, rpar = rkid[keep], rpar[keep]
+        closest[lpar] = closest[lkid]
+        closest[rpar] += closest[rkid]
+        unranked[lpar] = False
+        fresh = unranked[rpar]  # not reached through a left child as well
+        unranked[rpar] = False
+        frontier = np.concatenate((lpar, rpar[fresh]))
+        rank[frontier] = k
+
+    roots = vertices[llab == rlab]
+    return _Forest(n, left, right, size, rank, leaves, closest, roots)
+
+
+class _Totals(NamedTuple):
+    """Per-tree sums over the vertices of each rank; row t, column k."""
+
+    rank_counts: np.ndarray
+    leaf_pairs: np.ndarray     # descendant leaves
+    closest_pairs: np.ndarray  # closest leaves
+    root_rank: np.ndarray      # one entry per tree
+
+
+def _totals(forest: _Forest, min_ranks: int = 1) -> _Totals:
+    """Per-tree totals of a forest, with at least ``min_ranks`` columns."""
+    trees, width = forest.roots.size, forest.n + 1
+
+    def rows(a: np.ndarray) -> np.ndarray:
+        return a[:-1].reshape(trees, width)[:, 1:].ravel()
+
+    rank = rows(forest.rank)
+    ranks = max(min_ranks, int(rank.max()) + 1)
+    key = rank + ranks * np.repeat(np.arange(trees), forest.n)
+
+    def per_rank(weights=None) -> np.ndarray:
+        # float64 weights add integers exactly while the sums stay below 2^53
+        out = np.bincount(key, weights, minlength=trees * ranks).reshape(trees, ranks)
+        return out.astype(np.int64)
+
+    return _Totals(
+        rank_counts=per_rank(),
+        leaf_pairs=per_rank(rows(forest.leaves)),
+        closest_pairs=per_rank(rows(forest.closest)),
+        root_rank=forest.rank[forest.roots].astype(np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -122,60 +271,52 @@ class CensusReport:
     closest_pair_counts: dict[int, int]  # rank-k vertex x closest leaf
 
 
+def _census(tot: _Totals, n: int, row: int = 0) -> CensusReport:
+    """The totals of one tree of a chunk as a CensusReport."""
+    counts, leaf_pairs, closest_pairs = (
+        a[row].tolist() for a in (tot.rank_counts, tot.leaf_pairs, tot.closest_pairs)
+    )
+    ranks = [k for k, c in enumerate(counts) if c]
+    return CensusReport(
+        n=n,
+        rank_counts={k: counts[k] for k in ranks},
+        leaf_count=counts[0],
+        root_rank=int(tot.root_rank[row]),
+        leaf_pair_counts={k: leaf_pairs[k] for k in ranks},
+        closest_pair_counts={k: closest_pairs[k] for k in ranks},
+    )
+
+
 def rank_census(t: DecreasingTree) -> CensusReport:
-    """One iterative post-order pass computing every per-vertex statistic.
+    """Every per-vertex statistic of one tree, through the batched kernel.
 
     rank(leaf) = 0, rank(v) = 1 + min over existing children; the
     closest-leaf count of v adds up the counts of the children achieving
     the minimum.
     """
-    n = t.n
-    rank = [0] * n
-    leaves_below = [0] * n
-    closest = [0] * n
-    rank_counts: dict[int, int] = {}
-    leaf_pairs: dict[int, int] = {}
-    closest_pairs: dict[int, int] = {}
-    for v in _postorder(t):
-        l, r = t.left[v], t.right[v]
-        if l == NO_CHILD and r == NO_CHILD:
-            rank[v] = 0
-            leaves_below[v] = 1
-            closest[v] = 1
-        else:
-            best = None
-            lv = 0
-            for ch in (l, r):
-                if ch != NO_CHILD:
-                    lv += leaves_below[ch]
-                    if best is None or rank[ch] < best:
-                        best = rank[ch]
-            rank[v] = best + 1
-            leaves_below[v] = lv
-            closest[v] = sum(
-                closest[ch] for ch in (l, r) if ch != NO_CHILD and rank[ch] == best
-            )
-        k = rank[v]
-        rank_counts[k] = rank_counts.get(k, 0) + 1
-        leaf_pairs[k] = leaf_pairs.get(k, 0) + leaves_below[v]
-        closest_pairs[k] = closest_pairs.get(k, 0) + closest[v]
-    return CensusReport(
-        n=n,
-        rank_counts=rank_counts,
-        leaf_count=rank_counts.get(0, 0),
-        root_rank=rank[t.root],
-        leaf_pair_counts=leaf_pairs,
-        closest_pair_counts=closest_pairs,
-    )
+    return _census(_totals(_forest([t.labels])), t.n)
 
 
 def subtree_sizes(t: DecreasingTree) -> list[int]:
-    sizes = [1] * t.n
-    for v in _postorder(t):
-        for ch in (t.left[v], t.right[v]):
-            if ch != NO_CHILD:
-                sizes[v] += sizes[ch]
-    return sizes
+    return _forest([t.labels]).size[1:-1].tolist()
+
+
+def _greedy_walk(left, right, size, v, rng) -> int:
+    """The greedy walk from v over child and size arrays (see greedy_path_length)."""
+    length = 0
+    while True:
+        l, r = left[v], right[v]
+        if l == NO_CHILD and r == NO_CHILD:
+            return length
+        if l == NO_CHILD:
+            v = r
+        elif r == NO_CHILD:
+            v = l
+        else:
+            sl, sr = size[l], size[r]
+            # delete the left subtree with probability sl/(sl+sr)
+            v = r if rng.random() * (sl + sr) < sl else l
+        length += 1
 
 
 def greedy_path_length(t: DecreasingTree, rng, sizes: list[int] | None = None) -> int:
@@ -187,21 +328,7 @@ def greedy_path_length(t: DecreasingTree, rng, sizes: list[int] | None = None) -
     """
     if sizes is None:
         sizes = subtree_sizes(t)
-    v = t.root
-    length = 0
-    while True:
-        l, r = t.left[v], t.right[v]
-        if l == NO_CHILD and r == NO_CHILD:
-            return length
-        if l == NO_CHILD:
-            v = r
-        elif r == NO_CHILD:
-            v = l
-        else:
-            sl, sr = sizes[l], sizes[r]
-            # delete the left subtree with probability sl/(sl+sr)
-            v = r if rng.random() * (sl + sr) < sl else l
-        length += 1
+    return _greedy_walk(t.left, t.right, sizes, t.root, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +369,82 @@ class EstimateReport:
 
 
 class _Welford:
-    """Streaming mean/variance; order-independent up to float rounding."""
+    """Streaming mean/variance of several statistics, one trial at a time.
 
-    __slots__ = ("count", "mean", "m2")
+    Each update is the scalar Welford step applied elementwise, so every
+    statistic goes through the same float operations, in the same order,
+    as an accumulator fed its samples one by one.
+    """
 
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+    def __init__(self, names: list[str]):
+        self.names = names
+        self.count = np.zeros(len(names), dtype=np.int64)
+        self.mean = np.zeros(len(names))
+        self.m2 = np.zeros(len(names))
 
-    def add(self, x: float) -> None:
-        self.count += 1
+    def add(self, x: np.ndarray, present: np.ndarray) -> None:
+        """Fold in one trial's samples; only the ``present`` ones count."""
+        self.count += present
         d = x - self.mean
-        self.mean += d / self.count
-        self.m2 += d * (x - self.mean)
+        self.mean += np.divide(d, self.count, out=np.zeros_like(d), where=present)
+        self.m2 += np.where(present, d * (x - self.mean), 0.0)
 
-    def summary(self) -> StatSummary:
-        if self.count < 2:  # one sample gives no error estimate
-            return StatSummary(mean=self.mean, stderr=None, trials=self.count)
-        var = self.m2 / (self.count - 1)
-        return StatSummary(
-            mean=self.mean, stderr=sqrt(max(var, 0.0) / self.count), trials=self.count
-        )
+    def summaries(self) -> dict[str, StatSummary]:
+        out = {}
+        for name, count, mean, m2 in zip(
+            self.names, self.count.tolist(), self.mean.tolist(), self.m2.tolist()
+        ):
+            if count == 0:
+                continue
+            stderr = None  # one sample gives no error estimate
+            if count >= 2:
+                stderr = sqrt(max(m2 / (count - 1), 0.0) / count)
+            out[name] = StatSummary(mean=mean, stderr=stderr, trials=count)
+        return out
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible per-trial stream."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def _samples(
+    tot: _Totals, glen: np.ndarray, n: int, kmax: int, pair_kmax: int
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every statistic's sample in each tree of a chunk, one column each.
+
+    Returns the column names, the samples (one row per tree) and whether
+    each sample exists: the ratios at rank k only where the tree has a
+    vertex of rank k.  Integer counts are divided as floats, which matches
+    Python's int division while they stay below 2^53.
+    """
+    counts, root = tot.rank_counts, tot.root_rank
+    ks = np.arange(kmax + 1)
+    vk = counts[:, ks]
+    names = ["leaf_fraction", "root_rank_mean", "greedy_mean"]
+    blocks = [counts[:, :1] / n, root[:, None], glen[:, None]]
+    for stat, block in (
+        ("rank_fraction", vk / n),
+        ("root_rank_freq", root[:, None] == ks),
+        ("greedy_gt", glen[:, None] > ks),
+    ):
+        names += [f"{stat}/{k}" for k in ks]
+        blocks.append(block)
+    if n > 1:
+        pks = np.arange(pair_kmax + 1)
+        v = counts[:, pks]
+        joint = v[:, :, None] * v[:, None, :]
+        joint[:, pks, pks] -= v  # ordered pairs of distinct vertices
+        names += [f"pair_joint/{k1},{k2}" for k1 in pks for k2 in pks]
+        blocks.append(joint.reshape(root.size, -1) / (n * (n - 1)))
+    always = sum(block.shape[1] for block in blocks)
+    present = vk > 0
+    for stat, pairs in (("leaf_ratio", tot.leaf_pairs), ("closest_ratio", tot.closest_pairs)):
+        names += [f"{stat}/{k}" for k in ks]
+        blocks.append(np.divide(pairs[:, ks], vk, out=np.zeros(vk.shape), where=present))
+    exists = np.hstack([np.ones((root.size, always), dtype=bool), present, present])
+    return names, np.hstack(blocks, dtype=float), exists
 
 
 def estimate(
@@ -293,51 +468,37 @@ def estimate(
                                 with ranks (k1, k2), averaged within a tree
     * ``leaf_ratio/k``       -- (descendant-leaf pairs at rank k) / V_{n,k}
     * ``closest_ratio/k``    -- (closest-leaf pairs at rank k) / V_{n,k}
+
+    ``leaf_ratio/k`` and ``closest_ratio/k`` average over the trials that
+    have a vertex of rank k.  Trials run in chunks of about _CHUNK_LABELS
+    labels through the census kernel; the report does not depend on it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if pair_kmax is None:
         pair_kmax = min(kmax, 2)
-    stats: dict[str, _Welford] = {}
-
-    def push(name: str, value: float) -> None:
-        stats.setdefault(name, _Welford()).add(value)
-
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        perm = rng.permutation(n) + 1
-        tree = build_tree(perm.tolist())
-        census = rank_census(tree)
-        glen = greedy_path_length(tree, rng)
-        if glen < census.root_rank:
-            raise AssertionError("greedy walk shorter than the root rank")
-
-        counts = census.rank_counts
-        push("leaf_fraction", census.leaf_count / n)
-        push("root_rank_mean", census.root_rank)
-        push("greedy_mean", glen)
-        for k in range(kmax + 1):
-            push(f"rank_fraction/{k}", counts.get(k, 0) / n)
-            push(f"root_rank_freq/{k}", 1.0 if census.root_rank == k else 0.0)
-            push(f"greedy_gt/{k}", 1.0 if glen > k else 0.0)
-        if n > 1:
-            denom = n * (n - 1)
-            for k1 in range(pair_kmax + 1):
-                v1 = counts.get(k1, 0)
-                for k2 in range(pair_kmax + 1):
-                    v2 = counts.get(k2, 0)
-                    same = v1 if k1 == k2 else 0
-                    push(f"pair_joint/{k1},{k2}", (v1 * v2 - same) / denom)
-        for k in range(kmax + 1):
-            vk = counts.get(k, 0)
-            if vk:
-                push(f"leaf_ratio/{k}", census.leaf_pair_counts.get(k, 0) / vk)
-                push(f"closest_ratio/{k}", census.closest_pair_counts.get(k, 0) / vk)
+    per_chunk = max(1, _CHUNK_LABELS // (n + 1))
+    acc = None
+    for first in range(0, trials, per_chunk):
+        rngs = [trial_rng(seed, t) for t in range(first, min(first + per_chunk, trials))]
+        forest = _forest(np.stack([rng.permutation(n) for rng in rngs]) + 1)
+        tot = _totals(forest, max(kmax, pair_kmax) + 1)
+        glen = np.array([
+            _greedy_walk(forest.left, forest.right, forest.size, root, rng)
+            for root, rng in zip(forest.roots, rngs)
+        ])
+        if np.any(glen < tot.root_rank):
+            raise InternalInconsistency("greedy walk shorter than the root rank")
+        names, values, exists = _samples(tot, glen, n, kmax, pair_kmax)
+        if acc is None:
+            acc = _Welford(names)
+        for x, present in zip(values, exists):
+            acc.add(x, present)
 
     return EstimateReport(
         n=n,
         trials=trials,
         seed=seed,
         kmax=kmax,
-        statistics={name: w.summary() for name, w in stats.items()},
+        statistics=acc.summaries(),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from .genfun import InternalInconsistency
 from .plring import Rational
 
 __all__ = [
@@ -322,7 +323,7 @@ def expected_subtrees_atleast(n: int, ell: int) -> Rational:
     value = Rational(tab[n]) / fact[n]
     closed = (n + 1) * (Rational(2) / (ell + 1) - Rational(1) / (n + 1))
     if value != closed:
-        raise AssertionError(
+        raise InternalInconsistency(
             f"subtree-count DP {value} != closed form {closed} at n={n}, ell={ell}"
         )
     return value

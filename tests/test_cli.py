@@ -186,6 +186,12 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv):
             "oracle-n40.json",
             ["oracle", "--n", "40", "--kmax", "3", "--rho", "7/5", "--series-order", "12"],
         ),
+        ("simulate-n1000.json", ["simulate", "--n", "1000", "--trials", "200", "--seed", "0"]),
+        (
+            "simulate-n50.csv",
+            ["simulate", "--n", "50", "--trials", "30", "--seed", "1", "--kmax", "3", "--format", "csv"],
+        ),
+        ("simulate-n1.json", ["simulate", "--n", "1", "--trials", "1"]),
     ],
 )
 def test_stdout_matches_golden(capsys, golden, argv):
@@ -266,3 +272,12 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "constants", "--kmax", "1")
     assert code == cli.EXIT_INCONSISTENT
     assert "internal inconsistency" in err
+
+
+def test_broken_simulator_invariant_exit_code(capsys, monkeypatch):
+    # a greedy walk shorter than the root rank can only be a bug
+    monkeypatch.setattr(cli.montecarlo, "_greedy_walk", lambda *args: -1)
+    code, out, err = run(capsys, "simulate", "--n", "20", "--trials", "3")
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert "greedy walk shorter than the root rank" in err

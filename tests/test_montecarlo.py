@@ -1,10 +1,12 @@
 """Simulator: tree construction, census, greedy walk, seeded estimates."""
 
+from dataclasses import asdict
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import reference_census as ref
 from ranktree import montecarlo as mc
 from ranktree import genfun, oracle
 
@@ -84,6 +86,50 @@ def test_subtree_sizes_sum():
     assert min(sizes) == 1
 
 
+def assert_kernel_matches_reference(perms):
+    """Every row of one kernel call against the per-vertex reference census."""
+    perms = np.asarray(perms)
+    n = perms.shape[1]
+    forest = mc._forest(perms)
+    tot = mc._totals(forest)
+    for row, perm in enumerate(perms.tolist()):
+        t = mc.build_tree(perm)
+        assert asdict(mc._census(tot, n, row)) == asdict(ref.rank_census(t)), perm
+        first = row * (n + 1) + 1  # position of vertex 0 of this row
+        span = slice(first, first + n)
+        assert forest.size[span].tolist() == ref.subtree_sizes(t), perm
+        for got, want in ((forest.left, t.left), (forest.right, t.right)):
+            assert [c if c == mc.NO_CHILD else c - first for c in got[span].tolist()] == list(want)
+        assert forest.roots[row] - first == t.root
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernel_matches_reference_on_all_small_permutations(n):
+    assert_kernel_matches_reference(list(permutations(range(1, n + 1))))
+
+
+@pytest.mark.parametrize("n", [2, 50, 1000])
+def test_kernel_matches_reference_on_a_random_chunk(n):
+    rng = np.random.default_rng(2024)
+    trees = max(1, mc._CHUNK_LABELS // (n + 1))
+    assert_kernel_matches_reference([rng.permutation(n) + 1 for _ in range(trees)])
+
+
+def test_kernel_matches_reference_on_chains():
+    # many jump rounds and rank passes: sorted runs and a staircase
+    n = 300
+    up = list(range(1, n + 1))
+    assert_kernel_matches_reference([up, up[::-1], up[-2::-1] + [n]])
+
+
+def test_single_tree_census_matches_reference():
+    for n in range(1, 6):
+        for perm in permutations(range(1, n + 1)):
+            t = mc.build_tree(perm)
+            assert mc.rank_census(t) == ref.rank_census(t)
+            assert mc.subtree_sizes(t) == ref.subtree_sizes(t)
+
+
 def test_greedy_walk_bounds():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -147,3 +193,11 @@ def test_estimate_emits_expected_statistic_names():
 def test_estimate_rejects_bad_trials():
     with pytest.raises(ValueError):
         mc.estimate(10, 0, seed=0)
+
+
+@pytest.mark.parametrize("n, trials", [(40, 30), (200, 64)])
+def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch, n, trials):
+    monkeypatch.setattr(mc, "_CHUNK_LABELS", 1)  # one trial per chunk
+    one_by_one = mc.estimate(n, trials, seed=12).to_dict()
+    monkeypatch.setattr(mc, "_CHUNK_LABELS", trials * (n + 1))  # all at once
+    assert mc.estimate(n, trials, seed=12).to_dict() == one_by_one
