@@ -13,10 +13,13 @@ so its size is R - L - 1 and its leaves are the local minima in it; its
 parent is whichever of L and R carries the smaller label.  Ranks are then
 filled in passes k = 0, 1, 2, ... from the leaves upwards, and per-tree
 totals come from bincount.  No recursion is involved, so n = 10^6 is
-routine.  The number of passes follows the depth of the jump chains and
-the root rank, O(log n) for random permutations; inputs such as sorted
-permutations need up to n passes.  estimate() feeds the kernel chunks of
-about _CHUNK_LABELS labels, a fixed budget that sets its peak memory.
+routine.  The number of rounds follows the longest jump chain and the
+root rank: for random permutations about 20 jump rounds and 5 rank
+passes at n = 1000, under 40 and 8 at n = 10^6.  Adversarial inputs
+cost far more: a sorted permutation needs n rank passes, and a
+decreasing run followed by an increasing run of larger labels makes the
+jumping quadratic.  estimate() feeds the kernel chunks of about
+_CHUNK_LABELS labels, a fixed budget that sets its peak memory.
 
 Reproducibility contract: estimate(n, trials, seed, ...) derives one
 PCG64 stream per trial from numpy's SeedSequence, so the report depends
@@ -54,7 +57,8 @@ __all__ = [
 NO_CHILD = -1
 
 # labels per census kernel call in estimate(); 4096 keeps the kernel's
-# arrays within a few hundred kB, larger chunks cost memory for little time
+# arrays within a few hundred kB, and larger chunks buy fewer numpy calls
+# with peak memory
 _CHUNK_LABELS = 4096
 
 
