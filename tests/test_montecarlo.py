@@ -1,5 +1,6 @@
 """Simulator: tree construction, census, greedy walk, seeded estimates."""
 
+import time
 from dataclasses import asdict
 from itertools import permutations
 
@@ -115,19 +116,38 @@ def test_kernel_matches_reference_on_a_random_chunk(n):
     assert_kernel_matches_reference([rng.permutation(n) + 1 for _ in range(trees)])
 
 
+def peaks_and_leaves(m: int) -> list[int]:
+    """A decreasing run of m peaks, then an increasing run of m larger peaks,
+    each peak followed by a small label (a leaf); n = 4m and ranks stay below 3."""
+    first = [x for i in range(m) for x in (3 * m - i, i + 1)]
+    second = [x for i in range(m) for x in (3 * m + 1 + i, m + 1 + i)]
+    return first + second
+
+
 def test_kernel_matches_reference_on_chains():
-    # many jump rounds and rank passes: sorted runs and a staircase
+    # long runs of smaller labels between a vertex and its nearest larger
+    # one, and many rank passes: sorted runs, a staircase, peaks and leaves
     n = 300
     up = list(range(1, n + 1))
-    assert_kernel_matches_reference([up, up[::-1], up[-2::-1] + [n]])
+    perms = [up, up[::-1], up[-2::-1] + [n], peaks_and_leaves(n // 4)]
+    assert_kernel_matches_reference(perms)
+    for perm in perms:
+        t = mc.build_tree(perm)
+        assert mc.rank_census(t) == ref.rank_census(t)
+        assert mc.subtree_sizes(t) == ref.subtree_sizes(t)
 
 
-def test_single_tree_census_matches_reference():
-    for n in range(1, 6):
-        for perm in permutations(range(1, n + 1)):
-            t = mc.build_tree(perm)
-            assert mc.rank_census(t) == ref.rank_census(t)
-            assert mc.subtree_sizes(t) == ref.subtree_sizes(t)
+def test_one_tree_census_is_fast_on_long_runs():
+    # every peak of the second run lies beyond m/2 smaller peaks of the
+    # first: a search moving one candidate per round takes m/2 rounds over
+    # m/2 vertices here, about a minute at this n; binary lifting takes
+    # 18 rounds
+    t = mc.build_tree(peaks_and_leaves(50_000))
+    start = time.perf_counter()
+    census, sizes = mc.rank_census(t), mc.subtree_sizes(t)
+    assert time.perf_counter() - start < 2.0
+    assert census == ref.rank_census(t)
+    assert sizes == ref.subtree_sizes(t)
 
 
 def test_greedy_walk_bounds():
