@@ -23,7 +23,7 @@ permutation of 10^5 takes about 0.8 s, most of it per-pass numpy
 overhead, where a per-vertex walk takes about 0.2 s.  estimate() feeds
 the kernel chunks of about _CHUNK_LABELS labels, a fixed budget that
 sets its peak memory; a chunk holds at least one tree, so a single trial
-at n = 10^6 takes about 0.75 s and 160 MB.
+at n = 10^6 takes under a second and about 160 MB.
 
 Reproducibility contract: estimate(n, trials, seed, ...) derives one
 PCG64 stream per trial from numpy's SeedSequence, so the report depends
