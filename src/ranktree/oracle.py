@@ -1,16 +1,59 @@
 """Exact finite-n dynamic programs for rank statistics of random trees.
 
 Ground truth for everything the generating-function layer and the
-simulator predict.  All probabilities p_{n,k} and expectations E_{n,k},
-f_{n,k}, g_{n,k} have denominators dividing n!, so the tables are kept
-as integer numerators scaled by n!; the convolutions then run on big
-ints with binomial weights, which is far cheaper than reducing a
-fraction per addition.  Public accessors return exact Rationals.
+simulator predict.  Every table value v at size n (P(root rank > k), the
+expectations E_{n,k}, f_{n,>k}, g_{n,k}, and the leaf depth profile) has a
+denominator dividing n! and lies in [0, n], so n!·v is an integer in
+[0, n·n!] (at n = 0 the one value is 1).
+
+Residue form.  The tables hold v itself, not n!·v, modulo word-size primes:
+each level is an int64 numpy array of shape (sizes, primes), row m holding
+the value at size m modulo every prime.  In this probability form the
+binomial weights of the recurrences cancel, e.g.
+
+    P_k[m] = (1/m) sum_j P_{k-1}[j] P_{k-1}[m-1-j],
+
+and since P_{k-1}[j] = 0 for 1 <= j <= k, the self-convolution visits only
+j = 0 and k+1 <= j <= (m-1)/2, each pair j < m-1-j once.  The leaf-pair
+and closest-leaf tables are (2/m) times a cross-convolution, and the rank
+counts follow from one weighted sum per level,
+
+    E_{n,k} = d_n + 2(n+1) sum_{m<n} d_m / ((m+1)(m+2)),
+    d_m = P_{k-1}[m] - P_k[m].
+
+A level is computed in whole-array steps, one per index j of the
+convolution, for all sizes and primes at once.
+
+Primes and CRT.  For tables up to size n the primes are the largest ones
+below 2^26, as many as needed for their product M to exceed n·n!, plus one
+more, the check prime, which the reconstruction does not use.  An accessor
+multiplies the residues by n! and rebuilds n!·v in [0, M) by the Chinese
+remainder theorem (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 5); no rational reconstruction is needed, since the denominator n! is
+known.  A result above n·n!, or one that disagrees with the check prime's
+residue, raises InternalInconsistency.  Every prime exceeds n + 2, so the
+inverses of m and (m+1)(m+2) exist for every size in the tables.  A
+request above the primes' capacity chooses new primes and drops every
+table; the levels are then rebuilt as they are asked for.
+
+Overflow.  A product of two residues is below 2^52.  The convolutions add
+one product per step to int64 accumulators and reduce them modulo q every
+_CADENCE steps, the most that the prime bound allows without reaching
+2^63, so no sum overflows at any n.
+
+Cost: level k at size n takes about (n - 2k)^2/4 products per prime, with
+about n log2(n)/26 primes.  moment_gf_ratio(n, rho) needs all n levels;
+it streams them on the primes for n, keeping the previous level and one
+residue row of E_{n,k} per level, and reads the levels already held.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import chain
+
+import numpy as np
 
 from .genfun import InternalInconsistency
 from .plring import Rational
@@ -31,9 +74,18 @@ __all__ = [
     "max_root_rank",
 ]
 
-# The DPs are O(n^2 kmax) in big-int arithmetic; the CLI refuses larger n
-# unless asked explicitly.
+# The CLI warns above this n.  A level costs O(n^2) residue products per
+# prime and there are about n log2(n)/26 primes, so the rows k <= kmax grow
+# about like n^3; --rho needs all n levels, about n^4.  Measured (2-core
+# Xeon, Python 3.11.7): `oracle --kmax 5` takes 0.6 s at n = 500 and 4.5 s
+# at n = 1000, and 2.5 s and 37 s with --rho 7/5.
 DEFAULT_N_CAP = 500
+
+_PRIME_BOUND = 1 << 26
+# Products of residues summed between two reductions: the accumulator then
+# holds at most (q-1) + _CADENCE (q-1)^2 < 2^63.
+_CADENCE = (2**63 - _PRIME_BOUND) // (_PRIME_BOUND - 1) ** 2
+_SIEVE_WINDOW = 1 << 16
 
 
 def max_root_rank(n: int) -> int:
@@ -41,202 +93,327 @@ def max_root_rank(n: int) -> int:
     return n - 1
 
 
-def _scaled_prefix(tab: list[int], fact: list[int]) -> int:
-    """(m-1)! * sum_{j<m} tab[j]/j!  for m = len(tab)."""
-    m = len(tab)
-    total = 0
-    ratio = 1  # (m-1)!/j!, built from j = m-1 downward
-    for j in range(m - 1, -1, -1):
-        total += tab[j] * ratio
-        ratio *= j if j else 1
-    return total
+def _largest_primes(count: int) -> list[int]:
+    """The `count` largest primes below _PRIME_BOUND, in decreasing order.
+
+    Sieved in windows going down from the bound; every prime returned is
+    above _PRIME_BOUND / 2, so each adds more than 25 bits to a product.
+    """
+    root = math.isqrt(_PRIME_BOUND)
+    small = np.ones(root + 1, bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    small_primes = np.flatnonzero(small).tolist()
+    found: list[int] = []
+    hi = _PRIME_BOUND
+    while len(found) < count:
+        lo = hi - _SIEVE_WINDOW
+        if lo < _PRIME_BOUND // 2:
+            raise ValueError("n is too large for primes below 2^26")
+        sieve = np.ones(hi - lo, bool)
+        for p in small_primes:
+            sieve[-lo % p :: p] = False
+        found.extend(reversed((lo + np.flatnonzero(sieve)).tolist()))
+        hi = lo
+    return found[:count]
+
+
+class _Basis:
+    """The primes for tables up to size cap, and the per-size constants.
+
+    q holds the CRT primes followed by the check prime; fact[m] and inv[m]
+    are m! and 1/m modulo each of them, w[m] = 1/((m+1)(m+2)).
+    """
+
+    def __init__(self, n: int):
+        need = max(n, 1) * math.factorial(n)
+        candidates = _largest_primes(need.bit_length() // 25 + 2)
+        modulus = 1
+        for used, p in enumerate(candidates):
+            if modulus > need:
+                break
+            modulus *= p
+        crt = candidates[:used]
+        self.check = candidates[used]
+        cap, fact = n, math.factorial(n)
+        while (cap + 1) ** 2 * fact < modulus:  # (cap+1)·(cap+1)! < M
+            cap += 1
+            fact *= cap
+        if self.check <= cap + 2:
+            raise ValueError("n is too large for primes below 2^26")
+        self.cap = cap
+        self.modulus = modulus
+        self.coeffs = [(modulus // p) * pow(modulus // p % p, -1, p) for p in crt]
+        self.q = q = np.array(crt + [self.check], np.int64)
+        size = cap + 3
+        fact = np.ones((size, len(q)), np.int64)
+        for m in range(1, size):
+            fact[m] = fact[m - 1] * m % q
+        inv_fact = np.empty_like(fact)
+        inv_fact[-1] = [pow(int(f), -1, int(p)) for f, p in zip(fact[-1], q)]
+        for m in range(size - 1, 0, -1):
+            inv_fact[m - 1] = inv_fact[m] * m % q
+        self.fact = fact
+        self.inv = np.zeros_like(fact)
+        self.inv[1:] = inv_fact[1:] * fact[:-1] % q
+        self.w = self.inv[1 : cap + 2] * self.inv[2 : cap + 3] % q
+
+    def ones(self, rows: int) -> np.ndarray:
+        return np.ones((rows, len(self.q)), np.int64)
+
+    def unit(self, rows: int) -> np.ndarray:
+        """1 at size 1, 0 elsewhere."""
+        out = np.zeros((rows, len(self.q)), np.int64)
+        out[1:2] = 1
+        return out
+
+    def values(self, residues: np.ndarray, n: int) -> list[Rational]:
+        """Exact values at size n from their residue rows, one row each."""
+        fact = math.factorial(n)
+        bound = max(n, 1) * fact
+        out = []
+        for r in (residues * self.fact[n] % self.q).tolist():
+            scaled = sum(map(operator.mul, r[:-1], self.coeffs)) % self.modulus
+            if scaled > bound or scaled % self.check != r[-1]:
+                raise InternalInconsistency(
+                    f"oracle residues at n={n} disagree with the check prime {self.check}"
+                )
+            out.append(Rational(scaled) / fact)
+        return out
+
+
+def _self_conv(a: np.ndarray, lo: int, r0: int, rows: int, q: np.ndarray) -> np.ndarray:
+    """sum_{j+i=m-1} a[j] a[i] mod q for the sizes r0 <= m < rows.
+
+    Rows 1..lo-1 of a must be zero: only j = 0 and j >= lo are visited,
+    each pair j < i once, doubled; the middle term j = i is added once.
+    """
+    acc = np.zeros((rows - r0, a.shape[1]), np.int64)
+    terms = 0
+    for j in chain((0,), range(max(lo, 1), (rows - 1) // 2)):
+        m0 = max(r0, 2 * j + 2)
+        if m0 < rows:
+            acc[m0 - r0 :] += a[j] * a[m0 - 1 - j : rows - 1 - j]
+            terms += 1
+            if terms == _CADENCE:
+                acc %= q
+                terms = 0
+    acc = 2 * (acc % q)
+    m0 = r0 | 1  # the first odd size, m = 2j + 1
+    mid = a[(m0 - 1) // 2 : rows // 2]
+    acc[m0 - r0 :: 2] += mid * mid % q
+    return acc % q
+
+
+def _cross_conv(
+    a: np.ndarray, b: np.ndarray, lo: int, r0: int, rows: int, q: np.ndarray
+) -> np.ndarray:
+    """sum_{j+i=m-1} a[j] b[i] mod q for the sizes r0 <= m < rows; rows of a below lo must be zero."""
+    acc = np.zeros((rows - r0, a.shape[1]), np.int64)
+    terms = 0
+    for j in range(lo, rows - 1):
+        m0 = max(r0, j + 1)
+        acc[m0 - r0 :] += a[j] * b[m0 - 1 - j : rows - 1 - j]
+        terms += 1
+        if terms == _CADENCE:
+            acc %= q
+            terms = 0
+    return acc % q
 
 
 class RankDP:
-    """Lazily grown exact tables; entry n of each list is n! times the value.
+    """Lazily grown residue tables; level k of each dict is an array whose
+    row m holds the value at size m modulo every prime of the basis.
 
-    p_gt[k][n]  = n! * P(root rank of the n-tree > k),      k >= -1
-    e[k][n]     = n! * E[# vertices of rank k]
-    f_gt[k][n]  = n! * E[1{root rank > k} * (leaf count)]
-    g[k][n]     = n! * E[1{root rank = k} * (closest-leaf count)]
-    x[j][n]     = n! * E[# leaves at depth j]
+    _p[k][m]  = P(root rank of the m-tree > k),      k >= 0 (1 for k < 0)
+    _e[k][m]  = E[# vertices of rank k]
+    _f[k][m]  = E[1{root rank > k} * (leaf count)],   k >= -1
+    _g[k][m]  = E[1{root rank = k} * (closest-leaf count)]
+    _x[j][m]  = E[# leaves at depth j]
+
+    Accessors return exact Rationals.  Requests may come in any order; one
+    above the basis' capacity starts again with more primes.
     """
 
-    def __init__(self, n: int = 0, kmax: int = -1):
-        self._fact = [1]
-        self._p: dict[int, list[int]] = {}
-        self._e: dict[int, list[int]] = {}
-        self._f: dict[int, list[int]] = {}
-        self._g: dict[int, list[int]] = {}
-        self._x: dict[int, list[int]] = {}
-        self._binom: list[list[int]] = []  # half rows, see _binom_half
-        if n > 0 and kmax >= 0:
-            self.ensure(n, kmax)
+    def __init__(self):
+        self._basis: _Basis | None = None
+        self._p: dict[int, np.ndarray] = {}
+        self._e: dict[int, np.ndarray] = {}
+        self._f: dict[int, np.ndarray] = {}
+        self._g: dict[int, np.ndarray] = {}
+        self._x: dict[int, np.ndarray] = {}
 
-    def _factorials(self, n: int) -> list[int]:
-        f = self._fact
-        while len(f) <= n:
-            f.append(f[-1] * len(f))
-        return f
+    def _reserve(self, n: int) -> _Basis:
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if self._basis is None or n > self._basis.cap:
+            self._basis = _Basis(n)
+            for table in (self._p, self._e, self._f, self._g, self._x):
+                table.clear()
+        return self._basis
 
-    def ensure(self, n: int, kmax: int) -> None:
-        for k in range(kmax + 1):
-            self._p_table(k, n)
+    def _value(self, rows_of, k: int, n: int) -> Rational:
+        basis = self._reserve(n)
+        return basis.values(rows_of(k, n + 1)[n : n + 1], n)[0]
 
-    def _binom_half(self, m: int) -> list[int]:
-        """C(m, j) for j <= m // 2; the rest follows from C(m, j) = C(m, m - j).
+    @staticmethod
+    def _grow(table: dict, first: int, k: int, rows: int, extend) -> np.ndarray:
+        """Level k of a chain of levels, filled to at least `rows` sizes.
 
-        Rows are built once per m and kept, since every table convolves at
-        the same sizes.
+        Filled bottom-up from the highest level already long enough, so a
+        deep request needs no recursion; extend(level, old, rows) returns
+        the level grown from its `old` rows (None when new).
         """
-        rows = self._binom
-        while len(rows) <= m:
-            r = len(rows)
-            row = [1]
-            c = 1
-            for j in range(1, r // 2 + 1):
-                c = c * (r - j + 1) // j
-                row.append(c)
-            rows.append(row)
-        return rows[m]
-
-    def _conv(self, a: list[int], b: list[int], n: int) -> int:
-        """sum_{j=0}^{n-1} C(n-1, j) a[j] b[n-1-j]."""
-        m = n - 1
-        half = self._binom_half(m)
-        total = 0
-        for j in range(n):
-            aj = a[j]
-            if aj:
-                bj = b[m - j]
-                if bj:
-                    total += half[j if 2 * j <= m else m - j] * aj * bj
-        return total
-
-    def _conv_self(self, a: list[int], n: int) -> int:
-        """sum_{j=0}^{n-1} C(n-1, j) a[j] a[n-1-j], halved by symmetry."""
-        row = self._binom_half(n - 1)
-        total = 0
-        half = (n - 1) // 2
-        for j in range(half + 1):
-            aj = a[j]
-            if aj:
-                bj = a[n - 1 - j]
-                if bj:
-                    term = row[j] * aj * bj
-                    total += term if 2 * j == n - 1 else 2 * term
-        return total
+        if k < first:
+            raise ValueError(f"level must be >= {first}")
+        low = k
+        while low >= first and len(table.get(low, ())) < rows:
+            low -= 1
+        for level in range(low + 1, k + 1):
+            table[level] = extend(level, table.get(level), rows)
+        return table[k]
 
     # -- root rank ---------------------------------------------------------
 
-    def _p_table(self, k: int, n: int) -> list[int]:
-        fact = self._factorials(n)
-        if k <= -1:
-            return fact  # p_{n,>-1} = 1, and p_{n,>k} = 1 below that
-        tab = self._p.setdefault(k, [1, 0])  # p_{0,>k} := 1, p_{1,>k} = 0
-        if len(tab) <= n:
-            prev = self._p_table(k - 1, n)
-            for m in range(len(tab), n + 1):
-                if m <= k + 1:
-                    tab.append(0)  # even a chain is too short for rank > k
-                else:
-                    tab.append(self._conv_self(prev, m))
-        return tab
+    def _p_rows(self, k: int, rows: int) -> np.ndarray:
+        if k < 0:
+            return self._basis.ones(rows)  # p_{n,>k} = 1 for k <= -1
+        return self._grow(self._p, 0, k, rows, self._extend_p)
+
+    def _extend_p(self, k: int, old, rows: int) -> np.ndarray:
+        return self._p_level(self._p_rows(k - 1, rows), k, old, rows, self._basis)
+
+    @staticmethod
+    def _p_level(prev: np.ndarray, k: int, old, rows: int, b: _Basis) -> np.ndarray:
+        if old is None:
+            old = b.ones(2)
+            old[1] = 0  # p_{0,>k} := 1, p_{1,>k} = 0
+        r0 = len(old)
+        if r0 >= rows:
+            return old
+        conv = _self_conv(prev, k + 1, r0, rows, b.q)
+        return np.concatenate([old, conv * b.inv[r0:rows] % b.q])
 
     def p_gt(self, n: int, k: int) -> Rational:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        tab = self._p_table(k, n)
-        return Rational(tab[n]) / self._fact[n]
+        return self._value(self._p_rows, k, n)
 
     def p_eq(self, n: int, k: int) -> Rational:
         return self.p_gt(n, k - 1) - self.p_gt(n, k)
 
     # -- expected rank counts ----------------------------------------------
 
-    def _e_table(self, k: int, n: int) -> list[int]:
-        tab = self._e.setdefault(k, [0, 1 if k == 0 else 0])
-        if len(tab) <= n:
-            hi = self._p_table(k - 1, n)
-            lo = self._p_table(k, n)
-            fact = self._factorials(n)
-            run = _scaled_prefix(tab, fact)
-            for m in range(len(tab), n + 1):
-                val = (hi[m] - lo[m]) + 2 * run
-                tab.append(val)
-                run = run * m + val
+    def _e_rows(self, k: int, rows: int) -> np.ndarray:
+        tab = self._e.get(k)
+        if tab is None or len(tab) < rows:
+            b = self._basis
+            d = (self._p_rows(k - 1, rows)[:rows] - self._p_rows(k, rows)[:rows]) % b.q
+            t = d * b.w[:rows] % b.q
+            before = np.cumsum(t, axis=0) - t  # sum_{m<n} d_m w_m, below rows·q
+            n1 = np.arange(1, rows + 1, dtype=np.int64)[:, None]
+            self._e[k] = tab = (d + 2 * n1 * (before % b.q)) % b.q
         return tab
 
     def e_count(self, n: int, k: int) -> Rational:
         if n < 1:
             raise ValueError("n must be >= 1")
-        tab = self._e_table(k, n)
-        return Rational(tab[n]) / self._factorials(n)[n]
+        return self._value(self._e_rows, k, n)
+
+    def rank_counts(self, n: int) -> list[Rational]:
+        """Exact E_{n,k} for k = 0..n-1 (vertices of rank >= n do not exist).
+
+        The levels are streamed: one held in _p is read, any other is
+        computed from the previous level and dropped, so memory stays at
+        two levels and one residue row per k.  The stream uses the primes
+        for n alone, whatever the capacity of the held tables: those
+        primes are the first columns of any basis that covers n.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        b = _Basis(n)
+        rows, width = n + 1, len(b.q)
+        w = b.w[:n]
+
+        def weighted(level):  # sum_{m<n} level[m] w_m, a sum of n residues
+            return (level[:n] * w % b.q).sum(axis=0) % b.q
+
+        prev = b.ones(rows)
+        prev_sum = weighted(prev)
+        out = np.empty((n, width), np.int64)
+        for k in range(n):
+            held = self._p.get(k)
+            if held is not None and len(held) >= rows:
+                cur = held[:rows, :width]
+            else:
+                cur = self._p_level(prev, k, None, rows, b)
+            cur_sum = weighted(cur)
+            out[k] = (prev[n] - cur[n] + 2 * (n + 1) * (prev_sum - cur_sum)) % b.q
+            prev, prev_sum = cur, cur_sum
+        return b.values(out, n)
 
     # -- descendant-leaf pairs ---------------------------------------------
 
-    def _f_table(self, k: int, n: int) -> list[int]:
-        fact = self._factorials(n)
+    def _f_rows(self, k: int, rows: int) -> np.ndarray:
+        return self._grow(self._f, -1, k, rows, self._extend_f)
+
+    def _extend_f(self, k: int, old, rows: int) -> np.ndarray:
         if k == -1:
             # f_{n,>-1} = E[L_n]: 1 at n = 1, (n+1)/3 for n >= 2
-            tab = self._f.setdefault(-1, [0, 1])
-            for m in range(len(tab), n + 1):
-                tab.append(fact[m] * (m + 1) // 3)
+            b = self._basis
+            tab = np.arange(1, rows + 1, dtype=np.int64)[:, None] * b.inv[3] % b.q
+            tab[0] = 0
+            tab[1:2] = 1
             return tab
-        tab = self._f.setdefault(k, [0, 0])  # f_{0,>k} = 0, f_{1,>k} = 0
-        if len(tab) <= n:
-            fprev = self._f_table(k - 1, n)
-            pprev = self._p_table(k - 1, n)
-            for m in range(len(tab), n + 1):
-                tab.append(2 * self._conv(fprev, pprev, m))
-        return tab
+        return self._pair_level(old, rows, self._f_rows(k - 1, rows), self._p_rows(k - 1, rows), k + 1)
+
+    def _pair_level(self, old, rows: int, a: np.ndarray, p: np.ndarray, lo: int) -> np.ndarray:
+        """0 at sizes 0 and 1, (2/m) sum_{j >= lo} a[j] p[m-1-j] at size m >= 2."""
+        b = self._basis
+        if old is None:
+            old = np.zeros((2, len(b.q)), np.int64)
+        r0 = len(old)
+        if r0 >= rows:
+            return old
+        conv = _cross_conv(a, p, lo, r0, rows, b.q)
+        return np.concatenate([old, 2 * conv * b.inv[r0:rows] % b.q])
 
     def f_gt(self, n: int, k: int) -> Rational:
-        tab = self._f_table(k, n)
-        return Rational(tab[n]) / self._factorials(n)[n]
+        return self._value(self._f_rows, k, n)
 
     def f_eq(self, n: int, k: int) -> Rational:
         return self.f_gt(n, k - 1) - self.f_gt(n, k)
 
     # -- closest-leaf pairs --------------------------------------------------
 
-    def _g_table(self, k: int, n: int) -> list[int]:
+    def _g_rows(self, k: int, rows: int) -> np.ndarray:
+        return self._grow(self._g, 0, k, rows, self._extend_g)
+
+    def _extend_g(self, k: int, old, rows: int) -> np.ndarray:
         if k == 0:
-            tab = self._g.setdefault(0, [0, 1])  # Bhat_0 = x
-            tab.extend([0] * (n + 1 - len(tab)))
-            return tab
-        tab = self._g.setdefault(k, [0, 0])
-        if len(tab) <= n:
-            gprev = self._g_table(k - 1, n)
-            # p_{m,>=k-1} = p_{m,>k-2}, with p_{0,>=.} = 1 already built in
-            pprev = self._p_table(k - 2, n)
-            for m in range(len(tab), n + 1):
-                tab.append(2 * self._conv(gprev, pprev, m))
-        return tab
+            return self._basis.unit(rows)  # Bhat_0 = x
+        # p_{m,>=k-1} = p_{m,>k-2}, which is 1 at m = 0
+        return self._pair_level(old, rows, self._g_rows(k - 1, rows), self._p_rows(k - 2, rows), k)
 
     def g_eq(self, n: int, k: int) -> Rational:
-        tab = self._g_table(k, n)
-        return Rational(tab[n]) / self._factorials(n)[n]
+        return self._value(self._g_rows, k, n)
 
     # -- leaf depth profile --------------------------------------------------
 
-    def _x_table(self, j: int, n: int) -> list[int]:
-        tab = self._x.setdefault(j, [0, 1 if j == 0 else 0])
+    def _x_rows(self, j: int, rows: int) -> np.ndarray:
+        return self._grow(self._x, 0, j, rows, self._extend_x)
+
+    def _extend_x(self, j: int, old, rows: int) -> np.ndarray:
+        b = self._basis
         if j == 0:
-            tab.extend([0] * (n + 1 - len(tab)))
-            return tab
-        if len(tab) <= n:
-            prev = self._x_table(j - 1, n)
-            fact = self._factorials(n)
-            run = _scaled_prefix([prev[i] for i in range(len(tab))], fact)
-            for m in range(len(tab), n + 1):
-                tab.append(2 * run)
-                run = run * m + prev[m]
-        return tab
+            return b.unit(rows)
+        # x_j[m] = (2/m) sum_{i<m} x_{j-1}[i]
+        prev = self._x_rows(j - 1, rows)[:rows]
+        before = (np.cumsum(prev, axis=0) - prev) % b.q
+        return 2 * before * b.inv[:rows] % b.q
 
     def x_profile(self, n: int, j: int) -> Rational:
-        tab = self._x_table(j, n)
-        return Rational(tab[n]) / self._factorials(n)[n]
+        return self._value(self._x_rows, j, n)
 
 
 _DEFAULT = RankDP()
@@ -335,6 +512,6 @@ def moment_gf_ratio(n: int, rho) -> Rational:
     if not rho > 0:
         raise ValueError("rho must be positive")
     total = Rational(0)
-    for k in range(n):  # vertices of rank k exist only for k <= n-1
-        total += rho**k * _DEFAULT.e_count(n, k)
+    for k, count in enumerate(_DEFAULT.rank_counts(n)):
+        total += rho**k * count
     return total / n

@@ -1,11 +1,15 @@
-"""Exact finite-n tables, checked against combinatorics (the checks against
-the GF series are in ranktree.checks, run by the acceptance tests)."""
+"""Exact finite-n tables, checked against combinatorics and against the
+big-integer reference DP (the checks against the GF series are in
+ranktree.checks, run by the acceptance tests)."""
 
 import math
 
+import numpy as np
 import pytest
 
-from ranktree import oracle
+import reference_oracle
+from ranktree import cli, oracle
+from ranktree.genfun import InternalInconsistency
 from ranktree.plring import Rational, rational
 
 
@@ -172,8 +176,13 @@ def test_denominators_divide_factorial():
             assert math.factorial(n) % value.denominator == 0
 
 
+def test_moment_ratio_rejects_empty_tree():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        oracle.moment_gf_ratio(0, rational(7, 5))
+
+
 def test_binomial_convolutions_match_math_comb():
-    dp = oracle.RankDP()
+    dp = reference_oracle.RankDP()
     # sizes out of order, so rows are built ahead of use and then reused
     for n in (9, 1, 2, 12, 5, 6, 11, 3):
         m = n - 1
@@ -185,3 +194,124 @@ def test_binomial_convolutions_match_math_comb():
         )
     for m in range(12):
         assert dp._binom_half(m) == [math.comb(m, j) for j in range(m // 2 + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The residue engine against the big-integer reference
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return reference_oracle.RankDP()
+
+
+def _rows(dp, n, ks):
+    """Every accessor of dp at size n, for each k in ks."""
+    return [
+        (dp.p_gt(n, k), dp.p_eq(n, k), dp.e_count(n, k), dp.f_gt(n, k), dp.f_eq(n, k),
+         dp.g_eq(n, k), dp.x_profile(n, k))
+        for k in ks
+    ]
+
+
+def test_engine_matches_reference_for_small_n(reference):
+    dp = oracle.RankDP()
+    for n in range(1, 41):
+        ks = range(oracle.max_root_rank(n) + 1)
+        assert _rows(dp, n, ks) == _rows(reference, n, ks), n
+        assert dp.p_gt(n, -1) == 1
+        assert dp.f_gt(n, -1) == reference.f_gt(n, -1)
+    assert dp.p_gt(0, 0) == reference.p_gt(0, 0) == 1
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_engine_matches_reference_at_large_n(reference, n):
+    assert _rows(oracle.RankDP(), n, range(6)) == _rows(reference, n, range(6))
+
+
+def test_moment_ratio_matches_reference(reference):
+    for n in (100, 200, 400):
+        counts = [reference.e_count(n, k) for k in range(n)]
+        for rho in (rational(7, 5), rational(1, 3), Rational(1)):
+            expected = sum(rho**k * c for k, c in enumerate(counts)) / n
+            assert oracle.moment_gf_ratio(n, rho) == expected, (n, rho)
+
+
+def test_requests_in_any_order_match_a_fresh_engine():
+    dp = oracle.RankDP()
+    for n in (120, 5, 400, 60):
+        ks = range(min(n, 4))
+        fresh = oracle.RankDP()
+        assert _rows(dp, n, ks) == _rows(fresh, n, ks), n
+        if n < 400:  # n = 400 streams in test_moment_ratio_matches_reference
+            assert dp.rank_counts(n) == fresh.rank_counts(n), n
+
+
+def test_levels_grow_to_larger_sizes(reference):
+    dp = oracle.RankDP()
+    dp.rank_counts(200)  # primes for n = 200, and no level kept
+    assert _rows(dp, 50, range(4)) == _rows(reference, 50, range(4))
+    assert len(dp._p[3]) == 51
+    assert _rows(dp, 200, range(4)) == _rows(reference, 200, range(4))
+    assert len(dp._p[3]) == 201
+
+
+def test_primes_are_the_largest_below_the_bound():
+    primes = oracle._largest_primes(40)
+    assert primes == sorted(primes, reverse=True)
+    assert primes[0] < oracle._PRIME_BOUND
+
+    def is_prime(m):
+        return all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    assert all(is_prime(p) for p in primes)
+    assert not any(is_prime(m) for m in range(primes[-1] + 1, oracle._PRIME_BOUND) if m not in primes)
+
+
+def _residue_sums(a, b, m, q):
+    return sum(int(a[j]) * int(b[m - 1 - j]) for j in range(m)) % q
+
+
+@pytest.mark.parametrize("kernel", ["self", "cross"])
+def test_convolutions_do_not_overflow(kernel):
+    # residues next to q - 1 give products next to 2^52; more than
+    # _CADENCE of them on one accumulator row would pass 2^63 unreduced
+    q = oracle._largest_primes(1)[0]
+    rows = 3 * oracle._CADENCE
+    a = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 7
+    b = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 5
+    qs = np.array([q], np.int64)
+    if kernel == "self":
+        out = oracle._self_conv(a, 1, rows - 3, rows, qs)
+        b = a
+    else:
+        out = oracle._cross_conv(a, b, 0, rows - 3, rows, qs)
+    expected = [_residue_sums(a[:, 0], b[:, 0], m, q) for m in range(rows - 3, rows)]
+    assert out[:, 0].tolist() == expected
+
+
+def test_a_wrong_residue_fails_the_check_prime():
+    dp = oracle.RankDP()
+    dp.p_gt(30, 2)
+    dp._p[2][30, 0] = (dp._p[2][30, 0] + 1) % dp._basis.q[0]
+    with pytest.raises(InternalInconsistency, match="check prime"):
+        dp.p_gt(30, 2)
+    dp._x.clear()
+    dp.x_profile(30, 2)
+    dp._x[2][30, -1] = (dp._x[2][30, -1] + 1) % dp._basis.q[-1]  # the check prime's own residue
+    with pytest.raises(InternalInconsistency, match="check prime"):
+        dp.x_profile(30, 2)
+
+
+def test_a_wrong_crt_coefficient_exits_3(capsys, monkeypatch):
+    dp = oracle.RankDP()
+    dp.p_gt(20, 0)
+    dp._basis.coeffs[-1] += 1
+    with pytest.raises(InternalInconsistency, match="check prime"):
+        dp.e_count(20, 1)
+    monkeypatch.setattr(oracle, "_DEFAULT", dp)
+    code = cli.main(["oracle", "--n", "20", "--kmax", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INCONSISTENT
+    assert captured.out == ""
+    assert "check prime" in captured.err
