@@ -178,7 +178,8 @@ class _Basis:
             scaled = sum(map(operator.mul, r[:-1], self.coeffs)) % self.modulus
             if scaled > bound or scaled % self.check != r[-1]:
                 raise InternalInconsistency(
-                    f"oracle residues at n={n} disagree with the check prime {self.check}"
+                    f"oracle residues at n={n} give no value in [0, n·n!] "
+                    f"that agrees with the check prime {self.check}"
                 )
             out.append(Rational(scaled) / fact)
         return out

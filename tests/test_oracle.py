@@ -282,8 +282,8 @@ def test_convolutions_do_not_overflow(kernel):
     b = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 5
     qs = np.array([q], np.int64)
     if kernel == "self":
-        out = oracle._self_conv(a, 1, rows - 3, rows, qs)
         b = a
+        out = oracle._self_conv(a, 1, rows - 3, rows, qs)
     else:
         out = oracle._cross_conv(a, b, 0, rows - 3, rows, qs)
     expected = [_residue_sums(a[:, 0], b[:, 0], m, q) for m in range(rows - 3, rows)]
