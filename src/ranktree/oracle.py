@@ -263,7 +263,7 @@ class RankDP:
     def _grow(table: dict, first: int, k: int, rows: int, extend) -> np.ndarray:
         """Level k of a chain of levels, filled to at least `rows` sizes.
 
-        Filled bottom-up from the highest level already long enough, so a
+        Filled bottom-up from the first level below k that is long enough, so a
         deep request needs no recursion; extend(level, old, rows) returns
         the level grown from its `old` rows (None when new).
         """
