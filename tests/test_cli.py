@@ -186,17 +186,17 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv):
             "oracle-n40.json",
             ["oracle", "--n", "40", "--kmax", "3", "--rho", "7/5", "--series-order", "12"],
         ),
-        ("oracle-n200.json", ["oracle", "--n", "200", "--kmax", "6", "--rho", "7/5"]),
-        (
-            "oracle-n200.csv",
-            ["oracle", "--n", "200", "--kmax", "6", "--rho", "7/5", "--format", "csv"],
-        ),
         ("simulate-n1000.json", ["simulate", "--n", "1000", "--trials", "200", "--seed", "0"]),
         (
             "simulate-n50.csv",
             ["simulate", "--n", "50", "--trials", "30", "--seed", "1", "--kmax", "3", "--format", "csv"],
         ),
         ("simulate-n1.json", ["simulate", "--n", "1", "--trials", "1"]),
+        ("oracle-n200.json", ["oracle", "--n", "200", "--kmax", "6", "--rho", "7/5"]),
+        (
+            "oracle-n200.csv",
+            ["oracle", "--n", "200", "--kmax", "6", "--rho", "7/5", "--format", "csv"],
+        ),
     ],
 )
 def test_stdout_matches_golden(capsys, golden, argv):
