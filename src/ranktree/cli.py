@@ -137,7 +137,9 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
     Paths in ``keep`` (the entries load_cache accepted) are left alone, and
     every other entry is replaced, so an unreadable file is repaired.  Each
     file is written under a temporary name and renamed into place, so a
-    reader never sees a partial entry.
+    reader never sees a partial entry.  Entries are written without
+    indentation, which lets json use its C encoder; indented entries
+    written by earlier versions load the same.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     written = 0
@@ -148,7 +150,7 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
         blob = {"format": CACHE_FORMAT, "kind": kind, "k": k, "terms": expr.to_records()}
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+            tmp.write_text(json.dumps(blob, sort_keys=True) + "\n")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

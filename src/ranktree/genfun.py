@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .plring import ONE, PLExpr, Rational, U, UINV, X, ZERO
+from .residues import InternalInconsistency
 
 __all__ = [
     "InternalInconsistency",
@@ -67,10 +68,6 @@ __all__ = [
     "cache_snapshot",
     "cache_insert",
 ]
-
-
-class InternalInconsistency(AssertionError):
-    """Two independent exact routes to the same value disagreed."""
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ _CADENCE steps, the most that the prime bound allows without reaching
 Cost: level k at size n takes about (n - 2k)^2/4 products per prime, with
 about n log2(n)/26 primes.  moment_gf_ratio(n, rho) needs all n levels;
 it streams them on the primes for n, keeping the previous level and one
-residue row of E_{n,k} per level, and reads the levels already held.
+residue row of E_{n,k} per level, and reads the levels already held.  The
+exact E_{n,k} are kept per n, so another rho at the same n costs no DP.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from itertools import chain
 
 import numpy as np
 
-from .genfun import InternalInconsistency
 from .plring import Rational
+from .residues import _CADENCE, InternalInconsistency, _crt_coefficients, _crt_primes
 
 __all__ = [
     "RankDP",
@@ -81,43 +82,10 @@ __all__ = [
 # at n = 1000, and 2.5 s and 37 s with --rho 7/5.
 DEFAULT_N_CAP = 500
 
-_PRIME_BOUND = 1 << 26
-# Products of residues summed between two reductions: the accumulator then
-# holds at most (q-1) + _CADENCE (q-1)^2 < 2^63.
-_CADENCE = (2**63 - _PRIME_BOUND) // (_PRIME_BOUND - 1) ** 2
-_SIEVE_WINDOW = 1 << 16
-
 
 def max_root_rank(n: int) -> int:
     """Largest achievable root rank: a chain of n vertices has root rank n-1."""
     return n - 1
-
-
-def _largest_primes(count: int) -> list[int]:
-    """The `count` largest primes below _PRIME_BOUND, in decreasing order.
-
-    Sieved in windows going down from the bound; every prime returned is
-    above _PRIME_BOUND / 2, so each adds more than 25 bits to a product.
-    """
-    root = math.isqrt(_PRIME_BOUND)
-    small = np.ones(root + 1, bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    small_primes = np.flatnonzero(small).tolist()
-    found: list[int] = []
-    hi = _PRIME_BOUND
-    while len(found) < count:
-        lo = hi - _SIEVE_WINDOW
-        if lo < _PRIME_BOUND // 2:
-            raise ValueError("n is too large for primes below 2^26")
-        sieve = np.ones(hi - lo, bool)
-        for p in small_primes:
-            sieve[-lo % p :: p] = False
-        found.extend(reversed((lo + np.flatnonzero(sieve)).tolist()))
-        hi = lo
-    return found[:count]
 
 
 class _Basis:
@@ -129,14 +97,7 @@ class _Basis:
 
     def __init__(self, n: int):
         need = max(n, 1) * math.factorial(n)
-        candidates = _largest_primes(need.bit_length() // 25 + 2)
-        modulus = 1
-        for used, p in enumerate(candidates):
-            if modulus > need:
-                break
-            modulus *= p
-        crt = candidates[:used]
-        self.check = candidates[used]
+        crt, modulus, self.check = _crt_primes(need)
         cap, fact = n, math.factorial(n)
         while (cap + 1) ** 2 * fact < modulus:  # (cap+1)·(cap+1)! < M
             cap += 1
@@ -145,7 +106,7 @@ class _Basis:
             raise ValueError("n is too large for primes below 2^26")
         self.cap = cap
         self.modulus = modulus
-        self.coeffs = [(modulus // p) * pow(modulus // p % p, -1, p) for p in crt]
+        self.coeffs = _crt_coefficients(crt, modulus)
         self.q = q = np.array(crt + [self.check], np.int64)
         size = cap + 3
         fact = np.ones((size, len(q)), np.int64)
@@ -245,6 +206,7 @@ class RankDP:
         self._f: dict[int, np.ndarray] = {}
         self._g: dict[int, np.ndarray] = {}
         self._x: dict[int, np.ndarray] = {}
+        self._counts: dict[int, list[Rational]] = {}  # rank_counts(n), by n
 
     def _reserve(self, n: int) -> _Basis:
         if n < 0:
@@ -328,10 +290,18 @@ class RankDP:
         computed from the previous level and dropped, so memory stays at
         two levels and one residue row per k.  The stream uses the primes
         for n alone, whatever the capacity of the held tables: those
-        primes are the first columns of any basis that covers n.
+        primes are the first columns of any basis that covers n.  Each n
+        is streamed once per engine, and the values are kept for the next
+        call, e.g. the moment ratio at another rho.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        counts = self._counts.get(n)
+        if counts is None:
+            counts = self._counts[n] = self._stream_counts(n)
+        return list(counts)
+
+    def _stream_counts(self, n: int) -> list[Rational]:
         b = _Basis(n)
         rows, width = n + 1, len(b.q)
         w = b.w[:n]

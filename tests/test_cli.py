@@ -131,6 +131,30 @@ def test_truncated_cache_entry_is_rewritten(capsys, tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in fresh.iterdir())
 
 
+def test_indented_cache_entries_load_with_identical_output(capsys, monkeypatch, tmp_path):
+    # entries are written compact; earlier versions wrote them indented
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
+    old.mkdir()
+    names = sorted(p.name for p in fresh.glob("*.json"))
+    for name in names:
+        text = (fresh / name).read_text()
+        assert text.count("\n") == 1
+        (old / name).write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    indented = {name: (old / name).read_text() for name in names}
+    built = genfun.cache_snapshot()
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    assert cli.load_cache(old) == len(names)
+    assert genfun.cache_snapshot() == {key: built[key] for key in genfun.cache_snapshot()}
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    code, warm, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(old))
+    assert code == 0
+    assert warm == cold
+    # accepted entries are left as they were
+    assert {name: (old / name).read_text() for name in names} == indented
+
+
 def test_misnamed_cache_entry_is_not_accepted(tmp_path):
     genfun.root_rank_gf(2)
     cli.save_cache(tmp_path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference_oracle
-from ranktree import cli, oracle
+from ranktree import cli, oracle, residues
 from ranktree.genfun import InternalInconsistency
 from ranktree.plring import Rational, rational
 
@@ -257,15 +257,15 @@ def test_levels_grow_to_larger_sizes(reference):
 
 
 def test_primes_are_the_largest_below_the_bound():
-    primes = oracle._largest_primes(40)
+    primes = residues._largest_primes(40)
     assert primes == sorted(primes, reverse=True)
-    assert primes[0] < oracle._PRIME_BOUND
+    assert primes[0] < residues._PRIME_BOUND
 
     def is_prime(m):
         return all(m % d for d in range(2, math.isqrt(m) + 1))
 
     assert all(is_prime(p) for p in primes)
-    assert not any(is_prime(m) for m in range(primes[-1] + 1, oracle._PRIME_BOUND) if m not in primes)
+    assert not any(is_prime(m) for m in range(primes[-1] + 1, residues._PRIME_BOUND) if m not in primes)
 
 
 def _residue_sums(a, b, m, q):
@@ -276,8 +276,8 @@ def _residue_sums(a, b, m, q):
 def test_convolutions_do_not_overflow(kernel):
     # residues next to q - 1 give products next to 2^52; more than
     # _CADENCE of them on one accumulator row would pass 2^63 unreduced
-    q = oracle._largest_primes(1)[0]
-    rows = 3 * oracle._CADENCE
+    q = residues._largest_primes(1)[0]
+    rows = 3 * residues._CADENCE
     a = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 7
     b = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 5
     qs = np.array([q], np.int64)

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import reference_plring as ref
-from ranktree import genfun
+from ranktree import cli, genfun, plring, residues
+from ranktree.genfun import InternalInconsistency
 from ranktree.plring import (
     ONE,
     U,
@@ -253,3 +255,109 @@ def test_from_records_accepts_unreduced_and_signed_records():
 def test_root_rank_records_match_reference_kernel(k):
     # pins the bytes of the disk cache: cached records are to_records output
     assert genfun.root_rank_gf(k).to_records() == ref.records(ref.root_rank_gf(k))
+
+
+# -- the residue route of large products --------------------------------------
+
+
+@pytest.fixture
+def residue_route(monkeypatch):
+    """Every product of nonzero operands takes the residue route."""
+    monkeypatch.setattr(plring, "_RESIDUE_PAIRS", 1)
+
+
+@pytest.mark.parametrize(
+    "test",
+    [test_ring_operations_match_reference, test_canonical_form_is_route_independent],
+    ids=["ring-operations", "canonical-form"],
+)
+def test_residue_route_matches_reference(residue_route, test):
+    test()
+
+
+def test_residue_route_edge_cases(residue_route):
+    # one-term operands, negative b, squares, and cells that cancel
+    assert U * UINV == ONE
+    assert UINV * UINV == PLExpr.term(1, -2, 0)
+    assert (U + V) * (U - V) == PLExpr({(2, 0): 1, (0, 2): -1})
+    assert (UINV - V) ** 2 == PLExpr({(-2, 0): 1, (-1, 1): -2, (0, 2): 1})
+    assert PLExpr.term(rational(-3, 4), 5, 2) * PLExpr.term(rational(2, 9), -7, 0) == PLExpr.term(
+        rational(-1, 6), -2, 2
+    )
+
+
+def _by_both_routes(monkeypatch, a, b):
+    monkeypatch.setattr(plring, "_RESIDUE_PAIRS", 1)
+    by_residues = a * b
+    monkeypatch.setattr(plring, "_RESIDUE_PAIRS", float("inf"))
+    return by_residues, a * b
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_root_rank_squares_agree_between_routes(monkeypatch, k):
+    b = genfun.root_rank_gf(k)
+    by_residues, by_loop = _by_both_routes(monkeypatch, b, b)
+    assert by_residues == by_loop
+    _assert_canonical(by_residues)
+
+
+def test_root_rank_right_hand_side_agrees_between_routes(monkeypatch):
+    # the product 2 B_5 (1/(1-x) - B_{<=4}) of the B_6 recurrence
+    b5, rest = genfun.root_rank_gf(5), UINV - genfun.root_rank_cdf_gf(4)
+    by_residues, by_loop = _by_both_routes(monkeypatch, b5, rest)
+    assert by_residues == by_loop
+    _assert_canonical(by_residues)
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "product"])
+def test_residue_accumulators_are_reduced_in_time(square):
+    # every residue of -1 is q - 1, so the middle cells of this product sum
+    # more than _CADENCE products next to 2^52, which would pass 2^63
+    terms = 2 * residues._CADENCE + 4
+    a = PLExpr({(b, 0): -1 for b in range(terms)})
+    b = a if square else PLExpr({(b, 0): -1 for b in range(terms)})
+    assert len(a) * len(b) >= plring._RESIDUE_PAIRS
+    assert a * b == PLExpr({(m, 0): min(m, 2 * terms - 2 - m) + 1 for m in range(2 * terms - 1)})
+
+
+def _add_one(column, nonzero=True):
+    def corrupt(flat, q, bound):
+        cells = np.flatnonzero(flat.any(axis=1) == nonzero)
+        if len(cells):  # some products have no zero cell
+            flat[cells[0], column] += 1
+
+    return corrupt
+
+
+def _above_bound(flat, q, bound):
+    # residues of bound + 1 for every prime, the check prime's included
+    flat[np.flatnonzero(flat.any(axis=1))[0]] = [(bound + 1) % p for p in q]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_add_one(0), _add_one(-1), _add_one(-1, nonzero=False), _above_bound],
+    ids=["crt-prime", "check-prime", "check-prime-of-a-zero-cell", "consistent-above-bound"],
+)
+def test_a_wrong_product_residue_is_caught(residue_route, monkeypatch, capsys, corrupt):
+    real = plring._rebuild
+
+    def rebuild(table, primes, modulus, check, bound, origin):
+        corrupt(table.reshape(-1, table.shape[-1]), primes + [check], bound)
+        return real(table, primes, modulus, check, bound, origin)
+
+    b = genfun.root_rank_gf(3)
+    monkeypatch.setattr(plring, "_rebuild", rebuild)
+    with pytest.raises(InternalInconsistency, match="check prime"):
+        b * b
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    code = cli.main(["constants", "--kmax", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INCONSISTENT
+    assert captured.out == ""
+    assert "check prime" in captured.err
+
+
+def test_inconsistency_is_one_class_everywhere():
+    assert genfun.InternalInconsistency is residues.InternalInconsistency
