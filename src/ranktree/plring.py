@@ -95,6 +95,7 @@ __all__ = [
 # measured crossover is in the module docstring.
 _RESIDUE_PAIRS = 30_000
 _CHUNK = 16  # primes per pass of the residue convolution
+_CRT_ROWS = 64  # table cells turned into Python ints at a time
 
 
 def rational(num, den=1) -> Rational:
@@ -534,9 +535,6 @@ def _residues(limbs: np.ndarray, sign: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     powers = _powers(q, limbs.shape[1], 1 << 16)
     return (limbs.astype(np.int64) @ powers) % q * sign[:, None] % q
-
-
-_CRT_ROWS = 64  # table cells turned into Python ints at a time
 
 
 def _rebuild(table, primes, modulus, check, bound, origin) -> dict[tuple[int, int], int]:
