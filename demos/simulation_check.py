@@ -16,9 +16,9 @@ report = montecarlo.estimate(N, TRIALS, SEED, kmax=3)
 print()
 print("empirical rank fractions vs the exact oracle (z = sigmas of deviation)")
 print(f"{'k':>2} {'empirical':>12} {'stderr':>10} {'exact':>12} {'z':>7}")
-for k in range(4):
+for k, count in enumerate(oracle.expected_rank_counts(N, 3)):
     stat = report[f"rank_fraction/{k}"]
-    exact = float(oracle.expected_rank_counts(N, k)[k]) / N
+    exact = float(count) / N
     z = (stat.mean - exact) / stat.stderr if stat.stderr else 0.0
     print(f"{k:>2} {stat.mean:>12.6f} {stat.stderr:>10.6f} {exact:>12.6f} {z:>7.2f}")
 

@@ -152,11 +152,7 @@ def series_vs_oracle() -> Check:
 
 def _structure_ok(k: int) -> bool:
     verdict = conjecture.check_conjectures(k, genfun.rank_constant(k))
-    return (
-        verdict.smoothness_pass
-        and (k < 2 or verdict.gap_free is True)
-        and conjecture.check_pl_structure(k).passed
-    )
+    return conjecture.factor_pass(verdict, conjecture.check_pl_structure(k))
 
 
 def structure_and_factorizations() -> Check:
@@ -191,10 +187,9 @@ def _within(stat, exact, sigmas: float = 4.0) -> bool:
 
 def simulation_rank_fractions(n: int, trials: int, seed: int) -> Check:
     rep = montecarlo.estimate(n, trials, seed, kmax=3)
-    ok = all(
-        _within(rep[f"rank_fraction/{k}"], oracle.expected_rank_counts(n, k)[k] / n)
-        for k in range(4)
-    ) and _within(rep["leaf_fraction"], oracle.expected_rank_counts(n, 0)[0] / n)
+    counts = oracle.expected_rank_counts(n, 3)
+    ok = all(_within(rep[f"rank_fraction/{k}"], counts[k] / n) for k in range(4))
+    ok = ok and _within(rep["leaf_fraction"], counts[0] / n)
     return "simulation-rank-fractions", ok, f"n={n}, trials={trials}"
 
 

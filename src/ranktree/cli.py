@@ -107,7 +107,7 @@ def _cache_path(cache_dir: Path, kind: str, k: int) -> Path:
 def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
     """Seed the in-memory memo from disk; returns the number of entries.
 
-    An entry is accepted when it parses, carries the current format, and
+    An entry is accepted when it decodes, carries the current format, and
     its kind and k match its file name.  Accepted paths are added to
     ``accepted`` when given, so that save_cache can rewrite the others.
     """
@@ -117,14 +117,15 @@ def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
     for path in sorted(cache_dir.glob("*.json")):
         try:
             blob = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if blob.get("format") != CACHE_FORMAT:
-            continue
-        kind, k = blob.get("kind"), blob.get("k")
-        if kind not in KINDS or not isinstance(k, int) or path != _cache_path(cache_dir, kind, k):
-            continue
-        genfun.cache_insert(kind, k, PLExpr.from_records(blob["terms"]))
+            if not isinstance(blob, dict) or blob.get("format") != CACHE_FORMAT:
+                continue
+            kind, k = blob.get("kind"), blob.get("k")
+            if kind not in KINDS or not isinstance(k, int) or path != _cache_path(cache_dir, kind, k):
+                continue
+            expr = PLExpr.from_records(blob["terms"])
+        except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
+            continue  # truncated or malformed: like a missing entry
+        genfun.cache_insert(kind, k, expr)
         loaded += 1
         if accepted is not None:
             accepted.add(path)
@@ -257,10 +258,10 @@ def cmd_oracle(args) -> int:
         )
     rows_json = []
     rows_csv = []
-    for k in range(kmax + 1):
+    counts = oracle.expected_rank_counts(n, kmax)
+    for k, e_k in enumerate(counts):
         p_gt = oracle.root_rank_tail(n, k)
         p_eq = oracle.root_rank_prob(n, k)
-        e_k = oracle.expected_rank_counts(n, k)[k]
         f_k = oracle.expected_leaf_pairs(n, k)
         g_k = oracle.expected_closest_pairs(n, k)
         rows_json.append(
@@ -321,7 +322,7 @@ def cmd_factor(args) -> int:
         verdict = conjecture.check_conjectures(k, c)
         structure = conjecture.check_pl_structure(k)
         numer = conjecture.factor_smooth(max(int(c.numerator), 1), args.factor_bound)
-        ok = verdict.smoothness_pass and verdict.gap_free is not False and structure.passed
+        ok = conjecture.factor_pass(verdict, structure)
         all_pass = all_pass and ok
         rows_json.append(
             {
@@ -381,6 +382,15 @@ def cmd_verify(args) -> int:
 # Argument plumbing
 
 
+def _rho(text: str) -> str:
+    """--rho as given, once it parses: a bad value is a usage error before any work."""
+    try:
+        checks.parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ranktree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -410,7 +420,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exact finite-n tables")
     common(p, "--kmax", "--format", "--cache-dir")
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--rho", default=None)
+    p.add_argument("--rho", type=_rho, default=None)
     p.add_argument("--series-order", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 
@@ -431,7 +441,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", default="7/5")
+    p.add_argument("--rho", type=_rho, default="7/5")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import genfun
 from .plring import Rational
+from .residues import primes_upto
 
 __all__ = [
     "FactorReport",
@@ -24,21 +24,9 @@ __all__ = [
     "factor_smooth",
     "check_conjectures",
     "check_pl_structure",
+    "factor_pass",
     "alpha0",
 ]
-
-
-@lru_cache(maxsize=None)
-def primes_upto(bound: int) -> tuple[int, ...]:
-    """All primes <= bound, by sieve of Eratosthenes."""
-    if bound < 2:
-        return ()
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, is_p in enumerate(sieve) if is_p)
 
 
 @dataclass(frozen=True)
@@ -164,22 +152,21 @@ class PLStructureReport:
 
 
 def check_pl_structure(k: int) -> PLStructureReport:
-    """Verify the exponent and coefficient-denominator bounds on B_k."""
+    """Verify the exponent and coefficient-denominator bounds on B_k.
+
+    The coefficient denominators are factored through their lcm, once; if
+    it does not factor below the bound, max_denom_prime is the rest of it.
+    """
     bound = 2 ** (k + 1) - 1
-    expr = genfun.root_rank_gf(k)
-    max_u = max_v = max_prime = 0
-    min_u = 0
-    for (b, c), a in expr:
-        max_u = max(max_u, b)
-        min_u = min(min_u, b)
-        max_v = max(max_v, c)
-        den = int(a.denominator)
-        if den > 1:
-            rep = factor_smooth(den, bound)
-            if not rep.fully_factored:
-                max_prime = max(max_prime, rep.residual)  # exceeds the bound
-            else:
-                max_prime = max(max_prime, rep.factors[-1][0])
+    terms = genfun.root_rank_gf(k).terms
+    max_u = max_v = min_u = 0
+    for b, c in terms:
+        max_u, min_u, max_v = max(max_u, b), min(min_u, b), max(max_v, c)
+    den = math.lcm(*(int(a.denominator) for a in terms.values()))
+    max_prime = 0
+    if den > 1:
+        rep = factor_smooth(den, bound)
+        max_prime = rep.factors[-1][0] if rep.fully_factored else rep.residual
     passed = min_u >= 0 and max_u <= bound and max_v <= bound and max_prime <= bound
     return PLStructureReport(
         k=k,
@@ -190,6 +177,12 @@ def check_pl_structure(k: int) -> PLStructureReport:
         max_denom_prime=max_prime,
         passed=passed,
     )
+
+
+def factor_pass(verdict: ConjectureVerdict, structure: PLStructureReport) -> bool:
+    """The one pass criterion of ``factor`` and ``verify`` at a k: smoothness,
+    gap-freeness where it applies (k >= 2) and the structure bounds."""
+    return verdict.smoothness_pass and verdict.gap_free is not False and structure.passed
 
 
 def _g_of_alpha(a: float) -> float:

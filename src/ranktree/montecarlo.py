@@ -431,7 +431,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _samples(
-    tot: _Totals, glen: np.ndarray, n: int, kmax: int, pair_kmax: int
+    tot: _Totals, glen: np.ndarray, n: int, kmax: int
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Every statistic's sample in each tree of a chunk, one column each.
 
@@ -453,7 +453,7 @@ def _samples(
         names += [f"{stat}/{k}" for k in ks]
         blocks.append(block)
     if n > 1:
-        pks = np.arange(pair_kmax + 1)
+        pks = np.arange(min(kmax, 2) + 1)
         v = counts[:, pks]
         joint = v[:, :, None] * v[:, None, :]
         joint[:, pks, pks] -= v  # ordered pairs of distinct vertices
@@ -468,16 +468,11 @@ def _samples(
     return names, np.hstack(blocks, dtype=float), exists
 
 
-def estimate(
-    n: int,
-    trials: int,
-    seed: int,
-    kmax: int = 5,
-    pair_kmax: int | None = None,
-) -> EstimateReport:
+def estimate(n: int, trials: int, seed: int, kmax: int = 5) -> EstimateReport:
     """Monte Carlo estimates of every per-tree statistic.
 
-    Emitted statistic names (k, k1, k2 range over 0..kmax resp. 0..pair_kmax):
+    Emitted statistic names (k ranges over 0..kmax, k1 and k2 over
+    0..min(kmax, 2)):
 
     * ``rank_fraction/k``    -- V_{n,k}/n
     * ``leaf_fraction``      -- L_n/n
@@ -496,21 +491,19 @@ def estimate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if pair_kmax is None:
-        pair_kmax = min(kmax, 2)
     per_chunk = max(1, _CHUNK_LABELS // (n + 1))
     acc = None
     for first in range(0, trials, per_chunk):
         rngs = [trial_rng(seed, t) for t in range(first, min(first + per_chunk, trials))]
         forest = _forest(np.stack([rng.permutation(n) for rng in rngs]) + 1)
-        tot = _totals(forest, max(kmax, pair_kmax) + 1)
+        tot = _totals(forest, kmax + 1)
         glen = np.array([
             _greedy_walk(forest.left, forest.right, forest.size, root, rng)
             for root, rng in zip(forest.roots, rngs)
         ])
         if np.any(glen < tot.root_rank):
             raise InternalInconsistency("greedy walk shorter than the root rank")
-        names, values, exists = _samples(tot, glen, n, kmax, pair_kmax)
+        names, values, exists = _samples(tot, glen, n, kmax)
         if acc is None:
             acc = _Welford(names)
         for x, present in zip(values, exists):

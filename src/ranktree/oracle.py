@@ -21,20 +21,14 @@ counts follow from one weighted sum per level,
     E_{n,k} = d_n + 2(n+1) sum_{m<n} d_m / ((m+1)(m+2)),
     d_m = P_{k-1}[m] - P_k[m].
 
-A level is computed in whole-array steps, one per index j of the
+A level is computed whole, in whole-array steps, one per index j of the
 convolution, for all sizes and primes at once.
 
-Primes and CRT.  For tables up to size n the primes are the largest ones
-below 2^26, as many as needed for their product M to exceed n·n!, plus one
-more, the check prime, which the reconstruction does not use.  An accessor
-multiplies the residues by n! and rebuilds n!·v in [0, M) by the Chinese
-remainder theorem (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 5); no rational reconstruction is needed, since the denominator n! is
-known.  A result above n·n!, or one that disagrees with the check prime's
-residue, raises InternalInconsistency.  Every prime exceeds n + 2, so the
-inverses of m and (m+1)(m+2) exist for every size in the tables.  A
-request above the primes' capacity chooses new primes and drops every
-table; the levels are then rebuilt as they are asked for.
+Primes and CRT.  Tables up to size n use the moduli of ranktree.residues
+for the bound n·n!: an accessor rebuilds n!·v there, requires it >= 0 and
+divides by n!.  Every prime exceeds n + 2, so the inverses of m and
+(m+1)(m+2) exist for every size in the tables.  A request above the
+moduli's capacity chooses new primes and drops every table.
 
 Overflow.  A product of two residues is below 2^52.  The convolutions add
 one product per step to int64 accumulators and reduce them modulo q every
@@ -51,13 +45,12 @@ exact E_{n,k} are kept per n, so another rho at the same n costs no DP.
 from __future__ import annotations
 
 import math
-import operator
 from itertools import chain
 
 import numpy as np
 
 from .plring import Rational
-from .residues import _CADENCE, InternalInconsistency, _crt_coefficients, _crt_primes
+from .residues import _CADENCE, InternalInconsistency, Moduli
 
 __all__ = [
     "RankDP",
@@ -89,25 +82,22 @@ def max_root_rank(n: int) -> int:
 
 
 class _Basis:
-    """The primes for tables up to size cap, and the per-size constants.
+    """The moduli for tables up to size cap, and the per-size constants.
 
-    q holds the CRT primes followed by the check prime; fact[m] and inv[m]
-    are m! and 1/m modulo each of them, w[m] = 1/((m+1)(m+2)).
+    q is the moduli's q, the CRT primes then the check prime; fact[m] and
+    inv[m] are m! and 1/m modulo each of them, w[m] = 1/((m+1)(m+2)).
     """
 
     def __init__(self, n: int):
-        need = max(n, 1) * math.factorial(n)
-        crt, modulus, self.check = _crt_primes(need)
+        self.moduli = moduli = Moduli(max(n, 1) * math.factorial(n))
         cap, fact = n, math.factorial(n)
-        while (cap + 1) ** 2 * fact < modulus:  # (cap+1)·(cap+1)! < M
+        while (cap + 1) ** 2 * fact <= moduli.half:  # (cap+1)·(cap+1)! <= M/2
             cap += 1
             fact *= cap
-        if self.check <= cap + 2:
+        if moduli.check <= cap + 2:
             raise ValueError("n is too large for primes below 2^26")
         self.cap = cap
-        self.modulus = modulus
-        self.coeffs = _crt_coefficients(crt, modulus)
-        self.q = q = np.array(crt + [self.check], np.int64)
+        self.q = q = moduli.q
         size = cap + 3
         fact = np.ones((size, len(q)), np.int64)
         for m in range(1, size):
@@ -133,51 +123,41 @@ class _Basis:
     def values(self, residues: np.ndarray, n: int) -> list[Rational]:
         """Exact values at size n from their residue rows, one row each."""
         fact = math.factorial(n)
-        bound = max(n, 1) * fact
-        out = []
-        for r in (residues * self.fact[n] % self.q).tolist():
-            scaled = sum(map(operator.mul, r[:-1], self.coeffs)) % self.modulus
-            if scaled > bound or scaled % self.check != r[-1]:
-                raise InternalInconsistency(
-                    f"oracle residues at n={n} give no value in [0, n·n!] "
-                    f"that agrees with the check prime {self.check}"
-                )
-            out.append(Rational(scaled) / fact)
-        return out
+        scaled = self.moduli.rebuild(residues * self.fact[n] % self.q, max(n, 1) * fact)
+        if min(scaled) < 0:
+            raise InternalInconsistency(f"oracle residues at n={n} give a negative value")
+        return [Rational(x) / fact for x in scaled]
 
 
-def _self_conv(a: np.ndarray, lo: int, r0: int, rows: int, q: np.ndarray) -> np.ndarray:
-    """sum_{j+i=m-1} a[j] a[i] mod q for the sizes r0 <= m < rows.
+def _self_conv(a: np.ndarray, lo: int, rows: int, q: np.ndarray) -> np.ndarray:
+    """sum_{j+i=m-1} a[j] a[i] mod q for the sizes 2 <= m < rows.
 
     Rows 1..lo-1 of a must be zero: only j = 0 and j >= lo are visited,
     each pair j < i once, doubled; the middle term j = i is added once.
     """
-    acc = np.zeros((rows - r0, a.shape[1]), np.int64)
+    acc = np.zeros((rows - 2, a.shape[1]), np.int64)
     terms = 0
     for j in chain((0,), range(max(lo, 1), (rows - 1) // 2)):
-        m0 = max(r0, 2 * j + 2)
+        m0 = 2 * j + 2
         if m0 < rows:
-            acc[m0 - r0 :] += a[j] * a[m0 - 1 - j : rows - 1 - j]
+            acc[m0 - 2 :] += a[j] * a[m0 - 1 - j : rows - 1 - j]
             terms += 1
             if terms == _CADENCE:
                 acc %= q
                 terms = 0
     acc = 2 * (acc % q)
-    m0 = r0 | 1  # the first odd size, m = 2j + 1
-    mid = a[(m0 - 1) // 2 : rows // 2]
-    acc[m0 - r0 :: 2] += mid * mid % q
+    mid = a[1 : rows // 2]  # m = 2j + 1 for j >= 1, from the size 3 on
+    acc[1::2] += mid * mid % q
     return acc % q
 
 
-def _cross_conv(
-    a: np.ndarray, b: np.ndarray, lo: int, r0: int, rows: int, q: np.ndarray
-) -> np.ndarray:
-    """sum_{j+i=m-1} a[j] b[i] mod q for the sizes r0 <= m < rows; rows of a below lo must be zero."""
-    acc = np.zeros((rows - r0, a.shape[1]), np.int64)
+def _cross_conv(a: np.ndarray, b: np.ndarray, lo: int, rows: int, q: np.ndarray) -> np.ndarray:
+    """sum_{j+i=m-1} a[j] b[i] mod q for the sizes 2 <= m < rows; rows of a below lo must be zero."""
+    acc = np.zeros((rows - 2, a.shape[1]), np.int64)
     terms = 0
     for j in range(lo, rows - 1):
-        m0 = max(r0, j + 1)
-        acc[m0 - r0 :] += a[j] * b[m0 - 1 - j : rows - 1 - j]
+        m0 = max(2, j + 1)
+        acc[m0 - 2 :] += a[j] * b[m0 - 1 - j : rows - 1 - j]
         terms += 1
         if terms == _CADENCE:
             acc %= q
@@ -223,19 +203,20 @@ class RankDP:
 
     @staticmethod
     def _grow(table: dict, first: int, k: int, rows: int, extend) -> np.ndarray:
-        """Level k of a chain of levels, filled to at least `rows` sizes.
+        """Level k of a chain of levels, filled to at least max(rows, 2) sizes.
 
         Filled bottom-up from the first level below k that is long enough, so a
-        deep request needs no recursion; extend(level, old, rows) returns
-        the level grown from its `old` rows (None when new).
+        deep request needs no recursion; extend(level, rows) computes a
+        level whole.
         """
         if k < first:
             raise ValueError(f"level must be >= {first}")
+        rows = max(rows, 2)
         low = k
         while low >= first and len(table.get(low, ())) < rows:
             low -= 1
         for level in range(low + 1, k + 1):
-            table[level] = extend(level, table.get(level), rows)
+            table[level] = extend(level, rows)
         return table[k]
 
     # -- root rank ---------------------------------------------------------
@@ -245,19 +226,18 @@ class RankDP:
             return self._basis.ones(rows)  # p_{n,>k} = 1 for k <= -1
         return self._grow(self._p, 0, k, rows, self._extend_p)
 
-    def _extend_p(self, k: int, old, rows: int) -> np.ndarray:
-        return self._p_level(self._p_rows(k - 1, rows), k, old, rows, self._basis)
+    def _extend_p(self, k: int, rows: int) -> np.ndarray:
+        return self._p_level(self._p_rows(k - 1, rows), k, rows, self._basis)
 
     @staticmethod
-    def _p_level(prev: np.ndarray, k: int, old, rows: int, b: _Basis) -> np.ndarray:
-        if old is None:
-            old = b.ones(2)
-            old[1] = 0  # p_{0,>k} := 1, p_{1,>k} = 0
-        r0 = len(old)
-        if r0 >= rows:
-            return old
-        conv = _self_conv(prev, k + 1, r0, rows, b.q)
-        return np.concatenate([old, conv * b.inv[r0:rows] % b.q])
+    def _p_level(prev: np.ndarray, k: int, rows: int, b: _Basis) -> np.ndarray:
+        # The level is allocated after the temporaries of its rows: the other
+        # order cost the n = 400 stream 138k page faults against 1.7k, and
+        # 20-40 % of its time (glibc malloc, numpy 2.4.6).
+        conv = _self_conv(prev, k + 1, rows, b.q)
+        head = b.ones(2)
+        head[1] = 0  # p_{0,>k} := 1, p_{1,>k} = 0
+        return np.concatenate([head, conv * b.inv[2:rows] % b.q])
 
     def p_gt(self, n: int, k: int) -> Rational:
         return self._value(self._p_rows, k, n)
@@ -317,7 +297,7 @@ class RankDP:
             if held is not None and len(held) >= rows:
                 cur = held[:rows, :width]
             else:
-                cur = self._p_level(prev, k, None, rows, b)
+                cur = self._p_level(prev, k, rows, b)
             cur_sum = weighted(cur)
             out[k] = (prev[n] - cur[n] + 2 * (n + 1) * (prev_sum - cur_sum)) % b.q
             prev, prev_sum = cur, cur_sum
@@ -328,7 +308,7 @@ class RankDP:
     def _f_rows(self, k: int, rows: int) -> np.ndarray:
         return self._grow(self._f, -1, k, rows, self._extend_f)
 
-    def _extend_f(self, k: int, old, rows: int) -> np.ndarray:
+    def _extend_f(self, k: int, rows: int) -> np.ndarray:
         if k == -1:
             # f_{n,>-1} = E[L_n]: 1 at n = 1, (n+1)/3 for n >= 2
             b = self._basis
@@ -336,18 +316,13 @@ class RankDP:
             tab[0] = 0
             tab[1:2] = 1
             return tab
-        return self._pair_level(old, rows, self._f_rows(k - 1, rows), self._p_rows(k - 1, rows), k + 1)
+        return self._pair_level(rows, self._f_rows(k - 1, rows), self._p_rows(k - 1, rows), k + 1)
 
-    def _pair_level(self, old, rows: int, a: np.ndarray, p: np.ndarray, lo: int) -> np.ndarray:
+    def _pair_level(self, rows: int, a: np.ndarray, p: np.ndarray, lo: int) -> np.ndarray:
         """0 at sizes 0 and 1, (2/m) sum_{j >= lo} a[j] p[m-1-j] at size m >= 2."""
         b = self._basis
-        if old is None:
-            old = np.zeros((2, len(b.q)), np.int64)
-        r0 = len(old)
-        if r0 >= rows:
-            return old
-        conv = _cross_conv(a, p, lo, r0, rows, b.q)
-        return np.concatenate([old, 2 * conv * b.inv[r0:rows] % b.q])
+        conv = _cross_conv(a, p, lo, rows, b.q)
+        return np.concatenate([np.zeros((2, len(b.q)), np.int64), 2 * conv * b.inv[2:rows] % b.q])
 
     def f_gt(self, n: int, k: int) -> Rational:
         return self._value(self._f_rows, k, n)
@@ -360,11 +335,11 @@ class RankDP:
     def _g_rows(self, k: int, rows: int) -> np.ndarray:
         return self._grow(self._g, 0, k, rows, self._extend_g)
 
-    def _extend_g(self, k: int, old, rows: int) -> np.ndarray:
+    def _extend_g(self, k: int, rows: int) -> np.ndarray:
         if k == 0:
             return self._basis.unit(rows)  # Bhat_0 = x
         # p_{m,>=k-1} = p_{m,>k-2}, which is 1 at m = 0
-        return self._pair_level(old, rows, self._g_rows(k - 1, rows), self._p_rows(k - 2, rows), k)
+        return self._pair_level(rows, self._g_rows(k - 1, rows), self._p_rows(k - 2, rows), k)
 
     def g_eq(self, n: int, k: int) -> Rational:
         return self._value(self._g_rows, k, n)
@@ -374,7 +349,7 @@ class RankDP:
     def _x_rows(self, j: int, rows: int) -> np.ndarray:
         return self._grow(self._x, 0, j, rows, self._extend_x)
 
-    def _extend_x(self, j: int, old, rows: int) -> np.ndarray:
+    def _extend_x(self, j: int, rows: int) -> np.ndarray:
         b = self._basis
         if j == 0:
             return b.unit(rows)

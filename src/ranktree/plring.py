@@ -30,19 +30,15 @@ same result to the last bit; both end in the same canonical reduction.
   visiting every cross pair once.  Below _RESIDUE_PAIRS term pairs this is
   the faster route, and it covers every product by a single term.
 * From _RESIDUE_PAIRS term pairs on, the numerators are computed modulo
-  the largest primes below 2^26 (ranktree.residues).  Each numerator is
-  reduced from its 16-bit limbs against a table of 2^(16j) mod q.  The
-  terms of the shorter operand are looped over, each adding a shifted
-  multiple of the other operand's dense (b, c) grid to an int64
+  the moduli of ranktree.residues for the bound
+  max|a|·max|b|·min(len a, len b), which no output numerator exceeds in
+  absolute value, and rebuilt there, nonzero cells only.  Each numerator
+  is reduced from its 16-bit limbs against a table of 2^(16j) mod q.
+  The terms of the shorter operand are looped over, each adding a
+  shifted multiple of the other operand's dense (b, c) grid to an int64
   accumulator (a square adds each cross pair once, doubled), which is
   reduced every _CADENCE terms.  The passes take _CHUNK primes at a time
   and fill an int32 table of cells × primes.
-  No output numerator exceeds bound = max|a|·max|b|·min(len a, len b) in
-  absolute value, so the primes used are the fewest whose product M
-  exceeds 2·bound.  Each nonzero cell is rebuilt by CRT into
-  (-M/2, M/2] and confirmed against one more prime that the CRT does not
-  use.  A value above the bound, or one that disagrees with the check
-  prime, raises InternalInconsistency.
 
 The cutoff was measured on the 92 products of constants_table(6) (2-core
 Xeon, Python 3.11.7, numpy 2.4.6).  Squares of B_4-sized operands
@@ -64,13 +60,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .residues import (
-    _CADENCE,
-    InternalInconsistency,
-    _crt_coefficients,
-    _crt_primes,
-    _powers,
-)
+from .residues import _CADENCE, Moduli, _powers
 
 try:  # when gmpy2 is installed, exact values are handed out as its mpq
     from gmpy2 import mpq as Rational
@@ -430,18 +420,14 @@ def _canon(num: dict[tuple[int, int], int], den: int) -> PLExpr:
 
 
 def _residue_product(a: dict, b: dict) -> dict[tuple[int, int], int]:
-    """The numerators of the product of two term maps, by residues.
-
-    No output numerator exceeds `bound` in absolute value, so primes whose
-    product exceeds 2·bound determine it.
-    """
+    """The numerators of the product of two term maps, by residues; none exceeds `bound`."""
     if len(a) > len(b):
         a, b = b, a
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
-    primes, modulus, check = _crt_primes(2 * bound)
-    table = _product_table(a, b, np.array(primes + [check], np.int64))
+    moduli = Moduli(bound)
+    table = _product_table(a, b, moduli.q)
     origin = tuple(map(operator.add, _origin(a), _origin(b)))
-    return _rebuild(table, primes, modulus, check, bound, origin)
+    return _rebuild(table, moduli, bound, origin)
 
 
 def _product_table(a: dict, b: dict, q: np.ndarray) -> np.ndarray:
@@ -537,31 +523,19 @@ def _residues(limbs: np.ndarray, sign: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (limbs.astype(np.int64) @ powers) % q * sign[:, None] % q
 
 
-def _rebuild(table, primes, modulus, check, bound, origin) -> dict[tuple[int, int], int]:
-    """Exact numerators from a residue table whose last column is the check prime's.
+def _rebuild(table, moduli: Moduli, bound: int, origin) -> dict[tuple[int, int], int]:
+    """Exact numerators, keyed by term, from a residue table on the moduli's q.
 
-    A cell whose residues are all zero holds zero.  Any other cell is
-    rebuilt by CRT into (-modulus/2, modulus/2]; a value above `bound` in
-    absolute value, or one that disagrees with the check prime, raises
-    InternalInconsistency.
+    A cell whose residues are all zero holds zero; the others are rebuilt
+    by the moduli, _CRT_ROWS cells at a time.
     """
-    coeffs = _crt_coefficients(primes, modulus)
-    half = modulus // 2
     (b0, c0), width = origin, table.shape[1]
     flat = table.reshape(-1, table.shape[2])
     out: dict[tuple[int, int], int] = {}
     cells = np.flatnonzero(flat.any(axis=1))
     for start in range(0, len(cells), _CRT_ROWS):
         rows = cells[start : start + _CRT_ROWS]
-        for cell, r in zip(rows.tolist(), flat[rows].tolist()):
-            x = sum(map(operator.mul, r, coeffs)) % modulus  # r[-1] is left out
-            if x > half:
-                x -= modulus
-            if abs(x) > bound or x % check != r[-1]:
-                raise InternalInconsistency(
-                    f"product residues give no numerator within {bound.bit_length()} "
-                    f"bits that agrees with the check prime {check}"
-                )
+        for cell, x in zip(rows.tolist(), moduli.rebuild(flat[rows], bound)):
             b, c = divmod(cell, width)
             out[(b + b0, c + c0)] = x
     return out

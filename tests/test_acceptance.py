@@ -118,7 +118,7 @@ def test_criterion_8_monte_carlo_vs_oracle():
 def test_criterion_9_asymptotic_behavior():
     # pairwise factorization of rank counts at n = 10^4
     n, trials = 10**4, 300
-    rep = montecarlo.estimate(n, trials, seed=5, kmax=2, pair_kmax=2)
+    rep = montecarlo.estimate(n, trials, seed=5, kmax=2)
     pairs_ok = True
     for k1 in range(3):
         for k2 in range(3):

@@ -131,6 +131,35 @@ def test_truncated_cache_entry_is_rewritten(capsys, tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in fresh.iterdir())
 
 
+def _first_term(blob, **change):
+    return {**blob, "terms": [{**blob["terms"][0], **change}, *blob["terms"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: [blob],
+        lambda blob: {key: value for key, value in blob.items() if key != "terms"},
+        lambda blob: {**blob, "terms": None},
+        lambda blob: _first_term(blob, den="0"),
+        lambda blob: _first_term(blob, num="abc"),
+    ],
+    ids=["json-list", "no-terms", "null-terms", "zero-den", "bad-num"],
+)
+def test_malformed_cache_entry_is_rewritten(capsys, monkeypatch, tmp_path, damage):
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(fresh))
+    run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
+    entry = cache / "closest_leaf.2.json"
+    entry.write_text(json.dumps(damage(json.loads(entry.read_text()))))
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    code, out, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert entry.read_bytes() == (fresh / "closest_leaf.2.json").read_bytes()
+
+
 def test_indented_cache_entries_load_with_identical_output(capsys, monkeypatch, tmp_path):
     # entries are written compact; earlier versions wrote them indented
     fresh, old = tmp_path / "fresh", tmp_path / "old"
@@ -276,6 +305,18 @@ def test_invalid_parameter_exit_code(capsys):
     code, _, err = run(capsys, "oracle", "--n", "0")
     assert code == cli.EXIT_USAGE
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--n", "5", "--rho", "1/0"], ["verify", "--rho", "1/0"]], ids=["oracle", "verify"]
+)
+def test_a_bad_rho_is_a_usage_error_before_any_work(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "not a rational number" in captured.err
 
 
 def test_kmax_ceiling_is_enforced(capsys):

@@ -72,6 +72,24 @@ def test_pl_structure_bounds(k):
     assert report.max_denom_prime <= report.bound
 
 
+def _pl_structure_by_term(k):
+    """check_pl_structure with every term's denominator factored on its own."""
+    bound = 2 ** (k + 1) - 1
+    max_u = max_v = max_prime = min_u = 0
+    for (b, c), a in genfun.root_rank_gf(k):
+        max_u, min_u, max_v = max(max_u, b), min(min_u, b), max(max_v, c)
+        if a.denominator > 1:
+            rep = conjecture.factor_smooth(int(a.denominator), bound)
+            max_prime = max(max_prime, rep.factors[-1][0] if rep.fully_factored else rep.residual)
+    passed = min_u >= 0 and max_u <= bound and max_v <= bound and max_prime <= bound
+    return conjecture.PLStructureReport(k, bound, max_u, max_v, min_u, max_prime, passed)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_pl_structure_matches_a_per_term_factorization(k):
+    assert conjecture.check_pl_structure(k) == _pl_structure_by_term(k)
+
+
 def test_alpha0_window_and_residual():
     a0 = conjecture.alpha0(1e-12)
     assert 0.3725 < a0 < 0.3735

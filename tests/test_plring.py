@@ -342,9 +342,9 @@ def _above_bound(flat, q, bound):
 def test_a_wrong_product_residue_is_caught(residue_route, monkeypatch, capsys, corrupt):
     real = plring._rebuild
 
-    def rebuild(table, primes, modulus, check, bound, origin):
-        corrupt(table.reshape(-1, table.shape[-1]), primes + [check], bound)
-        return real(table, primes, modulus, check, bound, origin)
+    def rebuild(table, moduli, bound, origin):
+        corrupt(table.reshape(-1, table.shape[-1]), moduli.q.tolist(), bound)
+        return real(table, moduli, bound, origin)
 
     b = genfun.root_rank_gf(3)
     monkeypatch.setattr(plring, "_rebuild", rebuild)
