@@ -154,15 +154,16 @@ class PLStructureReport:
 def check_pl_structure(k: int) -> PLStructureReport:
     """Verify the exponent and coefficient-denominator bounds on B_k.
 
-    The coefficient denominators are factored through their lcm, once; if
-    it does not factor below the bound, max_denom_prime is the rest of it.
+    The coefficient denominators are factored through their lcm, the
+    expression's common denominator, once; if it does not factor below the
+    bound, max_denom_prime is the rest of it.
     """
     bound = 2 ** (k + 1) - 1
-    terms = genfun.root_rank_gf(k).terms
+    expr = genfun.root_rank_gf(k)
     max_u = max_v = min_u = 0
-    for b, c in terms:
+    for b, c in expr.exponents:
         max_u, min_u, max_v = max(max_u, b), min(min_u, b), max(max_v, c)
-    den = math.lcm(*(int(a.denominator) for a in terms.values()))
+    den = expr.denominator
     max_prime = 0
     if den > 1:
         rep = factor_smooth(den, bound)

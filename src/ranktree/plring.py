@@ -34,21 +34,42 @@ same result to the last bit; both end in the same canonical reduction.
   max|a|·max|b|·min(len a, len b), which no output numerator exceeds in
   absolute value, and rebuilt there, nonzero cells only.  Each numerator
   is reduced from its 16-bit limbs against a table of 2^(16j) mod q.
-  The terms of the shorter operand are looped over, each adding a
-  shifted multiple of the other operand's dense (b, c) grid to an int64
-  accumulator (a square adds each cross pair once, doubled), which is
-  reduced every _CADENCE terms.  The passes take _CHUNK primes at a time
-  and fill an int32 table of cells × primes.
+  Each residue, below 2^26, is split into 13-bit halves, so a product of
+  grids is three real convolutions: low·low, the cross terms and
+  high·high, each cell an exact integer below 2^27 times the length of
+  the shorter operand, far inside the 2^53 of a float64.  They are
+  computed by numpy's rfft2 on the dense (b, c) grids, zero-padded on
+  each axis to the least 5-smooth length that holds the product, so the
+  cyclic convolution is the linear one; a square transforms its operand
+  once.  Every output cell must lie within 1/4 of an integer, or
+  InternalInconsistency names the rounding check (the error is far
+  smaller: Percival 2003 bounds it; the largest seen by
+  `constants --kmax 7` is 2^-15, about 3.1e-5).  The rounded cells are
+  reduced modulo q and recombined as high·2^26 + cross·2^13 + low.
+  The passes take _CHUNK
+  primes at a time and fill an int32 table of cells × primes.  A pass
+  holds, per prime, the low and high spectra of each operand on the
+  padded grid and one or two product spectra at a time, so its memory
+  grows with the primes per pass.  With 1, 4, 8 and 32 primes a pass a
+  cold `constants --kmax 6` peaked at 41.2-41.3, 41.3, 41.8 and
+  49.3-49.4 MB and a warm one at 38.3-38.4, 39.3-39.4, 41.2-41.3 and
+  48.8-48.9 MB (40.2 and 38.1-38.4 MB with the int64 kernel this
+  replaced).  The cold runs took 1.30-1.37, 1.25-1.35, 1.22-1.33 and
+  1.29-1.32 s (3 runs each): past 4 primes, more primes a pass cost
+  memory and save no time.
 
-The cutoff was measured on the 92 products of constants_table(6) (2-core
-Xeon, Python 3.11.7, numpy 2.4.6).  Squares of B_4-sized operands
-(173^2 = 29,929 and 174^2 = 30,276 pairs) take 10-11 ms on either route.
-Products of distinct operands cross near 3,000 pairs, but below 30,000
-pairs they gain 2 ms at most.  The largest products gain most: B_5^2
-(645^2 pairs) takes 0.40 s in the loop and 0.13 s by residues, and
-646 × 662 takes 0.55-0.78 s against 0.16 s.  A single term times B_6
-(2,485 pairs) shows why the cutoff counts pairs: the loop takes 18 ms,
-while reducing 2,485 numerators of 3,500 bits to residues takes 0.2 s.
+The cutoff was measured on the products of constants_table(6) (2-core
+Xeon, Python 3.11.7, numpy 2.4.6), best of 3 on each route, in three
+sweeps.  Squares of B_4-sized operands (173^2 = 29,929 and 174^2 =
+30,276 pairs) take 7.1-9.1 ms by residues and 7.4-10.3 ms in the loop,
+so squares cross near the cutoff.  Products of distinct operands cross
+between 8,650 pairs (173 × 50: 4.4-6.2 ms against 3.7-4.4 ms) and the
+next size above, 31,668 pairs (174 × 182: 8.7-9.6 ms against
+18.8-20.7 ms); no product of constants_table(6) lies between them.
+645 × 174 takes 34-37 ms against 86-103 ms.  A single term times B_6
+(2,485 pairs) shows why the cutoff counts pairs: the loop takes 24 ms,
+while the residue route, which reduces 2,485 numerators of 3,500 bits
+to residues, takes 0.38 s.
 """
 
 from __future__ import annotations
@@ -60,7 +81,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .residues import _CADENCE, Moduli, _powers
+from .residues import InternalInconsistency, Moduli, _powers
 
 try:  # when gmpy2 is installed, exact values are handed out as its mpq
     from gmpy2 import mpq as Rational
@@ -84,7 +105,8 @@ __all__ = [
 # Products of at least this many term pairs take the residue route; the
 # measured crossover is in the module docstring.
 _RESIDUE_PAIRS = 30_000
-_CHUNK = 16  # primes per pass of the residue convolution
+_CHUNK = 4  # primes per FFT pass of the residue convolution
+_HALF = 13  # bits in the low half of a residue, which is below 2^(2·_HALF)
 _CRT_ROWS = 64  # table cells turned into Python ints at a time
 
 
@@ -147,6 +169,16 @@ class PLExpr:
     def terms(self) -> dict[tuple[int, int], Rational]:
         den = self._den
         return {key: Rational(n, den) for key, n in self._num.items()}
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator: the lcm of the reduced term denominators."""
+        return self._den
+
+    @property
+    def exponents(self):
+        """The (upow, vpow) pairs of the nonzero terms, in no set order."""
+        return self._num.keys()
 
     def coeff(self, upow: int, vpow: int) -> Rational:
         return Rational(self._num.get((upow, vpow), 0), self._den)
@@ -271,37 +303,43 @@ class PLExpr:
     def antiderivative(self, value_at_0=0) -> "PLExpr":
         """The antiderivative F with F(0) = value_at_0, exact.
 
-        u^(-1) v^c integrates to v^(c+1)/(c+1); for b != -1 integration by
-        parts trades one power of v for a 1/(b+1) factor until c reaches 0.
-        All terms go over the denominator den * scale, where scale is a
-        multiple of every (b+1)^(c+1) and c+1 that occurs and of the
-        denominator of value_at_0, so each new numerator is an exact
-        integer quotient.
+        u^(-1) v^c integrates to v^(c+1)/(c+1).  For b != -1, with w = b+1,
+        integration by parts gives
+
+            u^b v^c  ->  -sum_{j<=c} c!/j! · w^(j-c-1) · u^w v^j,
+
+        so the column b of numerators n_c, up to its top power t of v,
+        yields at (w, j) the numerator -T_j · w^j · scale/w^(t+1), where
+        T_j = n_j w^(t-j) + (j+1) T_(j+1) is a Horner sum over c.  All terms
+        go over the denominator den * scale, where scale is a multiple of
+        every (b+1)^(c+1) and c+1 that occurs and of the denominator of
+        value_at_0, so each column divides scale once, exactly.
         """
         p, q = _ratio(value_at_0)
+        columns = _columns(self._num)
         scale = math.lcm(
-            q, *{c + 1 if b == -1 else abs(b + 1) ** (c + 1) for b, c in self._num}
+            q,
+            *(abs(b + 1) ** (max(col) + 1) for b, col in columns.items() if b != -1),
+            *(c + 1 for c in columns.get(-1, ())),
         )
         out: dict[tuple[int, int], int] = {}
-        for (b, c), n in self._num.items():
+        for b, col in columns.items():
             if b == -1:
-                key = (0, c + 1)
-                out[key] = out.get(key, 0) + n * scale // (c + 1)
+                for c, n in col.items():
+                    out[(0, c + 1)] = n * scale // (c + 1)
                 continue
-            # - v^c u^(b+1)/(b+1) + (c/(b+1)) * integral(u^b v^(c-1))
-            w = b + 1
-            t = -n * scale // w
-            while c > 0:
-                key = (w, c)
-                out[key] = out.get(key, 0) + t
-                t = t * c // w
-                c -= 1
-            key = (w, 0)
-            out[key] = out.get(key, 0) + t
+            w, top = b + 1, max(col)
+            powers = [w**j for j in range(top + 1)]
+            per_col = scale // (powers[top] * w)
+            t = 0
+            for c in range(top, -1, -1):
+                t = col.get(c, 0) * powers[top - c] + (c + 1) * t
+                out[(w, c)] = -t * powers[c] * per_col
         den = self._den * scale
-        # fix the constant: F(0) is the sum of the v-free numerators
+        # fix the constant: F(0) is the sum of the v-free numerators, and
+        # no column writes (0, 0)
         at0 = sum(t for (_, c), t in out.items() if c == 0)
-        out[(0, 0)] = out.get((0, 0), 0) + p * (den // q) - at0
+        out[(0, 0)] = p * (den // q) - at0
         return _canon(out, den)
 
     def value_at_0(self) -> Rational:
@@ -309,15 +347,23 @@ class PLExpr:
         return Rational(sum(n for (_, c), n in self._num.items() if c == 0), self._den)
 
     def integral01(self) -> Rational:
-        """Exact integral over [0, 1]: each term contributes c!/(b+1)^(c+1)."""
+        """Exact integral over [0, 1]: each term contributes c!/(b+1)^(c+1).
+
+        The column b, up to its top power t of v, sums by Horner over c to
+        (sum_c n_c c! (b+1)^(t-c)) / (b+1)^(t+1).
+        """
         for b, c in self._num:
             if b < 0:
                 raise DivergentIntegral(f"term u^{b} v^{c} diverges on [0, 1]")
-        scale = math.lcm(*{(b + 1) ** (c + 1) for b, c in self._num})
-        total = sum(
-            n * math.factorial(c) * (scale // (b + 1) ** (c + 1))
-            for (b, c), n in self._num.items()
-        )
+        columns = _columns(self._num)
+        scale = math.lcm(*((b + 1) ** (max(col) + 1) for b, col in columns.items()))
+        total = 0
+        for b, col in columns.items():
+            w, top, acc, fact = b + 1, max(col), 0, 1
+            for c in range(top + 1):
+                acc = acc * w + col.get(c, 0) * fact
+                fact *= c + 1
+            total += acc * (scale // w ** (top + 1))
         return Rational(total, self._den * scale)
 
     # -- power series ------------------------------------------------------
@@ -407,6 +453,14 @@ def _reduce(num: dict[tuple[int, int], int], den: int) -> tuple[dict, int]:
     return num, den
 
 
+def _columns(num: dict[tuple[int, int], int]) -> dict[int, dict[int, int]]:
+    """The numerators grouped by power of u: b -> {c: numerator}."""
+    columns: dict[int, dict[int, int]] = {}
+    for (b, c), n in num.items():
+        columns.setdefault(b, {})[c] = n
+    return columns
+
+
 def _raw(num: dict[tuple[int, int], int], den: int) -> PLExpr:
     """Wrap parts that are already canonical."""
     expr = PLExpr.__new__(PLExpr)
@@ -433,75 +487,94 @@ def _residue_product(a: dict, b: dict) -> dict[tuple[int, int], int]:
 def _product_table(a: dict, b: dict, q: np.ndarray) -> np.ndarray:
     """The product's residues on its (b, c) grid: int32, shape (rows, cols, primes).
 
-    Passes over _CHUNK primes at a time.  The terms of a are looped over,
-    each adding a shifted multiple of b's grid; a square adds each cross
-    pair once, doubled.
+    One float64 FFT convolution per _CHUNK primes, on the 13-bit halves of
+    the residues; a square transforms its operand once.
     """
     a_at, a_shape = _cells(a)
-    b_at, (gb, gc) = _cells(b)
-    b_at = tuple(np.array(b_at).T)
-    shape = (a_shape[0] + gb - 1, a_shape[1] + gc - 1)
+    b_at, b_shape = _cells(b)
+    shape = (a_shape[0] + b_shape[0] - 1, a_shape[1] + b_shape[1] - 1)
+    # the least 5-smooth lengths that hold the product: the cyclic
+    # convolution is then the linear one
+    size = tuple(map(_smooth, shape))
     a_limbs = _limbs(a.values())
     b_limbs = a_limbs if a is b else _limbs(b.values())
     table = np.empty(shape + (len(q),), np.int32)
     for start in range(0, len(q), _CHUNK):
         qc = q[start : start + _CHUNK]
-        ra = _residues(*a_limbs, qc)
-        grid = np.zeros((gb, gc, len(qc)), np.int64)
-        grid[b_at] = ra if a is b else _residues(*b_limbs, qc)
-        acc = np.zeros(shape + (len(qc),), np.int64)
-        (_square_into if a is b else _convolve_into)(acc, grid, ra, a_at, qc)
-        table[..., start : start + _CHUNK] = acc
-        del grid, acc  # before the next chunk allocates its own
+        fa = _spectra(a_at, a_shape, _residues(*a_limbs, qc), size)
+        fb = fa if a is b else _spectra(b_at, b_shape, _residues(*b_limbs, qc), size)
+        qc = qc[:, None, None]
+        # high·2^26 + cross·2^13 + low, each part reduced first, stays below
+        # 2^53; one product spectrum at a time keeps the pass small
+        acc = _cells_mod(fa[1] * fb[1], size, shape, qc) * ((1 << 2 * _HALF) % qc)
+        acc += _cells_mod(fa[0] * fb[0], size, shape, qc)
+        cross = fa[0] * fb[1]
+        cross += cross if a is b else fa[1] * fb[0]
+        del fa, fb
+        acc += _cells_mod(cross, size, shape, qc) << _HALF
+        del cross  # before the next pass allocates its own
+        table[..., start : start + _CHUNK] = np.moveaxis(acc % qc, 0, -1)
     return table
 
 
-def _convolve_into(acc, grid, ra, at, q) -> None:
-    """acc = sum_t ra[t] times the grid shifted by at[t], modulo q."""
-    gb, gc = grid.shape[:2]
-    tmp = np.empty_like(grid)
-    for t, (i, j) in enumerate(at):
-        if t and not t % _CADENCE:
-            acc %= q
-        np.multiply(grid, ra[t], out=tmp)
-        acc[i : i + gb, j : j + gc] += tmp
-    acc %= q
+def _spectra(at, grid: tuple[int, int], res: np.ndarray, size) -> np.ndarray:
+    """rfft2 of the low and high 13-bit halves of each prime's residue grid.
 
-
-def _square_into(acc, grid, ra, at, q) -> None:
-    """acc = the square of the grid, modulo q; ra and at are its own terms.
-
-    The term at (i, j) meets, doubled, only the cells after it in row-major
-    order: the rest of row i and the rows below.  The squares of the terms
-    are added last.
+    The terms at cells `at` of a grid of shape `grid` have residues res
+    (terms × primes); the grids are zero-padded to `size`.  Shape
+    (2, primes, size[0], size[1]//2 + 1).
     """
-    gb, gc = grid.shape[:2]
-    tmp = np.empty_like(grid)
-    twice = 2 * ra % q
-    for t, (i, j) in enumerate(at):
-        if t and not t % _CADENCE:
-            acc %= q
-        rest = tmp[0, : gc - j - 1]
-        np.multiply(grid[i, j + 1 :], twice[t], out=rest)
-        acc[2 * i, 2 * j + 1 : j + gc] += rest
-        below = tmp[: gb - i - 1]
-        np.multiply(grid[i + 1 :], twice[t], out=below)
-        acc[2 * i + 1 : i + gb, j : j + gc] += below
-    acc %= q
-    i, j = np.array(at).T
-    acc[2 * i, 2 * j] += ra * ra % q
-    acc %= q
+    halves = np.zeros((2, res.shape[1]) + grid)
+    halves[0][:, at[0], at[1]] = (res & ((1 << _HALF) - 1)).T
+    halves[1][:, at[0], at[1]] = (res >> _HALF).T
+    return np.fft.rfft2(halves, s=size)
+
+
+def _inverse(spectrum: np.ndarray, size, shape) -> np.ndarray:
+    """The real convolution of length `size` with this spectrum, cut to `shape`."""
+    return np.fft.irfft2(spectrum, s=size)[..., : shape[0], : shape[1]]
+
+
+def _cells_mod(spectrum: np.ndarray, size, shape, q: np.ndarray) -> np.ndarray:
+    """The convolution with this spectrum, rounded to int64 and reduced modulo q.
+
+    InternalInconsistency if a cell is more than 1/4 off an integer.
+    """
+    x = _inverse(spectrum, size, shape)
+    r = np.rint(x)
+    x -= r
+    err = float(np.abs(x, out=x).max())
+    if err > 0.25:
+        raise InternalInconsistency(
+            f"rounding check: an FFT convolution cell is {err:.3g} off an integer"
+        )
+    return r.astype(np.int64) % q
+
+
+def _smooth(n: int) -> int:
+    """The least 5-smooth integer >= n, a fast FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        m = p5
+        while m < best:
+            k = m
+            while k < n:
+                k *= 2
+            best = min(best, k)
+            m *= 3
+        p5 *= 5
+    return best
 
 
 def _origin(terms) -> tuple[int, int]:
     return min(b for b, _ in terms), min(c for _, c in terms)
 
 
-def _cells(terms) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """Each term's cell in the smallest grid holding them all, and that grid's shape."""
-    b0, c0 = _origin(terms)
-    at = [(b - b0, c - c0) for b, c in terms]
-    return at, (max(i for i, _ in at) + 1, max(j for _, j in at) + 1)
+def _cells(terms) -> tuple[tuple[np.ndarray, np.ndarray], tuple[int, int]]:
+    """Each term's row and column in the smallest grid holding them all, and its shape."""
+    at = np.array(list(terms)) - _origin(terms)
+    return (at[:, 0], at[:, 1]), tuple((at.max(axis=0) + 1).tolist())
 
 
 def _limbs(nums) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,20 @@ their own scaling: the oracle multiplies by n! before the rebuild,
 divides after it and requires values >= 0; the product maps table cells
 to (b, c) terms.
 
+The rebuild first combines the CRT primes two at a time, in numpy, into
+moduli below 2^52, which halves the big-integer products per row.  Per
+row it took 12-17 against 22-23 us for 66 primes and values of 1,700
+bits, and 119-176 against 182-203 us for 270 primes and 7,000 bits
+(best of 5, three alternating runs, 2-core Xeon, Python 3.11.7).  The
+gain is less than half because a product by a two-digit int costs
+CPython about twice one by a one-digit int; what is saved is the
+Python-level loop and the additions.
+
 The convolution kernels stay with their callers: the oracle's convolve
-1-D levels and skip a band of zero rows, the product's convolve (b, c)
-grids.  Run on (rows, 1, primes) views, the 2-D kernel made one n = 400
-oracle level 22-27 % slower (6.5-7.5 ms against 5.3-6.1 ms) and made
+1-D levels in int64 and skip a band of zero rows, the product's convolve
+(b, c) grids by FFT in float64.  Run on (rows, 1, primes) views, the
+product's earlier int64 2-D kernel made one n = 400 oracle level 22-27 %
+slower (6.5-7.5 ms against 5.3-6.1 ms) and made
 `oracle --n 400 --kmax 5 --rho 7/5 --series-order 50` take 1.85-2.01 s
 against 1.36-1.40 s in process (2-core Xeon, Python 3.11.7, numpy 2.4.6).
 
@@ -92,8 +102,10 @@ class Moduli:
     """The primes for integers of absolute value at most `bound`.
 
     modulus is the product M of the CRT primes, half = (M-1)/2 the largest
-    bound a rebuild can check; coeffs[i] is 1 modulo q[i], 0 modulo the
-    other CRT primes.
+    bound a rebuild can check.  The rebuild combines the CRT primes two at
+    a time, in order, into moduli below 2^52 (an odd last prime stays
+    alone); coeffs[i] is 1 modulo the i-th of those moduli and 0 modulo
+    the others.
     """
 
     def __init__(self, bound: int):
@@ -108,7 +120,12 @@ class Moduli:
         self.half = modulus // 2
         self.check = primes[used]
         self.q = np.array(primes[: used + 1], np.int64)
-        self.coeffs = [(modulus // p) * pow(modulus // p % p, -1, p) for p in primes[:used]]
+        even, odd = primes[0 : used - 1 : 2], primes[1:used:2]
+        # p' * ((r - r') / p' mod p) + r' is the residue modulo p·p' of the
+        # integer that is r modulo p and r' modulo p'
+        self._pair_inv = np.array([pow(p2, -1, p) for p, p2 in zip(even, odd)], np.int64)
+        wide = [p * p2 for p, p2 in zip(even, odd)] + primes[used - 1 : used] * (used % 2)
+        self.coeffs = [(modulus // m) * pow(modulus // m % m, -1, m) for m in wide]
 
     def rebuild(self, rows: np.ndarray, bound: int) -> list[int]:
         """The integers in [-bound, bound] with these residue rows, one per row.
@@ -118,12 +135,19 @@ class Moduli:
         the row's check-prime column, raises InternalInconsistency.
         """
         modulus, half, check = self.modulus, self.half, self.check
+        rows = rows.astype(np.int64, copy=False)
+        used = len(self.q) - 1
+        r, r2 = rows[:, 0 : used - 1 : 2], rows[:, 1:used:2]
+        p, p2 = self.q[0 : used - 1 : 2], self.q[1:used:2]
+        wide = (r - r2) % p * self._pair_inv % p * p2 + r2
+        if used % 2:
+            wide = np.concatenate([wide, rows[:, used - 1 : used]], axis=1)
         out = []
-        for r in rows.tolist():
-            x = sum(map(operator.mul, r, self.coeffs)) % modulus  # r[-1] is left out
+        for w, last in zip(wide.tolist(), rows[:, -1].tolist()):
+            x = sum(map(operator.mul, w, self.coeffs)) % modulus
             if x > half:
                 x -= modulus
-            if abs(x) > bound or x % check != r[-1]:
+            if abs(x) > bound or x % check != last:
                 raise InternalInconsistency(
                     f"residues give no integer within {bound.bit_length()} bits "
                     f"that agrees with the check prime {check}"

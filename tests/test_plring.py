@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import reference_plring as ref
@@ -186,8 +186,38 @@ def test_ring_operations_match_reference(a, b, s):
         _assert_canonical(got)
 
 
+# columns of b, each with gaps in its powers of v: b = -1, negative b + 1
+CALCULUS_CASES = {
+    "b=-1": {(-1, 0): Fraction(1, 3), (-1, 2): Fraction(-5, 7), (-1, 5): Fraction(2)},
+    "b<-1": {
+        (-3, 0): Fraction(2),
+        (-3, 3): Fraction(-1, 5),
+        (-2, 1): Fraction(7, 4),
+        (-5, 4): Fraction(3),
+    },
+    "gaps-in-c": {
+        (2, 0): Fraction(1),
+        (2, 4): Fraction(-3, 2),
+        (0, 1): Fraction(5),
+        (0, 6): Fraction(1, 9),
+    },
+    "mixed": {
+        (-1, 1): Fraction(4, 9),
+        (-2, 0): Fraction(-1),
+        (-2, 2): Fraction(6, 11),
+        (3, 7): Fraction(-2, 3),
+        (5, 0): Fraction(13),
+        (5, 3): Fraction(1, 8),
+    },
+}
+
+
 @given(ref_exprs, fractions)
 @settings(max_examples=80, deadline=None)
+@example(CALCULUS_CASES["b=-1"], Fraction(-11, 6))
+@example(CALCULUS_CASES["b<-1"], Fraction(-11, 6))
+@example(CALCULUS_CASES["gaps-in-c"], Fraction(-11, 6))
+@example(CALCULUS_CASES["mixed"], Fraction(-11, 6))
 def test_calculus_matches_reference(a, v0):
     e = PLExpr(a)
     assert e.differentiate().terms == ref.differentiate(a)
@@ -199,6 +229,8 @@ def test_calculus_matches_reference(a, v0):
 
 @given(ref_convergent)
 @settings(max_examples=80, deadline=None)
+@example(CALCULUS_CASES["gaps-in-c"])
+@example({key: f for key, f in CALCULUS_CASES["mixed"].items() if key[0] >= 0})
 def test_integral01_matches_reference(a):
     assert PLExpr(a).integral01() == ref.integral01(a)
 
@@ -207,6 +239,14 @@ def test_integral01_matches_reference(a):
 @settings(max_examples=60, deadline=None)
 def test_series_matches_reference(a, order):
     assert PLExpr(a).series(order) == ref.series(a, order)
+
+
+@given(ref_exprs)
+@settings(max_examples=80, deadline=None)
+def test_denominator_and_exponents_read_the_canonical_parts(a):
+    e = PLExpr(a)
+    assert e.denominator == math.lcm(*(f.denominator for f in a.values()))
+    assert set(e.exponents) == set(a)
 
 
 @given(ref_exprs)
@@ -357,6 +397,27 @@ def test_a_wrong_product_residue_is_caught(residue_route, monkeypatch, capsys, c
     assert code == cli.EXIT_INCONSISTENT
     assert captured.out == ""
     assert "check prime" in captured.err
+
+
+def test_a_rounding_error_in_the_convolution_is_caught(residue_route, monkeypatch, capsys):
+    real = plring._inverse
+
+    def inverse(*args):
+        x = real(*args)
+        x[(0,) * x.ndim] += 0.3
+        return x
+
+    b = genfun.root_rank_gf(3)
+    monkeypatch.setattr(plring, "_inverse", inverse)
+    with pytest.raises(InternalInconsistency, match="rounding check"):
+        b * b
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    code = cli.main(["constants", "--kmax", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INCONSISTENT
+    assert captured.out == ""
+    assert "rounding check" in captured.err
 
 
 def test_inconsistency_is_one_class_everywhere():

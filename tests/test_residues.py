@@ -61,3 +61,18 @@ def test_smaller_bounds_use_the_first_columns_of_larger_ones():
     for small, large in zip(qs, qs[1:]):
         assert len(small) < len(large)
         assert large[: len(small)] == small
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 8])
+def test_odd_and_even_numbers_of_crt_primes_rebuild(count):
+    # the rebuild pairs the CRT primes; an odd last one stays alone
+    crt = residues._largest_primes(count)
+    bound = math.prod(crt) // 2 - 1
+    moduli = Moduli(bound)
+    assert moduli.q[:-1].tolist() == crt
+    wide = [p * p2 for p, p2 in zip(crt[::2], crt[1::2])] + crt[count - 1 :] * (count % 2)
+    assert len(moduli.coeffs) == len(wide) == (count + 1) // 2
+    for i, m in enumerate(wide):
+        assert [c % m for c in moduli.coeffs] == [int(j == i) for j in range(len(wide))]
+    values = [bound, -bound, 0, 1, -1, bound // 3, -(bound // 7), 12345]
+    assert moduli.rebuild(_rows(moduli, values), bound) == values
