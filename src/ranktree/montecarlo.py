@@ -51,7 +51,6 @@ __all__ = [
     "StatSummary",
     "EstimateReport",
     "build_tree",
-    "build_tree_naive",
     "rank_census",
     "greedy_path_length",
     "subtree_sizes",
@@ -86,44 +85,21 @@ def _validate(perm) -> list[int]:
 
 
 def build_tree(perm) -> DecreasingTree:
-    """Monotone-stack construction, O(n)."""
+    """The tree of one permutation, read off the census kernel's forest."""
     perm = _validate(perm)
+    forest = _forest([perm])
     n = len(perm)
-    left = [NO_CHILD] * n
-    right = [NO_CHILD] * n
-    stack: list[int] = []
-    for i, val in enumerate(perm):
-        last = NO_CHILD
-        while stack and perm[stack[-1]] < val:
-            last = stack.pop()
-        if last != NO_CHILD:
-            left[i] = last
-        if stack:
-            right[stack[-1]] = i
-        stack.append(i)
+
+    def vertices(children: np.ndarray) -> tuple[int, ...]:  # positions minus one
+        row = children[1 : n + 1]
+        return tuple(np.where(row == NO_CHILD, NO_CHILD, row - 1).tolist())
+
     return DecreasingTree(
-        n=n, labels=tuple(perm), left=tuple(left), right=tuple(right), root=stack[0]
-    )
-
-
-def build_tree_naive(perm) -> DecreasingTree:
-    """Quadratic recursive-max construction; test oracle for build_tree."""
-    perm = _validate(perm)
-    n = len(perm)
-    left = [NO_CHILD] * n
-    right = [NO_CHILD] * n
-
-    def rec(lo: int, hi: int) -> int:  # [lo, hi) -> root index
-        top = max(range(lo, hi), key=perm.__getitem__)
-        if lo < top:
-            left[top] = rec(lo, top)
-        if top + 1 < hi:
-            right[top] = rec(top + 1, hi)
-        return top
-
-    root = rec(0, n)
-    return DecreasingTree(
-        n=n, labels=tuple(perm), left=tuple(left), right=tuple(right), root=root
+        n=n,
+        labels=tuple(perm),
+        left=vertices(forest.left),
+        right=vertices(forest.right),
+        root=int(forest.roots[0]) - 1,
     )
 
 

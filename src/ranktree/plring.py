@@ -32,12 +32,12 @@ same result to the last bit; both end in the same canonical reduction.
 * From _RESIDUE_PAIRS term pairs on, the numerators are computed modulo
   the moduli of ranktree.residues for the bound
   max|a|·max|b|·min(len a, len b), which no output numerator exceeds in
-  absolute value, and rebuilt there, nonzero cells only.  Each numerator
-  is reduced from its 16-bit limbs against a table of 2^(16j) mod q.
-  Each residue, below 2^26, is split into 13-bit halves, so a product of
-  grids is three real convolutions: low·low, the cross terms and
-  high·high, each cell an exact integer below 2^27 times the length of
-  the shorter operand, far inside the 2^53 of a float64.  They are
+  absolute value, and rebuilt there, nonzero cells only.  Each operand
+  is reduced once, for all primes, by Moduli.residues.  Each residue,
+  below 2^26, is split into 13-bit halves, so a product of grids is
+  three real convolutions: low·low, the cross terms and high·high, each
+  cell an exact integer below 2^27 times the length of the shorter
+  operand, far inside the 2^53 of a float64.  They are
   computed by numpy's rfft2 on the dense (b, c) grids, zero-padded on
   each axis to the least 5-smooth length that holds the product, so the
   cyclic convolution is the linear one; a square transforms its operand
@@ -46,16 +46,15 @@ same result to the last bit; both end in the same canonical reduction.
   smaller: Percival 2003 bounds it; the largest seen by
   `constants --kmax 7` is 2^-15, about 3.1e-5).  The rounded cells are
   reduced modulo q and recombined as high·2^26 + cross·2^13 + low.
-  The passes take _CHUNK
-  primes at a time and fill an int32 table of cells × primes.  A pass
+  The passes take _CHUNK primes at a time, each on its columns of the
+  operands' residues, and fill an int32 table of cells × primes.  A pass
   holds, per prime, the low and high spectra of each operand on the
   padded grid and one or two product spectra at a time, so its memory
   grows with the primes per pass.  With 1, 4, 8 and 32 primes a pass a
   cold `constants --kmax 6` peaked at 41.2-41.3, 41.3, 41.8 and
   49.3-49.4 MB and a warm one at 38.3-38.4, 39.3-39.4, 41.2-41.3 and
-  48.8-48.9 MB (40.2 and 38.1-38.4 MB with the int64 kernel this
-  replaced).  The cold runs took 1.30-1.37, 1.25-1.35, 1.22-1.33 and
-  1.29-1.32 s (3 runs each): past 4 primes, more primes a pass cost
+  48.8-48.9 MB, and the cold runs took 1.30-1.37, 1.25-1.35, 1.22-1.33
+  and 1.29-1.32 s (3 runs each): past 4 primes, more primes a pass cost
   memory and save no time.
 
 The cutoff was measured on the products of constants_table(6) (2-core
@@ -67,9 +66,10 @@ between 8,650 pairs (173 × 50: 4.4-6.2 ms against 3.7-4.4 ms) and the
 next size above, 31,668 pairs (174 × 182: 8.7-9.6 ms against
 18.8-20.7 ms); no product of constants_table(6) lies between them.
 645 × 174 takes 34-37 ms against 86-103 ms.  A single term times B_6
-(2,485 pairs) shows why the cutoff counts pairs: the loop takes 24 ms,
+(2,485 pairs) shows why the cutoff counts pairs: the loop takes 6-8 ms,
 while the residue route, which reduces 2,485 numerators of 3,500 bits
-to residues, takes 0.38 s.
+and transforms the whole product grid, takes 97-99 ms (best of 5, two
+runs).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .residues import InternalInconsistency, Moduli, _powers
+from .residues import InternalInconsistency, Moduli
 
 try:  # when gmpy2 is installed, exact values are handed out as its mpq
     from gmpy2 import mpq as Rational
@@ -107,7 +107,6 @@ __all__ = [
 _RESIDUE_PAIRS = 30_000
 _CHUNK = 4  # primes per FFT pass of the residue convolution
 _HALF = 13  # bits in the low half of a residue, which is below 2^(2·_HALF)
-_CRT_ROWS = 64  # table cells turned into Python ints at a time
 
 
 def rational(num, den=1) -> Rational:
@@ -433,10 +432,10 @@ class PLExpr:
                 raise ZeroDivisionError(f"record {r!r} has a zero denominator")
             if q < 0:
                 p, q = -p, -q
-            c = int(r["vpow"])
+            c = _int(r["vpow"])
             if c < 0:
                 raise ValueError("vpow must be nonnegative")
-            parts[(int(r["upow"]), c)] = (p, q)  # a repeated key: the last one wins
+            parts[(_int(r["upow"]), c)] = (p, q)  # a repeated key: the last one wins
         den = math.lcm(*(q for _, q in parts.values()))
         return _canon({key: p * (den // q) for key, (p, q) in parts.items()}, den)
 
@@ -479,16 +478,17 @@ def _residue_product(a: dict, b: dict) -> dict[tuple[int, int], int]:
         a, b = b, a
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
     moduli = Moduli(bound)
-    table = _product_table(a, b, moduli.q)
+    table = _product_table(a, b, moduli)
     origin = tuple(map(operator.add, _origin(a), _origin(b)))
     return _rebuild(table, moduli, bound, origin)
 
 
-def _product_table(a: dict, b: dict, q: np.ndarray) -> np.ndarray:
+def _product_table(a: dict, b: dict, moduli: Moduli) -> np.ndarray:
     """The product's residues on its (b, c) grid: int32, shape (rows, cols, primes).
 
-    One float64 FFT convolution per _CHUNK primes, on the 13-bit halves of
-    the residues; a square transforms its operand once.
+    Each operand is reduced once for all primes; then one float64 FFT
+    convolution per _CHUNK primes, on the 13-bit halves of the residues.  A
+    square reduces and transforms its operand once.
     """
     a_at, a_shape = _cells(a)
     b_at, b_shape = _cells(b)
@@ -496,14 +496,15 @@ def _product_table(a: dict, b: dict, q: np.ndarray) -> np.ndarray:
     # the least 5-smooth lengths that hold the product: the cyclic
     # convolution is then the linear one
     size = tuple(map(_smooth, shape))
-    a_limbs = _limbs(a.values())
-    b_limbs = a_limbs if a is b else _limbs(b.values())
+    q = moduli.q
+    a_res = moduli.residues(a.values())
+    b_res = a_res if a is b else moduli.residues(b.values())
     table = np.empty(shape + (len(q),), np.int32)
     for start in range(0, len(q), _CHUNK):
-        qc = q[start : start + _CHUNK]
-        fa = _spectra(a_at, a_shape, _residues(*a_limbs, qc), size)
-        fb = fa if a is b else _spectra(b_at, b_shape, _residues(*b_limbs, qc), size)
-        qc = qc[:, None, None]
+        cols = slice(start, start + _CHUNK)
+        fa = _spectra(a_at, a_shape, a_res[:, cols], size)
+        fb = fa if a is b else _spectra(b_at, b_shape, b_res[:, cols], size)
+        qc = q[cols, None, None]
         # high·2^26 + cross·2^13 + low, each part reduced first, stays below
         # 2^53; one product spectrum at a time keeps the pass small
         acc = _cells_mod(fa[1] * fb[1], size, shape, qc) * ((1 << 2 * _HALF) % qc)
@@ -513,7 +514,7 @@ def _product_table(a: dict, b: dict, q: np.ndarray) -> np.ndarray:
         del fa, fb
         acc += _cells_mod(cross, size, shape, qc) << _HALF
         del cross  # before the next pass allocates its own
-        table[..., start : start + _CHUNK] = np.moveaxis(acc % qc, 0, -1)
+        table[..., cols] = np.moveaxis(acc % qc, 0, -1)
     return table
 
 
@@ -577,41 +578,16 @@ def _cells(terms) -> tuple[tuple[np.ndarray, np.ndarray], tuple[int, int]]:
     return (at[:, 0], at[:, 1]), tuple((at.max(axis=0) + 1).tolist())
 
 
-def _limbs(nums) -> tuple[np.ndarray, np.ndarray]:
-    """|n| as rows of 16-bit limbs, least significant first, and the signs."""
-    nums = list(nums)
-    width = 2 * -(-max(abs(n).bit_length() for n in nums) // 16)
-    raw = b"".join(abs(n).to_bytes(width, "little") for n in nums)
-    limbs = np.frombuffer(raw, "<u2").reshape(len(nums), -1)
-    return limbs, np.array([-1 if n < 0 else 1 for n in nums], np.int64)
-
-
-def _residues(limbs: np.ndarray, sign: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The signed integers with these limbs modulo each prime of q.
-
-    A limb times 2^(16j) mod q is below 2^42, so rows of up to 2^21 limbs
-    sum without overflow.
-    """
-    powers = _powers(q, limbs.shape[1], 1 << 16)
-    return (limbs.astype(np.int64) @ powers) % q * sign[:, None] % q
-
-
 def _rebuild(table, moduli: Moduli, bound: int, origin) -> dict[tuple[int, int], int]:
     """Exact numerators, keyed by term, from a residue table on the moduli's q.
 
-    A cell whose residues are all zero holds zero; the others are rebuilt
-    by the moduli, _CRT_ROWS cells at a time.
+    A cell whose residues are all zero holds zero; the moduli rebuild the others.
     """
-    (b0, c0), width = origin, table.shape[1]
     flat = table.reshape(-1, table.shape[2])
-    out: dict[tuple[int, int], int] = {}
     cells = np.flatnonzero(flat.any(axis=1))
-    for start in range(0, len(cells), _CRT_ROWS):
-        rows = cells[start : start + _CRT_ROWS]
-        for cell, x in zip(rows.tolist(), moduli.rebuild(flat[rows], bound)):
-            b, c = divmod(cell, width)
-            out[(b + b0, c + c0)] = x
-    return out
+    b, c = np.divmod(cells, table.shape[1])
+    keys = zip((b + origin[0]).tolist(), (c + origin[1]).tolist())
+    return dict(zip(keys, moduli.rebuild(flat[cells], bound)))
 
 
 def _u_pow_series(b: int, order: int) -> list[int]:

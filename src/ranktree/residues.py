@@ -1,10 +1,10 @@
-"""Word-size primes and exact integers rebuilt from their residues.
+"""Word-size primes and the exact maps between integers and their residues.
 
 The finite-n oracle and the large products of the exact kernel both
 compute modulo primes below 2^26 and rebuild exact integers by the
 Chinese remainder theorem (von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 5).  This module holds what they share: the prime sieve,
-the moduli, the CRT rebuild, the reduction cadence of int64 accumulators,
+the moduli with both maps, the reduction cadence of int64 accumulators,
 and the exception both raise when residues do not rebuild to a
 consistent value.
 
@@ -20,14 +20,22 @@ their own scaling: the oracle multiplies by n! before the rebuild,
 divides after it and requires values >= 0; the product maps table cells
 to (b, c) terms.
 
-The rebuild first combines the CRT primes two at a time, in numpy, into
-moduli below 2^52, which halves the big-integer products per row.  Per
-row it took 12-17 against 22-23 us for 66 primes and values of 1,700
-bits, and 119-176 against 182-203 us for 270 primes and 7,000 bits
-(best of 5, three alternating runs, 2-core Xeon, Python 3.11.7).  The
-gain is less than half because a product by a two-digit int costs
-CPython about twice one by a one-digit int; what is saved is the
-Python-level loop and the additions.
+The maps.  Integers cross into residues and back as rows of 16-bit limbs,
+least significant first, and each direction is one float64 matrix
+product.  Moduli.residues multiplies the limbs of the integers by the
+table of 2^(16j) mod q, for all primes at once.  Moduli.rebuild
+multiplies the CRT columns of the residue rows by the limbs of the CRT
+coefficients, then carries each row's limb sums into one integer: the
+sums are cut into four 16-bit pieces, and each piece reads back with one
+int.from_bytes.  Both products are exact by one lemma: a value below
+2^26 times a limb below 2^16 is below 2^42, so fewer than 2^11 such
+terms sum below 2^53 in any order.  Moduli enforces it rather than round:
+it refuses a bound that needs 2^11 CRT primes or more, and integers of
+2^11 limbs or more.  A rebuild takes 64 rows at a time, which bounds the
+memory of its float64 sums.  The products run in numpy's einsum, in the
+calling thread: with `@` numpy hands them to the threaded OpenBLAS, whose
+second thread raised the CPU time of a cold `constants --kmax 6` from
+1.20 to 1.57 s (one benchmark pair) and saved no wall time.
 
 The convolution kernels stay with their callers: the oracle's convolve
 1-D levels in int64 and skip a band of zero rows, the product's convolve
@@ -45,7 +53,6 @@ reduced modulo q again.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +69,11 @@ _PRIME_BOUND = 1 << 26
 # holds at most (q-1) + _CADENCE (q-1)^2 < 2^63.
 _CADENCE = (2**63 - _PRIME_BOUND) // (_PRIME_BOUND - 1) ** 2
 _SIEVE_WINDOW = 1 << 16
+_LIMB = 16  # bits in a limb of both maps
+# an exact float64 sum of the maps has fewer than _TERMS terms, each below
+# 2^26 · 2^16 = 2^42
+_TERMS = 1 << 11
+_BLOCK = 64  # rows a rebuild turns into Python ints at a time
 
 
 @lru_cache(maxsize=None)
@@ -99,13 +111,12 @@ def _largest_primes(count: int) -> list[int]:
 
 
 class Moduli:
-    """The primes for integers of absolute value at most `bound`.
+    """The primes for integers of absolute value at most `bound`, and both maps.
 
     modulus is the product M of the CRT primes, half = (M-1)/2 the largest
-    bound a rebuild can check.  The rebuild combines the CRT primes two at
-    a time, in order, into moduli below 2^52 (an odd last prime stays
-    alone); coeffs[i] is 1 modulo the i-th of those moduli and 0 modulo
-    the others.
+    bound a rebuild can check.  Row i of coeffs holds, as float64 16-bit
+    limbs, the integer below M that is 1 modulo the i-th CRT prime and 0
+    modulo the others; rebuild multiplies by these rows.
     """
 
     def __init__(self, bound: int):
@@ -116,16 +127,35 @@ class Moduli:
         while modulus <= 2 * bound:
             modulus *= primes[used]
             used += 1
+        if used >= _TERMS:
+            raise ValueError(
+                f"a bound of {bound.bit_length()} bits needs {used} primes; "
+                f"fewer than {_TERMS} rebuild exactly"
+            )
         self.modulus = modulus
         self.half = modulus // 2
         self.check = primes[used]
         self.q = np.array(primes[: used + 1], np.int64)
-        even, odd = primes[0 : used - 1 : 2], primes[1:used:2]
-        # p' * ((r - r') / p' mod p) + r' is the residue modulo p·p' of the
-        # integer that is r modulo p and r' modulo p'
-        self._pair_inv = np.array([pow(p2, -1, p) for p, p2 in zip(even, odd)], np.int64)
-        wide = [p * p2 for p, p2 in zip(even, odd)] + primes[used - 1 : used] * (used % 2)
-        self.coeffs = [(modulus // m) * pow(modulus // m % m, -1, m) for m in wide]
+        self.coeffs = _limb_rows(
+            [(modulus // p) * pow(modulus // p % p, -1, p) for p in primes[:used]]
+        )
+
+    def residues(self, nums) -> np.ndarray:
+        """The integers nums modulo each prime of q: int32, one row per integer."""
+        nums = list(nums)
+        limbs = _limb_rows(nums)
+        width = limbs.shape[1]
+        if width >= _TERMS:
+            raise ValueError(f"integers of {width} limbs; fewer than {_TERMS} reduce exactly")
+        q = self.q
+        powers = np.empty((width, len(q)), np.int64)  # 2^(16j) mod q
+        powers[0] = 1
+        for j in range(1, width):
+            powers[j] = (powers[j - 1] << _LIMB) % q
+        sign = np.array([-1.0 if n < 0 else 1.0 for n in nums])
+        out = _product(limbs, powers.astype(np.float64))
+        out *= sign[:, None]
+        return np.mod(out, q, out=out).astype(np.int32)
 
     def rebuild(self, rows: np.ndarray, bound: int) -> list[int]:
         """The integers in [-bound, bound] with these residue rows, one per row.
@@ -135,31 +165,40 @@ class Moduli:
         the row's check-prime column, raises InternalInconsistency.
         """
         modulus, half, check = self.modulus, self.half, self.check
-        rows = rows.astype(np.int64, copy=False)
-        used = len(self.q) - 1
-        r, r2 = rows[:, 0 : used - 1 : 2], rows[:, 1:used:2]
-        p, p2 = self.q[0 : used - 1 : 2], self.q[1:used:2]
-        wide = (r - r2) % p * self._pair_inv % p * p2 + r2
-        if used % 2:
-            wide = np.concatenate([wide, rows[:, used - 1 : used]], axis=1)
+        step = 2 * self.coeffs.shape[1]  # bytes in a row of limbs
         out = []
-        for w, last in zip(wide.tolist(), rows[:, -1].tolist()):
-            x = sum(map(operator.mul, w, self.coeffs)) % modulus
-            if x > half:
-                x -= modulus
-            if abs(x) > bound or x % check != last:
-                raise InternalInconsistency(
-                    f"residues give no integer within {bound.bit_length()} bits "
-                    f"that agrees with the check prime {check}"
-                )
-            out.append(x)
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start : start + _BLOCK]
+            # column j of the sums is sum_i r_i · (limb j of e_i), below 2^53;
+            # its 16-bit piece m weighs 2^(16(j+m)), so the pieces m of a row
+            # read back as one integer, shifted by 16m bits
+            sums = _product(block[:, :-1].astype(np.float64), self.coeffs).astype("<i8")
+            pieces = sums.view("<u2").reshape(len(block), -1, 4).transpose(0, 2, 1)
+            data = memoryview(np.ascontiguousarray(pieces).tobytes())
+            ints = [int.from_bytes(data[k : k + step], "little") for k in range(0, len(data), step)]
+            for (p0, p1, p2, p3), last in zip(zip(*[iter(ints)] * 4), block[:, -1].tolist()):
+                x = (p0 + (p1 << 16) + (p2 << 32) + (p3 << 48)) % modulus
+                if x > half:
+                    x -= modulus
+                if abs(x) > bound or x % check != last:
+                    raise InternalInconsistency(
+                        f"residues give no integer within {bound.bit_length()} bits "
+                        f"that agrees with the check prime {check}"
+                    )
+                out.append(x)
         return out
 
 
-def _powers(q: np.ndarray, count: int, base: int) -> np.ndarray:
-    """base^j mod q for j < count: an int64 array of shape (count, primes)."""
-    out = np.empty((count, len(q)), np.int64)
-    out[0] = 1
-    for j in range(1, count):
-        out[j] = out[j - 1] * base % q
-    return out
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in one thread: einsum, which never calls the threaded BLAS."""
+    return np.einsum("ij,jk->ik", a, b)
+
+
+def _limb_rows(nums: list[int]) -> np.ndarray:
+    """|n| for each n as a float64 row of 16-bit limbs, least significant first.
+
+    Every row has the limbs of the widest |n|, and at least one.
+    """
+    width = max(1, -(-max(abs(n).bit_length() for n in nums) // _LIMB))
+    raw = b"".join(abs(n).to_bytes(2 * width, "little") for n in nums)
+    return np.frombuffer(raw, "<u2").reshape(len(nums), width).astype(np.float64)

@@ -7,7 +7,28 @@ require the kernel to give exactly the same counts.  It is slow and only
 meant for small inputs.
 """
 
-from ranktree.montecarlo import NO_CHILD, CensusReport, DecreasingTree
+from ranktree.montecarlo import NO_CHILD, CensusReport, DecreasingTree, _validate
+
+
+def build_tree_naive(perm) -> DecreasingTree:
+    """Quadratic recursive-max construction; test oracle for build_tree."""
+    perm = _validate(perm)
+    n = len(perm)
+    left = [NO_CHILD] * n
+    right = [NO_CHILD] * n
+
+    def rec(lo: int, hi: int) -> int:  # [lo, hi) -> root index
+        top = max(range(lo, hi), key=perm.__getitem__)
+        if lo < top:
+            left[top] = rec(lo, top)
+        if top + 1 < hi:
+            right[top] = rec(top + 1, hi)
+        return top
+
+    root = rec(0, n)
+    return DecreasingTree(
+        n=n, labels=tuple(perm), left=tuple(left), right=tuple(right), root=root
+    )
 
 
 def postorder(t: DecreasingTree) -> list[int]:

@@ -143,8 +143,10 @@ def _first_term(blob, **change):
         lambda blob: {**blob, "terms": None},
         lambda blob: _first_term(blob, den="0"),
         lambda blob: _first_term(blob, num="abc"),
+        # int() would truncate it to another exponent
+        lambda blob: _first_term(blob, upow=blob["terms"][0]["upow"] + 1.5),
     ],
-    ids=["json-list", "no-terms", "null-terms", "zero-den", "bad-num"],
+    ids=["json-list", "no-terms", "null-terms", "zero-den", "bad-num", "float-upow"],
 )
 def test_malformed_cache_entry_is_rewritten(capsys, monkeypatch, tmp_path, damage):
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"

@@ -27,7 +27,7 @@ def test_build_tree_rejects_non_permutations():
 def test_build_tree_matches_naive_on_all_small_permutations():
     for n in range(1, 7):
         for perm in permutations(range(1, n + 1)):
-            assert mc.build_tree(perm) == mc.build_tree_naive(perm)
+            assert mc.build_tree(perm) == ref.build_tree_naive(perm)
 
 
 def test_tree_is_heap_ordered_and_in_order():

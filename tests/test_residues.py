@@ -63,16 +63,50 @@ def test_smaller_bounds_use_the_first_columns_of_larger_ones():
         assert large[: len(small)] == small
 
 
+def _limbs_value(row):
+    return sum(int(limb) << (16 * j) for j, limb in enumerate(row.tolist()))
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 8])
 def test_odd_and_even_numbers_of_crt_primes_rebuild(count):
-    # the rebuild pairs the CRT primes; an odd last one stays alone
+    # row i of coeffs, read as 16-bit limbs, is 1 modulo the i-th CRT prime
+    # and 0 modulo the others
     crt = residues._largest_primes(count)
     bound = math.prod(crt) // 2 - 1
     moduli = Moduli(bound)
     assert moduli.q[:-1].tolist() == crt
-    wide = [p * p2 for p, p2 in zip(crt[::2], crt[1::2])] + crt[count - 1 :] * (count % 2)
-    assert len(moduli.coeffs) == len(wide) == (count + 1) // 2
-    for i, m in enumerate(wide):
-        assert [c % m for c in moduli.coeffs] == [int(j == i) for j in range(len(wide))]
+    assert len(moduli.coeffs) == count
+    for i, row in enumerate(moduli.coeffs):
+        assert [_limbs_value(row) % p for p in crt] == [int(j == i) for j in range(count)]
     values = [bound, -bound, 0, 1, -1, bound // 3, -(bound // 7), 12345]
     assert moduli.rebuild(_rows(moduli, values), bound) == values
+
+
+# the largest bounds the CLI builds: that of the products of constants
+# --kmax 7, 7,105 bits (B_6·B_6 is 7,100 bits; both take 274 CRT primes),
+# and the oracle's n·n! at n = 1000
+EDGE_BOUNDS = [2**7105 - 1, 1000 * math.factorial(1000)]
+
+
+@pytest.mark.parametrize("bound", EDGE_BOUNDS, ids=["kmax7-product", "oracle-n1000"])
+def test_the_largest_limb_and_residue_sums_are_exact(bound):
+    moduli = Moduli(bound)
+    # every limb 0xFFFF: the largest terms of the reduction
+    ones = (1 << 16 * (bound.bit_length() // 16)) - 1
+    values = [ones, -ones, ones >> 16, -1, 0, bound, -bound]
+    rows = moduli.residues(values)
+    assert rows.tolist() == _rows(moduli, values).tolist()
+    assert moduli.rebuild(rows, bound) == values
+    # q - 1 in every column: the largest terms of the rebuild, and -1
+    assert moduli.rebuild((moduli.q - 1)[None, :], bound) == [-1]
+
+
+def test_sums_past_the_float64_mantissa_are_refused():
+    # 2^11 terms below 2^42 could reach 2^53: such bounds and integers are refused
+    with pytest.raises(ValueError, match="primes"):
+        Moduli(2 ** (26 * 2048))
+    moduli = Moduli(1)
+    widest = (1 << 16 * 2047) - 1
+    assert moduli.residues([widest]).tolist() == _rows(moduli, [widest]).tolist()
+    with pytest.raises(ValueError, match="limbs"):
+        moduli.residues([widest + 1])
