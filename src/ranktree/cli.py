@@ -391,6 +391,19 @@ def _rho(text: str) -> str:
     return text
 
 
+def _at_least(low: int):
+    """An int option below `low` is a usage error before any work, as --rho is."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ranktree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -421,7 +434,7 @@ def _build_parser() -> _Parser:
     common(p, "--kmax", "--format", "--cache-dir")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--rho", type=_rho, default=None)
-    p.add_argument("--series-order", type=int, default=None)
+    p.add_argument("--series-order", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
@@ -433,7 +446,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("factor", help="denominator factorizations and verdicts")
     common(p, "--kmax", "--format", "--cache-dir", exact_gf=True)
-    p.add_argument("--factor-bound", type=int, default=1000)
+    p.add_argument("--factor-bound", type=_at_least(2), default=1000)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="run the full verification suite")

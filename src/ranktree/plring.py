@@ -17,11 +17,14 @@ canonical: every numerator is nonzero, gcd(den, *numerators) == 1, and
 zero is the empty map over 1.  Equality and hashing therefore compare the
 two parts directly.  A product multiplies integers only and reduces once,
 with one gcd pass over its output; a sum rescales both sides to the lcm of
-their denominators; the calculus and series operations scale numerators by
-integer factors over one common multiplier.  No rational is formed per
-term inside the kernel: ``terms``, ``coeff``, iteration and the scalar
-results (``value_at_0``, ``integral01``, ``series``) hand out reduced
-Rationals built from the integer parts.
+their denominators; the calculus operations scale numerators by integer
+factors over one common multiplier.  ``series`` is Taylor's formula on the
+ring's own derivative: it differentiates the raw numerators ``order`` times
+over the same denominator, and coefficient j is the v-free part of the
+j-th derivative over den·j!.  No rational is formed per term inside the
+kernel: ``terms``, ``coeff``, iteration and the scalar results
+(``value_at_0``, ``integral01``, ``series``) hand out reduced Rationals
+built from the integer parts.
 
 Products.  A product of two term maps takes one of two routes, with the
 same result to the last bit; both end in the same canonical reduction.
@@ -289,15 +292,7 @@ class PLExpr:
 
     def differentiate(self) -> "PLExpr":
         """Exact d/dx:  u^b v^c  ->  -b u^(b-1) v^c + c u^(b-1) v^(c-1)."""
-        out: dict[tuple[int, int], int] = {}
-        for (b, c), n in self._num.items():
-            if b:
-                key = (b - 1, c)
-                out[key] = out.get(key, 0) - b * n
-            if c:
-                key = (b - 1, c - 1)
-                out[key] = out.get(key, 0) + c * n
-        return _canon(out, self._den)
+        return _canon(_derivative(self._num), self._den)
 
     def antiderivative(self, value_at_0=0) -> "PLExpr":
         """The antiderivative F with F(0) = value_at_0, exact.
@@ -370,31 +365,27 @@ class PLExpr:
     def series(self, order: int) -> list[Rational]:
         """Exact Taylor coefficients [x^0 .. x^order] at x = 0.
 
-        The u^b factors have integer coefficients; the v^c factors are kept
-        scaled by order!, which makes them integers too.  Terms are summed
-        per power of v first, so each v^c series is convolved once.
+        Coefficient j is F^(j)(0)/j!: the v-free numerators of the j-th
+        derivative, summed, over den·j!.  The derivatives are taken on the
+        raw numerators, with no reduction between steps.
+
+        Timed in process against the Stirling-number tables this replaced
+        (2-core Xeon, Python 3.11.7, Fraction backend, fresh processes):
+        the six order-50 series of B_{<=0} .. B_{<=5} that
+        `oracle --series-order 50` takes cost 39-45 ms against 29-32 ms;
+        B_{<=5} to order 200 costs 0.13-0.15 s against 0.85-1.41 s, and to
+        order 400 0.38 s against 19.0 s (one run).
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
-        n = order + 1
-        by_c: dict[int, list[int]] = {}
-        for (b, c), a in self._num.items():
-            if c > order:
-                continue  # v^c = O(x^c)
-            acc = by_c.setdefault(c, [0] * n)
-            for i, t in enumerate(_u_pow_series(b, order)):
-                if t:
-                    acc[i] += a * t
-        fact = math.factorial(order)
-        total = [0] * n
-        for c, acc in by_c.items():
-            vs = _v_pow_series(c, order)
-            for i, ai in enumerate(acc):
-                if ai:
-                    for j in range(n - i):
-                        total[i + j] += ai * vs[j]
-        den = self._den * fact
-        return [Rational(t, den) for t in total]
+        num, den = self._num, self._den
+        out = []
+        for j in range(order + 1):
+            if j:
+                num = _derivative(num)
+                den *= j
+            out.append(Rational(sum(n for (_, c), n in num.items() if c == 0), den))
+        return out
 
     # -- numerics ----------------------------------------------------------
 
@@ -450,6 +441,19 @@ def _reduce(num: dict[tuple[int, int], int], den: int) -> tuple[dict, int]:
         num = {key: n // g for key, n in num.items()}
         den //= g
     return num, den
+
+
+def _derivative(num: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The numerators of d/dx over the same denominator, not reduced."""
+    out: dict[tuple[int, int], int] = {}
+    for (b, c), n in num.items():
+        if b:
+            key = (b - 1, c)
+            out[key] = out.get(key, 0) - b * n
+        if c:
+            key = (b - 1, c - 1)
+            out[key] = out.get(key, 0) + c * n
+    return out
 
 
 def _columns(num: dict[tuple[int, int], int]) -> dict[int, dict[int, int]]:
@@ -588,41 +592,6 @@ def _rebuild(table, moduli: Moduli, bound: int, origin) -> dict[tuple[int, int],
     b, c = np.divmod(cells, table.shape[1])
     keys = zip((b + origin[0]).tolist(), (c + origin[1]).tolist())
     return dict(zip(keys, moduli.rebuild(flat[cells], bound)))
-
-
-def _u_pow_series(b: int, order: int) -> list[int]:
-    """Coefficients of (1-x)^b, all integers: finite binomial for b >= 0."""
-    coeffs = [1]
-    c = 1
-    for i in range(order):
-        # C(b, i+1)(-1)^(i+1) = previous * (i - b) / (i + 1), exact for any b
-        c = c * (i - b) // (i + 1)
-        coeffs.append(c)
-    return coeffs
-
-
-_V_SERIES_CACHE: dict[tuple[int, int], list[int]] = {}
-
-
-def _v_pow_series(c: int, order: int) -> list[int]:
-    """order! times the coefficients of v^c up to x^order, all integers."""
-    cached = _V_SERIES_CACHE.get((c, order))
-    if cached is not None:
-        return cached
-    n = order + 1
-    fact = math.factorial(order)
-    if c == 0:
-        out = [fact] + [0] * order
-    elif c == 1:
-        out = [0] + [fact // i for i in range(1, n)]
-    else:
-        # order! [x^m] v^c = c! |s(m, c)| order!/m!, an integer for m <= order
-        prev, v1 = _v_pow_series(c - 1, order), _v_pow_series(1, order)
-        out = [
-            sum(prev[j] * v1[m - j] for j in range(m + 1)) // fact for m in range(n)
-        ]
-    _V_SERIES_CACHE[(c, order)] = out
-    return out
 
 
 ZERO = PLExpr()

@@ -252,6 +252,9 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv):
             "oracle-n200.csv",
             ["oracle", "--n", "200", "--kmax", "6", "--rho", "7/5", "--format", "csv"],
         ),
+        ("constants-kmax4.json", ["constants", "--kmax", "4"]),
+        ("constants-kmax4.csv", ["constants", "--kmax", "4", "--format", "csv"]),
+        ("constants-kmax3-gf.json", ["constants", "--kmax", "3", "--dump-gf", "root_rank_cdf"]),
     ],
 )
 def test_stdout_matches_golden(capsys, golden, argv):
@@ -319,6 +322,26 @@ def test_a_bad_rho_is_a_usage_error_before_any_work(capsys, argv):
     assert exc.value.code == cli.EXIT_USAGE
     assert captured.out == ""
     assert "not a rational number" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["oracle", "--n", "400", "--kmax", "5", "--rho", "7/5", "--series-order", "-1"],
+            "--series-order: must be >= 0",
+        ),
+        (["factor", "--kmax", "6", "--factor-bound", "1"], "--factor-bound: must be >= 2"),
+    ],
+    ids=["series-order", "factor-bound"],
+)
+def test_an_out_of_range_int_is_a_usage_error_before_any_work(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_kmax_ceiling_is_enforced(capsys):

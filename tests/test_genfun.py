@@ -3,7 +3,7 @@
 import pytest
 
 from exact_values import C_EXACT, F_EXACT, F_OVER_C, G_EXACT, G_OVER_C, I1_EXACT
-from ranktree import checks, conjecture, genfun
+from ranktree import checks, conjecture, genfun, oracle
 from ranktree.plring import ONE, PLExpr, Rational, U, UINV, X, rational
 
 
@@ -151,6 +151,14 @@ def test_series_coefficients_are_probabilities():
         if k:
             prev = genfun.root_rank_cdf_gf(k - 1).series(30)
             assert all(coeffs[n] >= prev[n] for n in range(31))
+
+
+def test_high_order_series_matches_the_oracle():
+    # far past the order-50 checks: each coefficient through x^150 is the
+    # exact finite-n probability that the root rank is at most 4
+    coeffs = genfun.root_rank_cdf_gf(4).series(150)
+    for n in range(1, 151):
+        assert coeffs[n] == 1 - oracle.root_rank_tail(n, 4)
 
 
 def test_constants_table_shape():

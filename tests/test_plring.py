@@ -237,6 +237,8 @@ def test_integral01_matches_reference(a):
 
 @given(ref_exprs, st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
+@example(CALCULUS_CASES["b<-1"], 60)
+@example(CALCULUS_CASES["gaps-in-c"], 60)
 def test_series_matches_reference(a, order):
     assert PLExpr(a).series(order) == ref.series(a, order)
 
