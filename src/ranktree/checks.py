@@ -126,7 +126,8 @@ def _series_agree(gf, dp, ks: range, order: int) -> bool:
     """Coefficients 1..order of gf(k) equal the exact DP values dp(n, k), k in ks."""
     for k in ks:
         coeffs = gf(k).series(order)
-        if any(coeffs[n] != dp(n, k) for n in range(1, order + 1)):
+        # largest n first: the DP's tables then grow once, not once per n
+        if any(coeffs[n] != dp(n, k) for n in range(order, 0, -1)):
             return False
     return True
 
@@ -139,13 +140,18 @@ def cdf_series_vs_oracle(kmax: int, order: int) -> Check:
     return "cdf-series-vs-oracle", ok, f"k <= {kmax}, coefficients 1..{order}"
 
 
+# (levels k, order) of the pair families' series checks
+_PAIR_SERIES_ORDERS = ((range(4), 25), (range(4, 5), 80), (range(5, 6), 160))
+
+
 def series_vs_oracle() -> Check:
-    ok = (
-        cdf_series_vs_oracle(5, 50)[1]
-        and _series_agree(
-            genfun.leaf_pair_tail_gf, oracle.expected_leaf_pairs_tail, range(4), 25
+    ok = cdf_series_vs_oracle(5, 50)[1] and all(
+        _series_agree(gf, dp, ks, order)
+        for gf, dp in (
+            (genfun.leaf_pair_tail_gf, oracle.expected_leaf_pairs_tail),
+            (genfun.closest_leaf_gf, oracle.expected_closest_pairs),
         )
-        and _series_agree(genfun.closest_leaf_gf, oracle.expected_closest_pairs, range(4), 25)
+        for ks, order in _PAIR_SERIES_ORDERS
     )
     return "series-vs-oracle", ok, "coefficients match the exact DP tables"
 

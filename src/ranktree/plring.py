@@ -15,23 +15,30 @@ Representation.  A PLExpr holds integer numerators over one shared
 denominator: a map (b, c) -> int and a positive int ``den``.  The form is
 canonical: every numerator is nonzero, gcd(den, *numerators) == 1, and
 zero is the empty map over 1.  Equality and hashing therefore compare the
-two parts directly.  A product multiplies integers only and reduces once,
-with one gcd pass over its output; a sum rescales both sides to the lcm of
-their denominators; the calculus operations scale numerators by integer
-factors over one common multiplier.  ``series`` is Taylor's formula on the
-ring's own derivative: it differentiates the raw numerators ``order`` times
-over the same denominator, and coefficient j is the v-free part of the
-j-th derivative over den·j!.  No rational is formed per term inside the
-kernel: ``terms``, ``coeff``, iteration and the scalar results
-(``value_at_0``, ``integral01``, ``series``) hand out reduced Rationals
-built from the integer parts.
+two parts directly.  A product multiplies integers only and reduces once
+over its output; a sum rescales both sides to the lcm of their
+denominators; the calculus operations scale numerators by integer
+factors.  ``antiderivative`` reduces each column of b against its own
+(b+1)^(t+1), t its top power of v, and each b = -1 term against its
+c+1, and puts the columns over the lcm of what is left, not over the lcm
+of every (b+1)^(t+1).  The canonical reduction finds gcd(den,
+*numerators) by a checked combination: the gcd of den with two weighted
+sums of the numerators is a multiple of the true gcd, and each numerator
+it does not divide is taken into it, so it ends exact.  ``series`` is
+Taylor's formula on the ring's own derivative: it differentiates the raw
+numerators ``order`` times over the same denominator, and coefficient j
+is the v-free part of the j-th derivative over den·j!.  No rational is
+formed per term inside the kernel: ``terms``, ``coeff``, iteration and
+the scalar results (``value_at_0``, ``integral01``, ``series``) hand out
+reduced Rationals built from the integer parts.
 
 Products.  A product of two term maps takes one of two routes, with the
 same result to the last bit; both end in the same canonical reduction.
 
 * Short operands go through a double loop over the terms, each square
   visiting every cross pair once.  Below _RESIDUE_PAIRS term pairs this is
-  the faster route, and it covers every product by a single term.
+  the faster route.  A product by a single term always takes it, however
+  long the other operand.
 * From _RESIDUE_PAIRS term pairs on, the numerators are computed modulo
   the moduli of ranktree.residues for the bound
   max|a|·max|b|·min(len a, len b), which no output numerator exceeds in
@@ -252,7 +259,9 @@ class PLExpr:
             return self.scale(other)
         if not isinstance(other, PLExpr):
             return NotImplemented
-        if len(self._num) * len(other._num) >= _RESIDUE_PAIRS:
+        la, lb = len(self._num), len(other._num)
+        # a product by one term stays in the loop, however long the other side
+        if min(la, lb) > 1 and la * lb >= _RESIDUE_PAIRS:
             return _canon(_residue_product(self._num, other._num), self._den * other._den)
         out: dict[tuple[int, int], int] = {}
         get = out.get
@@ -303,32 +312,46 @@ class PLExpr:
             u^b v^c  ->  -sum_{j<=c} c!/j! · w^(j-c-1) · u^w v^j,
 
         so the column b of numerators n_c, up to its top power t of v,
-        yields at (w, j) the numerator -T_j · w^j · scale/w^(t+1), where
-        T_j = n_j w^(t-j) + (j+1) T_(j+1) is a Horner sum over c.  All terms
-        go over the denominator den * scale, where scale is a multiple of
-        every (b+1)^(c+1) and c+1 that occurs and of the denominator of
-        value_at_0, so each column divides scale once, exactly.
+        yields at (w, j) the numerator -T_j · w^j over w^(t+1), where
+        T_j = n_j w^(t-j) + (j+1) T_(j+1) is a Horner sum over c.  Each
+        column is reduced on its own: its numerators and w^(t+1), a few
+        hundred bits at k = 7, are divided by their gcd; so is each b = -1
+        term against its c+1.  All terms then go over den * scale, where
+        scale is the lcm of those reduced denominators and of the
+        denominator of value_at_0, and each column is rescaled by one
+        integer.  The common multiplier is thus no larger than the result
+        needs.  For the right-hand side of B_7, the lcm of every
+        (b+1)^(t+1) has 14,366 bits and the reduced one 7,150: putting
+        every term over the larger one and dividing the 7,215 surplus bits
+        back out took about half of constants_table(7).
         """
         p, q = _ratio(value_at_0)
-        columns = _columns(self._num)
-        scale = math.lcm(
-            q,
-            *(abs(b + 1) ** (max(col) + 1) for b, col in columns.items() if b != -1),
-            *(c + 1 for c in columns.get(-1, ())),
-        )
-        out: dict[tuple[int, int], int] = {}
-        for b, col in columns.items():
+        parts = []  # (numerators by term, reduced denominator), one per column
+        for b, col in _columns(self._num).items():
             if b == -1:
                 for c, n in col.items():
-                    out[(0, c + 1)] = n * scale // (c + 1)
+                    g = math.gcd(n, c + 1)
+                    parts.append(({(0, c + 1): n // g}, (c + 1) // g))
                 continue
             w, top = b + 1, max(col)
             powers = [w**j for j in range(top + 1)]
-            per_col = scale // (powers[top] * w)
-            t = 0
+            d = powers[top] * w  # w^(t+1), signed
+            g = abs(d)
+            nums, t = {}, 0
             for c in range(top, -1, -1):
                 t = col.get(c, 0) * powers[top - c] + (c + 1) * t
-                out[(w, c)] = -t * powers[c] * per_col
+                n = nums[(w, c)] = -t * powers[c]
+                if g != 1:
+                    g = math.gcd(g, n)
+            if g != 1:
+                nums = {key: n // g for key, n in nums.items()}
+            parts.append((nums, d // g))
+        scale = math.lcm(q, *(abs(d) for _, d in parts))
+        out: dict[tuple[int, int], int] = {}
+        for nums, d in parts:
+            m = scale // d
+            for key, n in nums.items():
+                out[key] = n * m
         den = self._den * scale
         # fix the constant: F(0) is the sum of the v-free numerators, and
         # no column writes (0, 0)
@@ -436,11 +459,37 @@ def _reduce(num: dict[tuple[int, int], int], den: int) -> tuple[dict, int]:
     num = {key: n for key, n in num.items() if n}
     if not num:
         return {}, 1
-    g = math.gcd(den, *num.values())
+    g = _gcd(den, list(num.values()))
     if g != 1:
         num = {key: n // g for key, n in num.items()}
         den //= g
     return num, den
+
+
+def _gcd(den: int, values: list[int]) -> int:
+    """gcd(den, *values), exact, by a checked combination.
+
+    With the prefix sums s_i = n_1 + ... + n_i of the L values, g =
+    gcd(den, s_L, s_1 + ... + s_L) is the gcd of den with sum n_i and sum
+    (L-i+1)·n_i, so it is a multiple of the gcd; every n_i that g does not
+    divide is then taken in, g = gcd(g, n_i).  Each step keeps g a
+    multiple of the gcd and only shrinks it, so at the end g divides
+    every n_i and is the gcd, whatever the weights.  Two gcds of big
+    integers and a pass of remainders replace the one gcd per value of
+    math.gcd(den, *values), whose running gcd stays large for as long as
+    the values share a factor with den.
+    """
+    s = t = 0  # s runs through the prefix sums, t adds them up
+    for n in values:
+        s += n
+        t += s
+    g = math.gcd(den, s, t)
+    for n in values:
+        if g == 1:
+            break
+        if n % g:
+            g = math.gcd(g, n)
+    return g
 
 
 def _derivative(num: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:

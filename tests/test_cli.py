@@ -255,6 +255,8 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv):
         ("constants-kmax4.json", ["constants", "--kmax", "4"]),
         ("constants-kmax4.csv", ["constants", "--kmax", "4", "--format", "csv"]),
         ("constants-kmax3-gf.json", ["constants", "--kmax", "3", "--dump-gf", "root_rank_cdf"]),
+        ("constants-kmax7.json", ["constants", "--kmax", "7"]),
+        ("factor-kmax7.json", ["factor", "--kmax", "7"]),
     ],
 )
 def test_stdout_matches_golden(capsys, golden, argv):

@@ -1,5 +1,6 @@
 """Kernel tests: exact arithmetic, calculus, series, and serialization."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -212,12 +213,26 @@ CALCULUS_CASES = {
 }
 
 
+# inputs whose antiderivative reduces per column: F(0) over 18 shares 3 with
+# the w^(t+1) = 9 and 2, 3 with the 6^2 of the columns; each c+1 divides its
+# b = -1 numerator (20, 45, 8 over 5); 3 u^2 v + 2 u^2 integrates to
+# -u^3 v - u^3, whose column denominator 9 cancels completely
+REDUCING_CASES = {
+    "f0-shares-w": ({(2, 1): Fraction(1, 5), (5, 1): Fraction(2, 7)}, Fraction(5, 18)),
+    "c+1-divides": ({(-1, 1): Fraction(4), (-1, 2): Fraction(9), (-1, 3): Fraction(8, 5)}, 0),
+    "column-cancels": ({(2, 1): Fraction(3), (2, 0): Fraction(2), (0, 0): Fraction(1, 4)}, 0),
+}
+
+
 @given(ref_exprs, fractions)
 @settings(max_examples=80, deadline=None)
 @example(CALCULUS_CASES["b=-1"], Fraction(-11, 6))
 @example(CALCULUS_CASES["b<-1"], Fraction(-11, 6))
 @example(CALCULUS_CASES["gaps-in-c"], Fraction(-11, 6))
 @example(CALCULUS_CASES["mixed"], Fraction(-11, 6))
+@example(*REDUCING_CASES["f0-shares-w"])
+@example(*REDUCING_CASES["c+1-divides"])
+@example(*REDUCING_CASES["column-cancels"])
 def test_calculus_matches_reference(a, v0):
     e = PLExpr(a)
     assert e.differentiate().terms == ref.differentiate(a)
@@ -225,6 +240,43 @@ def test_calculus_matches_reference(a, v0):
     assert e.antiderivative().terms == ref.antiderivative(a)
     assert e.value_at_0() == ref.value_at_0(a)
     _assert_canonical(e.antiderivative(v0))
+
+
+# -- the checked gcd of the canonical reduction --------------------------------
+
+
+def test_checked_gcd_takes_in_what_the_combination_misses():
+    # den = 5·21; the true gcd is 5.  Every numerator but one shares a factor
+    # with den: all are multiples of 35 except n_j = 5·(3 + 21·2^200), a
+    # multiple of 15, and n_k = 5·(4 + 21·2^201), prime to 21.  As j - k = 7,
+    # weights that grow by a fixed step per position give n_j and n_k the same
+    # weight modulo 7, and 3 + 4 is a multiple of 7; so are both sums the
+    # combination takes, and it overshoots to 35 at least
+    terms = 100
+    j, k = 17, 10
+    den = 5 * 21
+    num = {(i, 0): 35 * (2**200 + i) for i in range(terms)}
+    num[(j, 0)] = 5 * (3 + 21 * 2**200)
+    num[(k, 0)] = 5 * (4 + 21 * 2**201)
+    values = list(num.values())
+    weighted = sum(itertools.accumulate(values))  # sum of (terms - i)·n_i
+    assert math.gcd(den, sum(values), weighted) % 35 == 0
+    g = math.gcd(den, *values)
+    assert g == 5
+    assert plring._reduce(num, den) == ({key: n // g for key, n in num.items()}, den // g)
+
+
+@given(
+    st.integers(1, 10**30),
+    st.integers(1, 10**6),
+    st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=90),
+)
+@settings(max_examples=60, deadline=None)
+def test_checked_gcd_matches_math_gcd(common, cofactor, values):
+    # a factor shared by den and most values, so the combination starts above 1
+    den = common * cofactor
+    values = [n * common if i % 3 else n for i, n in enumerate(values)]
+    assert plring._gcd(den, values) == math.gcd(den, *values)
 
 
 @given(ref_convergent)
@@ -304,7 +356,7 @@ def test_root_rank_records_match_reference_kernel(k):
 
 @pytest.fixture
 def residue_route(monkeypatch):
-    """Every product of nonzero operands takes the residue route."""
+    """Every product of two operands of two terms or more takes the residue route."""
     monkeypatch.setattr(plring, "_RESIDUE_PAIRS", 1)
 
 
@@ -317,15 +369,36 @@ def test_residue_route_matches_reference(residue_route, test):
     test()
 
 
+def _by_residues(a, b):
+    """a * b by the residue route, which products by one term do not take."""
+    return plring._canon(plring._residue_product(a._num, b._num), a._den * b._den)
+
+
 def test_residue_route_edge_cases(residue_route):
     # one-term operands, negative b, squares, and cells that cancel
-    assert U * UINV == ONE
-    assert UINV * UINV == PLExpr.term(1, -2, 0)
+    assert _by_residues(U, UINV) == ONE
+    assert _by_residues(UINV, UINV) == PLExpr.term(1, -2, 0)
     assert (U + V) * (U - V) == PLExpr({(2, 0): 1, (0, 2): -1})
     assert (UINV - V) ** 2 == PLExpr({(-2, 0): 1, (-1, 1): -2, (0, 2): 1})
-    assert PLExpr.term(rational(-3, 4), 5, 2) * PLExpr.term(rational(2, 9), -7, 0) == PLExpr.term(
-        rational(-1, 6), -2, 2
-    )
+    assert _by_residues(
+        PLExpr.term(rational(-3, 4), 5, 2), PLExpr.term(rational(2, 9), -7, 0)
+    ) == PLExpr.term(rational(-1, 6), -2, 2)
+
+
+def test_a_product_by_one_term_takes_the_loop(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("the residue route was taken")
+
+    monkeypatch.setattr(plring, "_residue_product", refuse)
+    long = PLExpr({(b, 0): b + 1 for b in range(plring._RESIDUE_PAIRS)})
+    shifted = PLExpr({(b + 1, 0): rational(b + 1, 3) for b in range(plring._RESIDUE_PAIRS)})
+    term = PLExpr.term(rational(1, 3), 1, 0)
+    assert term * long == shifted
+    assert long * term == shifted
+    # two terms times half as many make as many pairs, and take the residues
+    half = PLExpr({(b, 0): 1 for b in range(plring._RESIDUE_PAIRS // 2)})
+    with pytest.raises(AssertionError, match="residue route"):
+        (U + V) * half
 
 
 def _by_both_routes(monkeypatch, a, b):
