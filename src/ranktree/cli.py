@@ -4,11 +4,30 @@ Subcommands: constants, bounds, oracle, simulate, factor, verify.  JSON
 (canonical: sorted keys, exact values as decimal strings, floats at 12
 significant digits) is the primary format; CSV is a flat projection of
 the table-shaped outputs.  Exit codes: 0 success, 1 usage error,
-2 verification failure, 3 internal inconsistency.
+2 verification failure, 3 internal inconsistency or an exact computation
+past the capacity of the residue maps (valid input can reach it mid-run).
 
-An optional on-disk cache (--cache-dir) stores one serialized expression
-per (kind, k) with a format-version header, so repeated runs skip the
-symbolic recurrences entirely.
+An optional on-disk cache (--cache-dir) stores one expression per
+(kind, k), so repeated runs skip the symbolic recurrences entirely.  An
+entry is the file <kind>.<k>.json in JSON lines: a head, then one line
+per term, sorted by (upow, vpow):
+
+    {"count": <terms>, "den": "<hex>", "format": "ranktree-plexpr/2", "k": k, "kind": kind}
+    [upow, vpow, "<signed hex numerator>"]
+    ...
+
+It holds the expression's canonical parts (PLExpr.parts): one positive
+denominator and the nonzero numerators over it.  Writing and reading
+them takes no gcd per term.  A reader holds one line at a time: reading
+each entry whole, as one JSON document, raised the peak of a warm
+`constants --kmax 6` from 38.4 to 43.2 MB, because freeing a text of
+2.2 MB raises glibc's threshold for serving allocations by mmap, and the
+heap then keeps what later work frees (2-core Xeon, glibc malloc).  An
+entry is loaded only if its term lines are as many as its head counts
+and its parts are canonical (PLExpr.from_parts); any other entry, one of
+an earlier format included, is treated as missing and rewritten.  The
+name keeps its .json suffix so that an entry of the earlier format (one
+JSON document) is rewritten in place.
 """
 
 from __future__ import annotations
@@ -26,6 +45,7 @@ from . import checks, conjecture, genfun, montecarlo, oracle
 from .checks import approx, flat_rat
 from .genfun import KINDS, InternalInconsistency
 from .plring import PLExpr, Rational
+from .residues import CapacityExceeded
 
 __all__ = ["main"]
 
@@ -34,7 +54,7 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INCONSISTENT = 3
 
-CACHE_FORMAT = "ranktree-plexpr/1"
+CACHE_FORMAT = "ranktree-plexpr/2"
 
 # constants/bounds beyond this are refused: the term count of the rank
 # generating functions grows like 4^k, so k = 8 is out of reach exactly
@@ -104,27 +124,56 @@ def _cache_path(cache_dir: Path, kind: str, k: int) -> Path:
     return cache_dir / f"{kind}.{k}.json"
 
 
+def _entry_text(kind: str, k: int, expr: PLExpr):
+    """The lines of the cache entry of one expression: the head, then one
+    line per term."""
+    items, den = expr.parts()
+    head = {"count": len(items), "den": f"{den:x}", "format": CACHE_FORMAT, "k": k, "kind": kind}
+    yield json.dumps(head, sort_keys=True) + "\n"
+    for (b, c), n in items:
+        yield f'[{b}, {c}, "{n:x}"]\n'
+
+
+def _term(line: str) -> tuple[tuple[int, int], int]:
+    b, c, n = json.loads(line)
+    return (b, c), int(n, 16)
+
+
+def _read_entry(lines) -> tuple[dict, PLExpr]:
+    """The head and the expression of the entry with these lines.
+
+    ValueError, TypeError or KeyError unless the head carries the current
+    format, the term lines are as many as it counts, and the parts are
+    canonical (PLExpr.from_parts).
+    """
+    head = json.loads(next(lines, ""))
+    if not isinstance(head, dict) or head.get("format") != CACHE_FORMAT:
+        raise ValueError("not an entry of the current format")
+    terms = [_term(line) for line in lines]
+    if len(terms) != head["count"]:
+        raise ValueError(f"{len(terms)} term lines where the head counts {head['count']!r}")
+    return head, PLExpr.from_parts(terms, int(head["den"], 16))
+
+
 def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
     """Seed the in-memory memo from disk; returns the number of entries.
 
-    An entry is accepted when it decodes, carries the current format, and
-    its kind and k match its file name.  Accepted paths are added to
-    ``accepted`` when given, so that save_cache can rewrite the others.
+    An entry is accepted when it reads (_read_entry) and its kind and k
+    match its file name.  Accepted paths are added to ``accepted`` when
+    given, so that save_cache can rewrite the others.
     """
     loaded = 0
     if not cache_dir.is_dir():
         return 0
     for path in sorted(cache_dir.glob("*.json")):
         try:
-            blob = json.loads(path.read_text())
-            if not isinstance(blob, dict) or blob.get("format") != CACHE_FORMAT:
-                continue
-            kind, k = blob.get("kind"), blob.get("k")
-            if kind not in KINDS or not isinstance(k, int) or path != _cache_path(cache_dir, kind, k):
-                continue
-            expr = PLExpr.from_records(blob["terms"])
-        except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
+            with path.open() as fh:
+                head, expr = _read_entry(fh)
+        except (OSError, ValueError, TypeError, KeyError):
             continue  # truncated or malformed: like a missing entry
+        kind, k = head.get("kind"), head.get("k")
+        if kind not in KINDS or not isinstance(k, int) or path != _cache_path(cache_dir, kind, k):
+            continue
         genfun.cache_insert(kind, k, expr)
         loaded += 1
         if accepted is not None:
@@ -138,9 +187,7 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
     Paths in ``keep`` (the entries load_cache accepted) are left alone, and
     every other entry is replaced, so an unreadable file is repaired.  Each
     file is written under a temporary name and renamed into place, so a
-    reader never sees a partial entry.  Entries are written without
-    indentation, which lets json use its C encoder; indented entries
-    written by earlier versions load the same.
+    reader never sees a partial entry.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     written = 0
@@ -148,10 +195,10 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
         path = _cache_path(cache_dir, kind, k)
         if path in keep:
             continue
-        blob = {"format": CACHE_FORMAT, "kind": kind, "k": k, "terms": expr.to_records()}
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(blob, sort_keys=True) + "\n")
+            with tmp.open("w") as fh:
+                fh.writelines(_entry_text(kind, k, expr))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -466,8 +513,8 @@ def main(argv=None) -> int:
     cache_dir = args.cache_dir
     accepted: set[Path] = set()
     # exact values from k = 7 on have more decimal digits than Python 3.11+
-    # converts by default (4300), in the output and in the cache entries;
-    # the limit is lifted for this run only
+    # converts by default (4300) in the output; the cache entries are hex,
+    # which the limit does not cover.  It is lifted for this run only
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
@@ -482,6 +529,9 @@ def main(argv=None) -> int:
         return code
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except CapacityExceeded as exc:
+        print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -421,12 +421,44 @@ class PLExpr:
         den = self._den
         return sum(n / den * u**b * v**c for (b, c), n in self._num.items())
 
+    # -- canonical parts -----------------------------------------------------
+
+    def parts(self) -> tuple[list[tuple[tuple[int, int], int]], int]:
+        """The canonical parts: ((upow, vpow), numerator) pairs sorted by key, and den."""
+        return sorted(self._num.items()), self._den
+
+    @classmethod
+    def from_parts(cls, items: Iterable[tuple[tuple[int, int], int]], den: int) -> "PLExpr":
+        """The expression with these canonical parts, as ``parts`` gives them.
+
+        ValueError unless they are canonical: den a positive int, every
+        exponent an int (not a bool) with vpow >= 0, every numerator a
+        nonzero int, no key twice, and gcd(den, *numerators) == 1.  On
+        canonical parts that gcd is cheap: math.gcd does no more work once
+        its running gcd reaches 1.
+        """
+        if type(den) is not int or den <= 0:
+            raise ValueError("the denominator must be a positive int")
+        num: dict[tuple[int, int], int] = {}
+        for (b, c), n in items:
+            if type(b) is not int or type(c) is not int or c < 0:
+                raise ValueError(f"exponents ({b!r}, {c!r}) are not ints with vpow >= 0")
+            if type(n) is not int or not n:
+                raise ValueError(f"numerator {n!r} of ({b}, {c}) is not a nonzero int")
+            if (b, c) in num:
+                raise ValueError(f"the key ({b}, {c}) repeats")
+            num[(b, c)] = n
+        if math.gcd(den, *num.values()) != 1:
+            raise ValueError("gcd(den, *numerators) is not 1")
+        return _raw(num, den)
+
     # -- stable text form --------------------------------------------------
 
     def to_records(self) -> list[dict]:
         """Stable serialization, sorted by (upow, vpow); bit-exact round trip.
 
-        Each record holds its own coefficient in lowest terms.
+        Each record holds its own coefficient in lowest terms: the form
+        `constants --dump-gf` prints.  The disk cache stores ``parts``.
         """
         den = self._den
         records = []

@@ -30,12 +30,13 @@ sums are cut into four 16-bit pieces, and each piece reads back with one
 int.from_bytes.  Both products are exact by one lemma: a value below
 2^26 times a limb below 2^16 is below 2^42, so fewer than 2^11 such
 terms sum below 2^53 in any order.  Moduli enforces it rather than round:
-it refuses a bound that needs 2^11 CRT primes or more, and integers of
-2^11 limbs or more.  A rebuild takes 64 rows at a time, which bounds the
-memory of its float64 sums.  The products run in numpy's einsum, in the
-calling thread: with `@` numpy hands them to the threaded OpenBLAS, whose
-second thread raised the CPU time of a cold `constants --kmax 6` from
-1.20 to 1.57 s (one benchmark pair) and saved no wall time.
+it refuses, with CapacityExceeded, a bound that needs 2^11 CRT primes or
+more, and integers of 2^11 limbs or more.  A rebuild takes 64 rows at a
+time, which bounds the memory of its float64 sums.  The products run in
+numpy's einsum, in the calling thread: with `@` numpy hands them to the
+threaded OpenBLAS, whose second thread raised the CPU time of a cold
+`constants --kmax 6` from 1.20 to 1.57 s (one benchmark pair) and saved
+no wall time.
 
 The convolution kernels stay with their callers: the oracle's convolve
 1-D levels in int64 and skip a band of zero rows, the product's convolve
@@ -57,11 +58,19 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["InternalInconsistency", "Moduli", "primes_upto"]
+__all__ = ["CapacityExceeded", "InternalInconsistency", "Moduli", "primes_upto"]
 
 
 class InternalInconsistency(AssertionError):
     """Two independent exact routes to the same value disagreed."""
+
+
+class CapacityExceeded(ValueError):
+    """A bound or an integer past what the exact float64 maps can take.
+
+    Valid input can reach it in the middle of a run, so it is not a usage
+    error; it is a ValueError for callers that treat it as any refusal.
+    """
 
 
 _PRIME_BOUND = 1 << 26
@@ -101,7 +110,7 @@ def _largest_primes(count: int) -> list[int]:
     while len(found) < count:
         lo = hi - _SIEVE_WINDOW
         if lo < _PRIME_BOUND // 2:
-            raise ValueError("too many primes asked for below 2^26")
+            raise CapacityExceeded("too many primes asked for below 2^26")
         sieve = np.ones(hi - lo, bool)
         for p in small_primes:
             sieve[-lo % p :: p] = False
@@ -128,7 +137,7 @@ class Moduli:
             modulus *= primes[used]
             used += 1
         if used >= _TERMS:
-            raise ValueError(
+            raise CapacityExceeded(
                 f"a bound of {bound.bit_length()} bits needs {used} primes; "
                 f"fewer than {_TERMS} rebuild exactly"
             )
@@ -146,7 +155,7 @@ class Moduli:
         limbs = _limb_rows(nums)
         width = limbs.shape[1]
         if width >= _TERMS:
-            raise ValueError(f"integers of {width} limbs; fewer than {_TERMS} reduce exactly")
+            raise CapacityExceeded(f"integers of {width} limbs; fewer than {_TERMS} reduce exactly")
         q = self.q
         powers = np.empty((width, len(q)), np.int64)  # 2^(16j) mod q
         powers[0] = 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ranktree import cli, genfun
+from ranktree import cli, genfun, plring, residues
 from ranktree.genfun import InternalInconsistency
 from ranktree.plring import PLExpr, Rational
 
@@ -107,13 +107,25 @@ def test_cache_cold_then_warm_identical_bytes(capsys, tmp_path):
     assert cold == warm
 
 
+def _read(entry):
+    """The head and the term lines of a cache entry, decoded."""
+    head, *terms = entry.read_text().splitlines()
+    return json.loads(head), [json.loads(line) for line in terms]
+
+
+def _write(entry, head, terms):
+    entry.write_text("".join(json.dumps(line) + "\n" for line in [head, *terms]))
+
+
 def test_cached_expression_matches_recomputation(tmp_path):
     cache = tmp_path / "cache"
     genfun.root_rank_gf(2)
     cli.save_cache(cache)
-    blob = json.loads((cache / "root_rank.2.json").read_text())
-    assert blob["format"] == cli.CACHE_FORMAT
-    assert PLExpr.from_records(blob["terms"]) == genfun.root_rank_gf(2)
+    head, terms = _read(cache / "root_rank.2.json")
+    assert head["format"] == cli.CACHE_FORMAT
+    assert head["count"] == len(terms)
+    parts = [((b, c), int(n, 16)) for b, c, n in terms]
+    assert PLExpr.from_parts(parts, int(head["den"], 16)) == genfun.root_rank_gf(2)
 
 
 def test_truncated_cache_entry_is_rewritten(capsys, tmp_path):
@@ -131,29 +143,62 @@ def test_truncated_cache_entry_is_rewritten(capsys, tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in fresh.iterdir())
 
 
-def _first_term(blob, **change):
-    return {**blob, "terms": [{**blob["terms"][0], **change}, *blob["terms"][1:]]}
+def _first_term(head, terms, b=None, c=None, n=None):
+    first = [old if new is None else new for old, new in zip(terms[0], (b, c, n))]
+    return head, [first, *terms[1:]]
+
+
+def _times_three(head, terms):
+    # the same values over a denominator three times larger: not in lowest terms
+    terms = [[b, c, f"{3 * int(n, 16):x}"] for b, c, n in terms]
+    return {**head, "den": f"{3 * int(head['den'], 16):x}"}, terms
+
+
+def _bool_vpow(head, terms):
+    # True == 1 and False == 0: the key keeps its value, only its type is wrong
+    c = terms[0][1]
+    assert c in (0, 1)
+    return _first_term(head, terms, c=bool(c))
+
+
+def _first_format(head, terms):
+    # a valid entry of the first format: one JSON document, with one record
+    # per term in lowest terms
+    records = genfun.gf_by_kind(head["kind"], head["k"]).to_records()
+    return {"format": "ranktree-plexpr/1", "kind": head["kind"], "k": head["k"], "terms": records}, []
 
 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda blob: [blob],
-        lambda blob: {key: value for key, value in blob.items() if key != "terms"},
-        lambda blob: {**blob, "terms": None},
-        lambda blob: _first_term(blob, den="0"),
-        lambda blob: _first_term(blob, num="abc"),
+        lambda head, terms: ([head], terms),
+        lambda head, terms: (head, []),
+        lambda head, terms: (head, [None, *terms[1:]]),
+        lambda head, terms: ({**head, "den": "0"}, terms),
+        lambda head, terms: _first_term(head, terms, n="xyz"),  # not hex
         # int() would truncate it to another exponent
-        lambda blob: _first_term(blob, upow=blob["terms"][0]["upow"] + 1.5),
+        lambda head, terms: _first_term(head, terms, b=terms[0][0] + 1.5),
+        _times_three,
+        lambda head, terms: _first_term(head, terms, n="0"),
+        lambda head, terms: ({**head, "count": head["count"] + 1}, [*terms, terms[0]]),
+        lambda head, terms: ({**head, "den": "-" + head["den"]}, terms),
+        _bool_vpow,
+        _first_format,
+        # cut at a line boundary, so every line that is left reads
+        lambda head, terms: (head, terms[:-1]),
     ],
-    ids=["json-list", "no-terms", "null-terms", "zero-den", "bad-num", "float-upow"],
+    ids=[
+        "json-list", "no-terms", "null-terms", "zero-den", "bad-num", "float-upow",
+        "shared-factor", "zero-num", "repeated-key", "negative-den", "bool-vpow", "first-format",
+        "lost-line",
+    ],
 )
 def test_malformed_cache_entry_is_rewritten(capsys, monkeypatch, tmp_path, damage):
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(fresh))
     run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
     entry = cache / "closest_leaf.2.json"
-    entry.write_text(json.dumps(damage(json.loads(entry.read_text()))))
+    _write(entry, *damage(*_read(entry)))
     monkeypatch.setattr(genfun, "_CACHE", {})
     monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
     code, out, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
@@ -163,15 +208,17 @@ def test_malformed_cache_entry_is_rewritten(capsys, monkeypatch, tmp_path, damag
 
 
 def test_indented_cache_entries_load_with_identical_output(capsys, monkeypatch, tmp_path):
-    # entries are written compact; earlier versions wrote them indented
+    # entries are written compact, one JSON value a line; whitespace within
+    # and before a line does not change what it reads as
     fresh, old = tmp_path / "fresh", tmp_path / "old"
     _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
     old.mkdir()
     names = sorted(p.name for p in fresh.glob("*.json"))
     for name in names:
-        text = (fresh / name).read_text()
-        assert text.count("\n") == 1
-        (old / name).write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+        lines = (fresh / name).read_text().splitlines()
+        assert len(lines) == 1 + json.loads(lines[0])["count"]
+        spaced = [json.dumps(json.loads(line), separators=(" , ", " : ")) for line in lines]
+        (old / name).write_text("".join(f"  {line}\n" for line in spaced))
     indented = {name: (old / name).read_text() for name in names}
     built = genfun.cache_snapshot()
     monkeypatch.setattr(genfun, "_CACHE", {})
@@ -369,6 +416,19 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "constants", "--kmax", "1")
     assert code == cli.EXIT_INCONSISTENT
     assert "internal inconsistency" in err
+
+
+def test_a_residue_capacity_refusal_mid_run_exits_3(capsys, monkeypatch):
+    # valid input, refused in the middle of the run: not a usage error
+    monkeypatch.setattr(plring, "_RESIDUE_PAIRS", 1)  # every product by residues
+    monkeypatch.setattr(residues, "_TERMS", 4)
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    code, out, err = run(capsys, "constants", "--kmax", "4")
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert "capacity exceeded: " in err and "fewer than 4" in err
+    assert "usage error" not in err
 
 
 def test_broken_simulator_invariant_exit_code(capsys, monkeypatch):

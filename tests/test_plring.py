@@ -1,6 +1,7 @@
 """Kernel tests: exact arithmetic, calculus, series, and serialization."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -132,6 +133,47 @@ def test_records_round_trip_bit_exact(e):
     records = e.to_records()
     assert records == sorted(records, key=lambda r: (r["upow"], r["vpow"]))
     assert PLExpr.from_records(records) == e
+
+
+@given(exprs)
+@settings(max_examples=60, deadline=None)
+@example(ZERO)
+def test_cache_entry_round_trips_the_canonical_parts(e):
+    items, den = e.parts()
+    assert [key for key, _ in items] == sorted(e.exponents)
+    assert den == e.denominator
+    assert PLExpr.from_parts(items, den) == e
+    lines = list(cli._entry_text("root_rank", 0, e))
+    assert [json.loads(line) for line in lines[1:]] == [[b, c, f"{n:x}"] for (b, c), n in items]
+    head, back = cli._read_entry(iter(lines))
+    assert head == {"count": len(e), "den": f"{den:x}", "format": cli.CACHE_FORMAT, "k": 0, "kind": "root_rank"}
+    assert back == e
+
+
+@pytest.mark.parametrize(
+    "items, den",
+    [
+        ([((0, 0), 1)], 0),
+        ([((0, 0), 1)], -3),
+        ([((0, 0), 1)], True),
+        ([((0, 0), 1)], 3.0),
+        ([((0, True), 1)], 3),
+        ([((0.0, 1), 1)], 3),
+        ([((0, -1), 1)], 3),
+        ([((0, 0), 0), ((1, 0), 1)], 3),
+        ([((0, 0), "1")], 3),
+        ([((0, 0), 1), ((0, 0), 1)], 3),
+        ([((0, 0), 6), ((1, 0), 9)], 3),
+        ([], 2),
+    ],
+    ids=[
+        "zero-den", "negative-den", "bool-den", "float-den", "bool-vpow", "float-upow",
+        "negative-vpow", "zero-num", "str-num", "repeated-key", "shared-factor", "zero-over-2",
+    ],
+)
+def test_from_parts_refuses_parts_that_are_not_canonical(items, den):
+    with pytest.raises(ValueError):
+        PLExpr.from_parts(items, den)
 
 
 @given(exprs, st.floats(0.0, 0.95))
@@ -347,7 +389,7 @@ def test_from_records_accepts_unreduced_and_signed_records():
 
 @pytest.mark.parametrize("k", range(5))
 def test_root_rank_records_match_reference_kernel(k):
-    # pins the bytes of the disk cache: cached records are to_records output
+    # pins the records that `constants --dump-gf` prints: to_records output
     assert genfun.root_rank_gf(k).to_records() == ref.records(ref.root_rank_gf(k))
 
 
