@@ -6,6 +6,10 @@ significant digits) is the primary format; CSV is a flat projection of
 the table-shaped outputs.  Exit codes: 0 success, 1 usage error,
 2 verification failure, 3 internal inconsistency or an exact computation
 past the capacity of the residue maps (valid input can reach it mid-run).
+Option ranges are checked while parsing, so a value out of range exits 1
+before any work; the --kmax ceiling of the runs that build exact
+generating functions (constants, bounds, factor, oracle --series-order)
+is checked next, before the cache loads.
 
 An optional on-disk cache (--cache-dir) stores one expression per
 (kind, k), so repeated runs skip the symbolic recurrences entirely.  An
@@ -78,6 +82,32 @@ def _rat(x: Rational) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator), "approx": approx(x)}
 
 
+def _table(rows) -> tuple[list[dict], list[dict]]:
+    """The JSON rows and the CSV rows of a table, each column named once.
+
+    A row is (k, columns), a column (name, value, csv).  An exact value is
+    written as _rat in JSON, and csv says what the CSV keeps of it: "frac"
+    the fraction as <name>, "approx" its float as <name>_approx, "both"
+    the two, None nothing.  A float (with csv None) goes to both formats
+    as approx(value).
+    """
+    rows_json, rows_csv = [], []
+    for k, columns in rows:
+        row_json, row_csv = {"k": k}, {"k": k}
+        for name, value, csv_keeps in columns:
+            if isinstance(value, float):
+                row_json[name] = row_csv[name] = approx(value)
+                continue
+            row_json[name] = _rat(value)
+            if csv_keeps in ("frac", "both"):
+                row_csv[name] = flat_rat(value)
+            if csv_keeps in ("approx", "both"):
+                row_csv[f"{name}_approx"] = approx(value)
+        rows_json.append(row_json)
+        rows_csv.append(row_csv)
+    return rows_json, rows_csv
+
+
 def _emit(payload: dict, rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
@@ -94,16 +124,9 @@ def _emit(payload: dict, rows: list[dict], fmt: str) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _check_kmax(k: int, exact_gf: bool) -> None:
-    """The one --kmax check, run for every subcommand before it starts.
-
-    The ceiling and the stretch warning concern the exact generating
-    functions, so they apply only to the subcommands that build them.
-    """
-    if k < 0:
-        raise ValueError("kmax must be >= 0")
-    if not exact_gf:
-        return
+def _check_kmax(k: int) -> None:
+    """The ceiling and the stretch warning of every run that builds exact
+    generating functions, checked before the cache loads."""
     if k > STRETCH_KMAX:
         raise ValueError(
             f"kmax={k} is not computable exactly; the hard ceiling is {STRETCH_KMAX}"
@@ -213,33 +236,20 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
 
 def cmd_constants(args) -> int:
     kmax = args.kmax
-    table = genfun.constants_table(kmax)
-    rows_json = []
-    rows_csv = []
-    for row in table.rows:
-        rows_json.append(
-            {
-                "k": row.k,
-                "c": _rat(row.c),
-                "f": _rat(row.f),
-                "g": _rat(row.g),
-                "partial_sum": _rat(row.partial_sum),
-                "f_over_c": _rat(row.f_over_c),
-                "g_over_c": _rat(row.g_over_c),
-            }
+    rows_json, rows_csv = _table(
+        (
+            row.k,
+            [
+                ("c", row.c, "both"),
+                ("f", row.f, "frac"),
+                ("g", row.g, "frac"),
+                ("partial_sum", row.partial_sum, "approx"),
+                ("f_over_c", row.f_over_c, "frac"),
+                ("g_over_c", row.g_over_c, "frac"),
+            ],
         )
-        rows_csv.append(
-            {
-                "k": row.k,
-                "c": flat_rat(row.c),
-                "c_approx": approx(row.c),
-                "f": flat_rat(row.f),
-                "g": flat_rat(row.g),
-                "partial_sum_approx": approx(row.partial_sum),
-                "f_over_c": flat_rat(row.f_over_c),
-                "g_over_c": flat_rat(row.g_over_c),
-            }
-        )
+        for row in genfun.constants_table(kmax).rows
+    )
     payload: dict = {"command": "constants", "kmax": kmax, "rows": rows_json}
     if args.dump_gf:
         payload["gf"] = {
@@ -255,29 +265,19 @@ def cmd_constants(args) -> int:
 def cmd_bounds(args) -> int:
     kmax = args.kmax
     table = genfun.tail_report(kmax)
-    rows_json = []
-    rows_csv = []
-    for row in table.rows:
-        rows_json.append(
-            {
-                "k": row.k,
-                "exact_tail": _rat(row.exact_tail),
-                "exact_tail_prev": _rat(row.exact_tail_prev),
-                "moment_bound": _rat(row.moment_bound),
-                "theorem_bound": _rat(row.theorem_bound),
-                "lower_reference": approx(row.lower_reference),
-            }
+    rows_json, rows_csv = _table(
+        (
+            row.k,
+            [
+                ("exact_tail", row.exact_tail, "both"),
+                ("exact_tail_prev", row.exact_tail_prev, None),
+                ("moment_bound", row.moment_bound, "approx"),
+                ("theorem_bound", row.theorem_bound, "approx"),
+                ("lower_reference", row.lower_reference, None),
+            ],
         )
-        rows_csv.append(
-            {
-                "k": row.k,
-                "exact_tail": flat_rat(row.exact_tail),
-                "exact_tail_approx": approx(row.exact_tail),
-                "moment_bound_approx": approx(row.moment_bound),
-                "theorem_bound_approx": approx(row.theorem_bound),
-                "lower_reference": approx(row.lower_reference),
-            }
-        )
+        for row in table.rows
+    )
     payload = {
         "command": "bounds",
         "kmax": kmax,
@@ -294,8 +294,6 @@ def cmd_bounds(args) -> int:
 def cmd_oracle(args) -> int:
     n = args.n
     kmax = args.kmax
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > oracle.DEFAULT_N_CAP:
         print(
             f"warning: n={n} exceeds the default cap {oracle.DEFAULT_N_CAP}; "
@@ -303,34 +301,19 @@ def cmd_oracle(args) -> int:
             "(about 4.5 s and 37 s at n = 1000)",
             file=sys.stderr,
         )
-    rows_json = []
-    rows_csv = []
-    counts = oracle.expected_rank_counts(n, kmax)
-    for k, e_k in enumerate(counts):
-        p_gt = oracle.root_rank_tail(n, k)
-        p_eq = oracle.root_rank_prob(n, k)
-        f_k = oracle.expected_leaf_pairs(n, k)
-        g_k = oracle.expected_closest_pairs(n, k)
-        rows_json.append(
-            {
-                "k": k,
-                "root_rank_tail": _rat(p_gt),
-                "root_rank_prob": _rat(p_eq),
-                "rank_count": _rat(e_k),
-                "leaf_pairs": _rat(f_k),
-                "closest_pairs": _rat(g_k),
-            }
+    rows_json, rows_csv = _table(
+        (
+            k,
+            [
+                ("root_rank_tail", oracle.root_rank_tail(n, k), "frac"),
+                ("root_rank_prob", oracle.root_rank_prob(n, k), "approx"),
+                ("rank_count", e_k, "approx"),
+                ("leaf_pairs", oracle.expected_leaf_pairs(n, k), "approx"),
+                ("closest_pairs", oracle.expected_closest_pairs(n, k), "approx"),
+            ],
         )
-        rows_csv.append(
-            {
-                "k": k,
-                "root_rank_tail": flat_rat(p_gt),
-                "root_rank_prob_approx": approx(p_eq),
-                "rank_count_approx": approx(e_k),
-                "leaf_pairs_approx": approx(f_k),
-                "closest_pairs_approx": approx(g_k),
-            }
-        )
+        for k, e_k in enumerate(oracle.expected_rank_counts(n, kmax))
+    )
     payload: dict = {"command": "oracle", "n": n, "kmax": kmax, "rows": rows_json}
     if args.rho is not None:
         rho = checks.parse_rational(args.rho)
@@ -347,8 +330,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1 or args.trials < 1:
-        raise ValueError("n and trials must be >= 1")
     report = montecarlo.estimate(args.n, args.trials, args.seed, kmax=args.kmax)
     payload = {"command": "simulate", **report.to_dict()}
     rows_csv = [
@@ -403,8 +384,6 @@ def cmd_factor(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1 or args.trials < 2:
-        raise ValueError("verify needs n >= 1 and trials >= 2 (a standard error needs two trials)")
     rows = []
     failed = 0
     for name, ok, detail in checks.verify_checks(args.n, args.trials, args.seed, args.rho):
@@ -457,11 +436,11 @@ def _build_parser() -> _Parser:
 
     # each subcommand takes only the shared options it reads
     shared = {
-        "--kmax": dict(type=int, default=DEFAULT_KMAX),
+        "--kmax": dict(type=_at_least(0), default=DEFAULT_KMAX),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--cache-dir": dict(type=Path, default=None),
     }
-    parser.set_defaults(kmax=None, cache_dir=None)
+    parser.set_defaults(cache_dir=None, series_order=None)
 
     def common(p, *flags, exact_gf=False):
         for flag in flags:
@@ -479,16 +458,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exact finite-n tables")
     common(p, "--kmax", "--format", "--cache-dir")
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_at_least(1), default=50)
     p.add_argument("--rho", type=_rho, default=None)
     p.add_argument("--series-order", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
     common(p, "--kmax", "--format")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_at_least(1), default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("factor", help="denominator factorizations and verdicts")
@@ -498,9 +477,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the full verification suite")
     common(p, "--cache-dir")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_at_least(1), default=1000)
+    # a standard error needs two trials
+    p.add_argument("--trials", type=_at_least(2), default=2000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--rho", type=_rho, default="7/5")
     p.set_defaults(func=cmd_verify)
 
@@ -519,8 +499,8 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if args.kmax is not None:
-            _check_kmax(args.kmax, args.exact_gf)
+        if args.exact_gf or args.series_order is not None:
+            _check_kmax(args.kmax)
         if cache_dir is not None:
             load_cache(cache_dir, accepted)
         code = args.func(args)

@@ -10,7 +10,7 @@ shortest-path constant alpha_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import genfun
 from .plring import Rational
@@ -89,14 +89,7 @@ class ConjectureVerdict:
                                     # None when not applicable (k < 2)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "threshold": self.threshold,
-            "largest_prime": self.largest_prime,
-            "smoothness_pass": self.smoothness_pass,
-            "gap_free": self.gap_free,
-            "denominator": self.denominator.to_dict(),
-        }
+        return {**asdict(self), "denominator": self.denominator.to_dict()}
 
 
 def check_conjectures(k: int, c: Rational) -> ConjectureVerdict:
@@ -140,15 +133,7 @@ class PLStructureReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "bound": self.bound,
-            "max_upow": self.max_upow,
-            "max_vpow": self.max_vpow,
-            "min_upow": self.min_upow,
-            "max_denom_prime": self.max_denom_prime,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_pl_structure(k: int) -> PLStructureReport:

@@ -37,7 +37,7 @@ order differs in the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import sqrt
 from typing import NamedTuple
 
@@ -339,7 +339,7 @@ class StatSummary:
     trials: int
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr, "trials": self.trials}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -354,15 +354,7 @@ class EstimateReport:
         return self.statistics[name]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "kmax": self.kmax,
-            "statistics": {
-                name: s.to_dict() for name, s in sorted(self.statistics.items())
-            },
-        }
+        return asdict(self)
 
 
 class _Welford:

@@ -471,19 +471,13 @@ class PLExpr:
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> "PLExpr":
-        parts = {}
-        for r in records:
-            p, q = _int(r["num"]), _int(r["den"])
-            if not q:
-                raise ZeroDivisionError(f"record {r!r} has a zero denominator")
-            if q < 0:
-                p, q = -p, -q
-            c = _int(r["vpow"])
-            if c < 0:
-                raise ValueError("vpow must be nonnegative")
-            parts[(_int(r["upow"]), c)] = (p, q)  # a repeated key: the last one wins
-        den = math.lcm(*(q for _, q in parts.values()))
-        return _canon({key: p * (den // q) for key, (p, q) in parts.items()}, den)
+        # a repeated key: the last one wins
+        return cls(
+            {
+                (_int(r["upow"]), _int(r["vpow"])): Fraction(_int(r["num"]), _int(r["den"]))
+                for r in records
+            }
+        )
 
 
 def _reduce(num: dict[tuple[int, int], int], den: int) -> tuple[dict, int]:

@@ -255,14 +255,6 @@ def test_simulate_output_is_strict_json(capsys):
     assert all(stat["stderr"] is None for stat in stats.values())
 
 
-@pytest.mark.parametrize("subcommand", ["constants", "bounds", "oracle", "simulate", "factor"])
-def test_negative_kmax_is_a_usage_error(capsys, subcommand):
-    code, out, err = run(capsys, subcommand, "--kmax", "-1")
-    assert code == cli.EXIT_USAGE
-    assert "usage error: kmax must be >= 0" in err
-    assert out == ""
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -337,12 +329,6 @@ def test_values_beyond_the_int_digit_limit(capsys, monkeypatch, tmp_path):
     assert get_limit() == limit
 
 
-def test_verify_needs_two_trials(capsys):
-    code, _, err = run(capsys, "verify", "--trials", "1")
-    assert code == cli.EXIT_USAGE
-    assert "usage error" in err
-
-
 def test_load_cache_ignores_foreign_files(tmp_path):
     (tmp_path / "junk.json").write_text("{not json")
     (tmp_path / "other.json").write_text('{"format": "something-else"}')
@@ -353,12 +339,6 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == cli.EXIT_USAGE
-
-
-def test_invalid_parameter_exit_code(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "0")
-    assert code == cli.EXIT_USAGE
-    assert "usage error" in err
 
 
 @pytest.mark.parametrize(
@@ -373,18 +353,43 @@ def test_a_bad_rho_is_a_usage_error_before_any_work(capsys, argv):
     assert "not a rational number" in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (
-            ["oracle", "--n", "400", "--kmax", "5", "--rho", "7/5", "--series-order", "-1"],
-            "--series-order: must be >= 0",
-        ),
-        (["factor", "--kmax", "6", "--factor-bound", "1"], "--factor-bound: must be >= 2"),
-    ],
-    ids=["series-order", "factor-bound"],
-)
-def test_an_out_of_range_int_is_a_usage_error_before_any_work(capsys, argv, message):
+OUT_OF_RANGE = {
+    "series-order": (
+        ["oracle", "--n", "400", "--kmax", "5", "--rho", "7/5", "--series-order", "-1"],
+        "--series-order: must be >= 0",
+    ),
+    "factor-bound": (["factor", "--kmax", "6", "--factor-bound", "1"], "--factor-bound: must be >= 2"),
+    **{
+        f"{subcommand}-kmax": ([subcommand, "--kmax", "-1"], "--kmax: must be >= 0")
+        for subcommand in ["constants", "bounds", "oracle", "simulate", "factor"]
+    },
+    **{
+        f"{subcommand}-n": ([subcommand, "--n", "0"], "--n: must be >= 1")
+        for subcommand in ["oracle", "simulate", "verify"]
+    },
+    "simulate-trials": (["simulate", "--trials", "0"], "--trials: must be >= 1"),
+    # a standard error needs two trials
+    "verify-trials": (["verify", "--trials", "1"], "--trials: must be >= 2"),
+    "simulate-seed": (["simulate", "--n", "50", "--trials", "20", "--seed", "-1"], "--seed: must be >= 0"),
+    "verify-seed": (["verify", "--n", "50", "--trials", "20", "--seed", "-1"], "--seed: must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_an_out_of_range_int_is_a_usage_error_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    for module, name in [
+        (cli, "load_cache"),
+        (cli.genfun, "constants_table"),
+        (cli.genfun, "tail_report"),
+        (cli.genfun, "rank_constant"),
+        (cli.oracle, "expected_rank_counts"),
+        (cli.montecarlo, "estimate"),
+        (cli.checks, "verify_checks"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     captured = capsys.readouterr()
@@ -397,6 +402,26 @@ def test_kmax_ceiling_is_enforced(capsys):
     code, _, err = run(capsys, "constants", "--kmax", "9")
     assert code == cli.EXIT_USAGE
     assert "ceiling" in err
+
+
+def test_oracle_series_order_keeps_to_the_kmax_ceiling(capsys, monkeypatch):
+    # the series check builds B_{<=0..kmax}: the same exact work as constants
+    monkeypatch.setattr(cli, "STRETCH_KMAX", 3)
+    monkeypatch.setattr(cli, "DEFAULT_KMAX", 2)
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    code, out, err = run(capsys, "oracle", "--n", "5", "--kmax", "4", "--series-order", "2")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "ceiling is 3" in err
+    assert not genfun.cache_snapshot()
+
+    code, _, err = run(capsys, "oracle", "--n", "5", "--kmax", "3", "--series-order", "2")
+    assert code == 0
+    assert "warning: kmax=3 is a stretch run" in err
+    # without the series the oracle builds no generating function: no ceiling
+    code, _, err = run(capsys, "oracle", "--n", "5", "--kmax", "4")
+    assert code == 0
+    assert err == ""
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
