@@ -298,7 +298,7 @@ def cmd_oracle(args) -> int:
         print(
             f"warning: n={n} exceeds the default cap {oracle.DEFAULT_N_CAP}; "
             "the rows grow about like n^3 and --rho like n^4 "
-            "(about 4.5 s and 37 s at n = 1000)",
+            "(about 6 s and 40 s at n = 1000)",
             file=sys.stderr,
         )
     rows_json, rows_csv = _table(

@@ -14,9 +14,14 @@ binomial weights of the recurrences cancel, e.g.
     P_k[m] = (1/m) sum_j P_{k-1}[j] P_{k-1}[m-1-j],
 
 and since P_{k-1}[j] = 0 for 1 <= j <= k, the self-convolution visits only
-j = 0 and k+1 <= j <= (m-1)/2, each pair j < m-1-j once.  The leaf-pair
-and closest-leaf tables are (2/m) times a cross-convolution, and the rank
-counts follow from one weighted sum per level,
+j = 0 and k+1 <= j <= (m-1)/2, each pair j < m-1-j once.  So P_k is zero
+at the sizes 1..k+1 and only the band from k+2 on is computed: there the
+pair j = 0 is 2 P_{k-1}[m-1], with no product; the pairs with both
+indices >= k+1 start at the size 2k+4 and the middle term at 2k+3, so
+from k >= (n-2)/2 on a level is its predecessor shifted by one size,
+P_k[m] = 2 P_{k-1}[m-1]/m.  The leaf-pair and closest-leaf tables are
+(2/m) times a cross-convolution, and the rank counts follow from one
+weighted sum per level,
 
     E_{n,k} = d_n + 2(n+1) sum_{m<n} d_m / ((m+1)(m+2)),
     d_m = P_{k-1}[m] - P_k[m].
@@ -33,19 +38,25 @@ moduli's capacity chooses new primes and drops every table.
 Overflow.  A product of two residues is below 2^52.  The convolutions add
 one product per step to int64 accumulators and reduce them modulo q every
 _CADENCE steps, the most that the prime bound allows without reaching
-2^63, so no sum overflows at any n.
+2^63, so no sum overflows at any n; the weighted sums add raw products
+in chunks of _CADENCE sizes.  A root-rank level takes one more reduction,
+at the end: the reduced pair sum plus the j = 0 term (below 2q), times
+2/m, plus the reduced middle term times 1/m, is below 3·2^52.
 
 Cost: level k at size n takes about (n - 2k)^2/4 products per prime, with
-about n log2(n)/26 primes.  moment_gf_ratio(n, rho) needs all n levels;
-it streams them on the primes for n, keeping the previous level and one
-residue row of E_{n,k} per level, and reads the levels already held.  The
-exact E_{n,k} are kept per n, so another rho at the same n costs no DP.
+about n log2(n)/26 primes, and from k >= (n-2)/2 on no product at all.
+moment_gf_ratio(n, rho) needs all n levels; it streams them on the primes
+for n, writing them into two preallocated level buffers in turn and
+keeping one residue row of E_{n,k} per level, and reads the levels
+already held.  The exact E_{n,k} are kept per n, so another rho at the
+same n costs no DP.  In process the stream takes about 0.7 s at n = 400,
+nearly all of it in the pair loop, and 31-40 s at n = 1000 (2-core Xeon,
+Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -71,8 +82,8 @@ __all__ = [
 # The CLI warns above this n.  A level costs O(n^2) residue products per
 # prime and there are about n log2(n)/26 primes, so the rows k <= kmax grow
 # about like n^3; --rho needs all n levels, about n^4.  Measured (2-core
-# Xeon, Python 3.11.7): `oracle --kmax 5` takes 0.6 s at n = 500 and 4.5 s
-# at n = 1000, and 2.5 s and 37 s with --rho 7/5.
+# Xeon, Python 3.11.7): `oracle --kmax 5` takes 0.6-1.1 s at n = 500 and
+# 5.4-5.8 s at n = 1000, and 2.6 s and 37-41 s with --rho 7/5.
 DEFAULT_N_CAP = 500
 
 
@@ -84,8 +95,9 @@ def max_root_rank(n: int) -> int:
 class _Basis:
     """The moduli for tables up to size cap, and the per-size constants.
 
-    q is the moduli's q, the CRT primes then the check prime; fact[m] and
-    inv[m] are m! and 1/m modulo each of them, w[m] = 1/((m+1)(m+2)).
+    q is the moduli's q, the CRT primes then the check prime; fact[m],
+    inv[m] and inv2[m] are m!, 1/m and 2/m modulo each of them, and
+    w[m] = 1/((m+1)(m+2)).
     """
 
     def __init__(self, n: int):
@@ -109,6 +121,7 @@ class _Basis:
         self.fact = fact
         self.inv = np.zeros_like(fact)
         self.inv[1:] = inv_fact[1:] * fact[:-1] % q
+        self.inv2 = 2 * self.inv % q
         self.w = self.inv[1 : cap + 2] * self.inv[2 : cap + 3] % q
 
     def ones(self, rows: int) -> np.ndarray:
@@ -129,26 +142,53 @@ class _Basis:
         return [Rational(x) / fact for x in scaled]
 
 
-def _self_conv(a: np.ndarray, lo: int, rows: int, q: np.ndarray) -> np.ndarray:
-    """sum_{j+i=m-1} a[j] a[i] mod q for the sizes 2 <= m < rows.
+def _p_level(
+    prev: np.ndarray, k: int, q: np.ndarray, inv: np.ndarray, inv2: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write level k of the root-rank tail into out, from level k-1 in prev.
 
-    Rows 1..lo-1 of a must be zero: only j = 0 and j >= lo are visited,
-    each pair j < i once, doubled; the middle term j = i is added once.
+    Row m of out becomes P_k[m] mod q for m < len(out): 1 at m = 0, and
+    (1/m) sum_{j+i=m-1} prev[j] prev[i] from m = 2 on.  Row 0 of prev must
+    be 1 and rows 1..k of prev zero, so rows 1..k+1 of the level are zero
+    and only the band from k+2 on is computed.  There the pair j = 0 gives
+    2 prev[m-1], the pairs k+1 <= j < i exist from m = 2k+4 on and count
+    twice, and the middle term prev[(m-1)/2]^2 falls on odd m >= 2k+3.
+    inv and inv2 hold 1/m and 2/m; the band is reduced once, at the end.
     """
-    acc = np.zeros((rows - 2, a.shape[1]), np.int64)
-    terms = 0
-    for j in chain((0,), range(max(lo, 1), (rows - 1) // 2)):
-        m0 = 2 * j + 2
-        if m0 < rows:
-            acc[m0 - 2 :] += a[j] * a[m0 - 1 - j : rows - 1 - j]
+    rows = len(out)
+    lo = k + 2
+    out[0] = 1
+    out[1:lo] = 0
+    if lo >= rows:
+        return out
+    band = out[lo:]
+    band[:] = prev[lo - 1 : rows - 1]
+    first = 2 * k + 4
+    if first < rows:
+        acc = np.zeros((rows - first, out.shape[1]), np.int64)
+        terms = 0
+        for j in range(k + 1, (rows - 1) // 2):
+            acc[2 * j + 2 - first :] += prev[j] * prev[j + 1 : rows - 1 - j]
             terms += 1
             if terms == _CADENCE:
                 acc %= q
                 terms = 0
-    acc = 2 * (acc % q)
-    mid = a[1 : rows // 2]  # m = 2j + 1 for j >= 1, from the size 3 on
-    acc[1::2] += mid * mid % q
-    return acc % q
+        band[first - lo :] += acc % q
+    band *= inv2[lo:rows]
+    if first - 1 < rows:
+        mid = prev[k + 1 : rows // 2]
+        band[k + 1 :: 2] += mid * mid % q * inv[first - 1 : rows : 2]
+    band %= q
+    return out
+
+
+def _weighted(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_m a[m] w[m] mod q, reduced once per _CADENCE rows of raw products."""
+    total = np.zeros(a.shape[1], np.int64)
+    for start in range(0, len(a), _CADENCE):
+        stop = start + _CADENCE
+        total += (a[start:stop] * w[start:stop]).sum(axis=0) % q
+    return total % q
 
 
 def _cross_conv(a: np.ndarray, b: np.ndarray, lo: int, rows: int, q: np.ndarray) -> np.ndarray:
@@ -176,7 +216,9 @@ class RankDP:
     _x[j][m]  = E[# leaves at depth j]
 
     Accessors return exact Rationals.  Requests may come in any order; one
-    above the basis' capacity starts again with more primes.
+    above the basis' capacity starts again with more primes.  A level past
+    the largest root rank or depth of an n-tree (max_root_rank(n) = n-1)
+    is 0 at size n, and the accessors return that 0 without any table.
     """
 
     def __init__(self):
@@ -188,18 +230,17 @@ class RankDP:
         self._x: dict[int, np.ndarray] = {}
         self._counts: dict[int, list[Rational]] = {}  # rank_counts(n), by n
 
-    def _reserve(self, n: int) -> _Basis:
+    def _value(self, rows_of, k: int, n: int, top: int) -> Rational:
+        """Level k at size n; 0 above top, the last level that can be nonzero."""
         if n < 0:
             raise ValueError("n must be >= 0")
+        if k > top:
+            return Rational(0)
         if self._basis is None or n > self._basis.cap:
             self._basis = _Basis(n)
             for table in (self._p, self._e, self._f, self._g, self._x):
                 table.clear()
-        return self._basis
-
-    def _value(self, rows_of, k: int, n: int) -> Rational:
-        basis = self._reserve(n)
-        return basis.values(rows_of(k, n + 1)[n : n + 1], n)[0]
+        return self._basis.values(rows_of(k, n + 1)[n : n + 1], n)[0]
 
     @staticmethod
     def _grow(table: dict, first: int, k: int, rows: int, extend) -> np.ndarray:
@@ -227,20 +268,14 @@ class RankDP:
         return self._grow(self._p, 0, k, rows, self._extend_p)
 
     def _extend_p(self, k: int, rows: int) -> np.ndarray:
-        return self._p_level(self._p_rows(k - 1, rows), k, rows, self._basis)
-
-    @staticmethod
-    def _p_level(prev: np.ndarray, k: int, rows: int, b: _Basis) -> np.ndarray:
-        # The level is allocated after the temporaries of its rows: the other
-        # order cost the n = 400 stream 138k page faults against 1.7k, and
-        # 20-40 % of its time (glibc malloc, numpy 2.4.6).
-        conv = _self_conv(prev, k + 1, rows, b.q)
-        head = b.ones(2)
-        head[1] = 0  # p_{0,>k} := 1, p_{1,>k} = 0
-        return np.concatenate([head, conv * b.inv[2:rows] % b.q])
+        b = self._basis
+        prev = self._p_rows(k - 1, rows)[:rows]
+        return _p_level(prev, k, b.q, b.inv, b.inv2, np.empty_like(prev))
 
     def p_gt(self, n: int, k: int) -> Rational:
-        return self._value(self._p_rows, k, n)
+        if n == 0:
+            return Rational(1)  # p_{0,>k} := 1 at every k
+        return self._value(self._p_rows, k, n, max_root_rank(n) - 1)
 
     def p_eq(self, n: int, k: int) -> Rational:
         return self.p_gt(n, k - 1) - self.p_gt(n, k)
@@ -261,7 +296,7 @@ class RankDP:
     def e_count(self, n: int, k: int) -> Rational:
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self._value(self._e_rows, k, n)
+        return self._value(self._e_rows, k, n, max_root_rank(n))
 
     def rank_counts(self, n: int) -> list[Rational]:
         """Exact E_{n,k} for k = 0..n-1 (vertices of rank >= n do not exist).
@@ -285,20 +320,18 @@ class RankDP:
         b = _Basis(n)
         rows, width = n + 1, len(b.q)
         w = b.w[:n]
-
-        def weighted(level):  # sum_{m<n} level[m] w_m, a sum of n residues
-            return (level[:n] * w % b.q).sum(axis=0) % b.q
-
         prev = b.ones(rows)
-        prev_sum = weighted(prev)
+        prev_sum = _weighted(prev[:n], w, b.q)
+        buffers = (np.empty((rows, width), np.int64), np.empty((rows, width), np.int64))
         out = np.empty((n, width), np.int64)
         for k in range(n):
             held = self._p.get(k)
             if held is not None and len(held) >= rows:
                 cur = held[:rows, :width]
-            else:
-                cur = self._p_level(prev, k, rows, b)
-            cur_sum = weighted(cur)
+            else:  # into the buffer that prev is not
+                cur = _p_level(prev, k, b.q, b.inv, b.inv2, buffers[k % 2])
+            # sum_{m<n} cur[m] w_m: row 0 is 1 and rows 1..k+1 are zero
+            cur_sum = (w[0] + _weighted(cur[k + 2 : n], w[k + 2 :], b.q)) % b.q
             out[k] = (prev[n] - cur[n] + 2 * (n + 1) * (prev_sum - cur_sum)) % b.q
             prev, prev_sum = cur, cur_sum
         return b.values(out, n)
@@ -322,10 +355,10 @@ class RankDP:
         """0 at sizes 0 and 1, (2/m) sum_{j >= lo} a[j] p[m-1-j] at size m >= 2."""
         b = self._basis
         conv = _cross_conv(a, p, lo, rows, b.q)
-        return np.concatenate([np.zeros((2, len(b.q)), np.int64), 2 * conv * b.inv[2:rows] % b.q])
+        return np.concatenate([np.zeros((2, len(b.q)), np.int64), conv * b.inv2[2:rows] % b.q])
 
     def f_gt(self, n: int, k: int) -> Rational:
-        return self._value(self._f_rows, k, n)
+        return self._value(self._f_rows, k, n, max_root_rank(n) - 1)
 
     def f_eq(self, n: int, k: int) -> Rational:
         return self.f_gt(n, k - 1) - self.f_gt(n, k)
@@ -342,7 +375,7 @@ class RankDP:
         return self._pair_level(rows, self._g_rows(k - 1, rows), self._p_rows(k - 2, rows), k)
 
     def g_eq(self, n: int, k: int) -> Rational:
-        return self._value(self._g_rows, k, n)
+        return self._value(self._g_rows, k, n, max_root_rank(n))
 
     # -- leaf depth profile --------------------------------------------------
 
@@ -356,10 +389,10 @@ class RankDP:
         # x_j[m] = (2/m) sum_{i<m} x_{j-1}[i]
         prev = self._x_rows(j - 1, rows)[:rows]
         before = (np.cumsum(prev, axis=0) - prev) % b.q
-        return 2 * before * b.inv[:rows] % b.q
+        return before * b.inv2[:rows] % b.q
 
     def x_profile(self, n: int, j: int) -> Rational:
-        return self._value(self._x_rows, j, n)
+        return self._value(self._x_rows, j, n, max_root_rank(n))  # depth <= n-1
 
 
 _DEFAULT = RankDP()

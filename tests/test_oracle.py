@@ -272,7 +272,7 @@ def _residue_sums(a, b, m, q):
     return sum(int(a[j]) * int(b[m - 1 - j]) for j in range(m)) % q
 
 
-@pytest.mark.parametrize("kernel", ["self", "cross"])
+@pytest.mark.parametrize("kernel", ["self", "cross", "weighted"])
 def test_convolutions_do_not_overflow(kernel):
     # residues next to q - 1 give products next to 2^52; more than
     # _CADENCE of them on one accumulator row would pass 2^63 unreduced
@@ -281,13 +281,53 @@ def test_convolutions_do_not_overflow(kernel):
     a = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 7
     b = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 5
     qs = np.array([q], np.int64)
+    if kernel == "weighted":
+        total = sum(int(x) * int(y) for x, y in zip(a[:, 0], b[:, 0]))
+        assert oracle._weighted(a, b, qs).tolist() == [total % q]
+        return
+    sizes = np.arange(rows - 3, rows)
     if kernel == "self":
+        a[0] = 1  # as in every level; level 0 has no zero rows
         b = a
-        out = oracle._self_conv(a, 1, rows, qs)[-3:]
+        inv = np.array([[pow(m, -1, q) if m else 0] for m in range(rows)], np.int64)
+        level = oracle._p_level(a, 0, qs, inv, 2 * inv % q, np.empty_like(a))
+        out = level[-3:] * sizes[:, None] % q  # P_0[m] is the convolution over m
     else:
         out = oracle._cross_conv(a, b, 0, rows, qs)[-3:]
-    expected = [_residue_sums(a[:, 0], b[:, 0], m, q) for m in range(rows - 3, rows)]
+    expected = [_residue_sums(a[:, 0], b[:, 0], m, q) for m in sizes]
     assert out[:, 0].tolist() == expected
+
+
+def test_reduction_cadence_does_not_change_values(monkeypatch):
+    unpatched = oracle.RankDP()
+    counts, rows = unpatched.rank_counts(60), _rows(unpatched, 60, range(6))
+    monkeypatch.setattr(oracle, "_CADENCE", 2)
+    dp = oracle.RankDP()
+    assert dp.rank_counts(60) == counts
+    assert _rows(dp, 60, range(6)) == rows
+
+
+def test_streamed_counts_match_reference_at_the_band_edges(reference):
+    # both parities of n, the levels k >= (n-2)/2 that only shift the
+    # previous one, and n <= 3, where no level has a pair k+1 <= j < i
+    for n in range(1, 41):
+        assert oracle.RankDP().rank_counts(n) == [reference.e_count(n, k) for k in range(n)], n
+
+
+def test_levels_past_the_largest_rank_hold_no_table(reference, capsys, monkeypatch):
+    dp = oracle.RankDP()
+    assert _rows(dp, 5, range(5, 3000, 997)) == [(0,) * 7] * 4
+    assert dp.p_gt(5, 4) == dp.f_gt(5, 4) == 0
+    assert dp.p_gt(0, 3000) == 1
+    assert dp._basis is None
+    monkeypatch.setattr(oracle, "_DEFAULT", dp)
+    assert cli.main(["oracle", "--n", "5", "--kmax", "3000"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) > 3000
+    for table in (dp._p, dp._e, dp._f, dp._g, dp._x):
+        assert max(table, default=-1) < 5
+    for n in range(1, 13):
+        ks = (n - 1, n, n + 1)
+        assert _rows(oracle.RankDP(), n, ks) == _rows(reference, n, ks), n
 
 
 def test_a_wrong_residue_fails_the_check_prime():
