@@ -2,7 +2,7 @@
 
 Ground truth for everything the generating-function layer and the
 simulator predict.  Every table value v at size n (P(root rank > k), the
-expectations E_{n,k}, f_{n,>k}, g_{n,k}, and the leaf depth profile) has a
+expectations E_{n,k}, f_{n,>k} and g_{n,k}) has a
 denominator dividing n! and lies in [0, n], so n!·v is an integer in
 [0, n·n!] (at n = 0 the one value is 1).
 
@@ -72,8 +72,6 @@ __all__ = [
     "expected_leaf_pairs",
     "expected_leaf_pairs_tail",
     "expected_closest_pairs",
-    "leaf_depth_profile",
-    "external_depth_profile",
     "expected_subtrees_atleast",
     "moment_gf_ratio",
     "max_root_rank",
@@ -213,11 +211,10 @@ class RankDP:
     _e[k][m]  = E[# vertices of rank k]
     _f[k][m]  = E[1{root rank > k} * (leaf count)],   k >= -1
     _g[k][m]  = E[1{root rank = k} * (closest-leaf count)]
-    _x[j][m]  = E[# leaves at depth j]
 
     Accessors return exact Rationals.  Requests may come in any order; one
     above the basis' capacity starts again with more primes.  A level past
-    the largest root rank or depth of an n-tree (max_root_rank(n) = n-1)
+    the largest root rank of an n-tree (max_root_rank(n) = n-1)
     is 0 at size n, and the accessors return that 0 without any table.
     """
 
@@ -227,7 +224,7 @@ class RankDP:
         self._e: dict[int, np.ndarray] = {}
         self._f: dict[int, np.ndarray] = {}
         self._g: dict[int, np.ndarray] = {}
-        self._x: dict[int, np.ndarray] = {}
+        self._x: dict[int, np.ndarray] = {}  # always empty; perfbench/tracing.py still reads it
         self._counts: dict[int, list[Rational]] = {}  # rank_counts(n), by n
 
     def _value(self, rows_of, k: int, n: int, top: int) -> Rational:
@@ -238,7 +235,7 @@ class RankDP:
             return Rational(0)
         if self._basis is None or n > self._basis.cap:
             self._basis = _Basis(n)
-            for table in (self._p, self._e, self._f, self._g, self._x):
+            for table in (self._p, self._e, self._f, self._g):
                 table.clear()
         return self._basis.values(rows_of(k, n + 1)[n : n + 1], n)[0]
 
@@ -377,23 +374,6 @@ class RankDP:
     def g_eq(self, n: int, k: int) -> Rational:
         return self._value(self._g_rows, k, n, max_root_rank(n))
 
-    # -- leaf depth profile --------------------------------------------------
-
-    def _x_rows(self, j: int, rows: int) -> np.ndarray:
-        return self._grow(self._x, 0, j, rows, self._extend_x)
-
-    def _extend_x(self, j: int, rows: int) -> np.ndarray:
-        b = self._basis
-        if j == 0:
-            return b.unit(rows)
-        # x_j[m] = (2/m) sum_{i<m} x_{j-1}[i]
-        prev = self._x_rows(j - 1, rows)[:rows]
-        before = (np.cumsum(prev, axis=0) - prev) % b.q
-        return before * b.inv2[:rows] % b.q
-
-    def x_profile(self, n: int, j: int) -> Rational:
-        return self._value(self._x_rows, j, n, max_root_rank(n))  # depth <= n-1
-
 
 _DEFAULT = RankDP()
 
@@ -430,33 +410,6 @@ def expected_leaf_pairs_tail(n: int, k: int) -> Rational:
 def expected_closest_pairs(n: int, k: int) -> Rational:
     """Exact g_{n,k}: E[1{root rank = k} * closest-leaf count]."""
     return _DEFAULT.g_eq(n, k)
-
-
-def leaf_depth_profile(n: int, j: int) -> Rational:
-    """Exact E[X_{n,j}], the expected number of leaves at depth j."""
-    return _DEFAULT.x_profile(n, j)
-
-
-def external_depth_profile(n: int, j: int) -> Rational:
-    """Exact expected external-node depth profile: 2^j |s(n,j)| / n!."""
-    if n < 1 or j < 0:
-        raise ValueError("need n >= 1, j >= 0")
-    return Rational(2) ** j * _stirling_cycle(n, j) / Rational(math.factorial(n))
-
-
-def _stirling_cycle(n: int, j: int) -> int:
-    """Unsigned Stirling number of the first kind |s(n, j)|."""
-    if j > n:
-        return 0
-    row = [1]  # |s(0, 0)|
-    for m in range(1, n + 1):
-        new = [0] * (min(m, j) + 1)
-        for t in range(len(new)):
-            above = row[t] if t < len(row) else 0
-            left = row[t - 1] if 0 < t <= len(row) else 0
-            new[t] = left + (m - 1) * above
-        row = new
-    return row[j] if j < len(row) else 0
 
 
 def expected_subtrees_atleast(n: int, ell: int) -> Rational:

@@ -141,10 +141,6 @@ def _ratio(a) -> tuple[int, int]:
     raise TypeError(f"cannot use {a!r} as a coefficient")
 
 
-def _int(text) -> int:
-    return int(text) if isinstance(text, str) else operator.index(text)
-
-
 class PLExpr:
     """Canonical, immutable term map (upow, vpow) -> numerator, over one denominator."""
 
@@ -391,13 +387,6 @@ class PLExpr:
         Coefficient j is F^(j)(0)/j!: the v-free numerators of the j-th
         derivative, summed, over den·j!.  The derivatives are taken on the
         raw numerators, with no reduction between steps.
-
-        Timed in process against the Stirling-number tables this replaced
-        (2-core Xeon, Python 3.11.7, Fraction backend, fresh processes):
-        the six order-50 series of B_{<=0} .. B_{<=5} that
-        `oracle --series-order 50` takes cost 39-45 ms against 29-32 ms;
-        B_{<=5} to order 200 costs 0.13-0.15 s against 0.85-1.41 s, and to
-        order 400 0.38 s against 19.0 s (one run).
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -409,17 +398,6 @@ class PLExpr:
                 den *= j
             out.append(Rational(sum(n for (_, c), n in num.items() if c == 0), den))
         return out
-
-    # -- numerics ----------------------------------------------------------
-
-    def eval_real(self, x: float) -> float:
-        """Floating evaluation for 0 <= x < 1."""
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"x={x} outside [0, 1)")
-        u = 1.0 - x
-        v = -math.log1p(-x)
-        den = self._den
-        return sum(n / den * u**b * v**c for (b, c), n in self._num.items())
 
     # -- canonical parts -----------------------------------------------------
 
@@ -455,7 +433,7 @@ class PLExpr:
     # -- stable text form --------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        """Stable serialization, sorted by (upow, vpow); bit-exact round trip.
+        """Stable serialization, sorted by (upow, vpow).
 
         Each record holds its own coefficient in lowest terms: the form
         `constants --dump-gf` prints.  The disk cache stores ``parts``.
@@ -468,16 +446,6 @@ class PLExpr:
                 {"num": str(n // g), "den": str(den // g), "upow": b, "vpow": c}
             )
         return records
-
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping]) -> "PLExpr":
-        # a repeated key: the last one wins
-        return cls(
-            {
-                (_int(r["upow"]), _int(r["vpow"])): Fraction(_int(r["num"]), _int(r["den"]))
-                for r in records
-            }
-        )
 
 
 def _reduce(num: dict[tuple[int, int], int], den: int) -> tuple[dict, int]:

@@ -28,7 +28,6 @@ class RankDP:
     e[k][n]     = n! * E[# vertices of rank k]
     f_gt[k][n]  = n! * E[1{root rank > k} * (leaf count)]
     g[k][n]     = n! * E[1{root rank = k} * (closest-leaf count)]
-    x[j][n]     = n! * E[# leaves at depth j]
     """
 
     def __init__(self):
@@ -37,7 +36,6 @@ class RankDP:
         self._e: dict[int, list[int]] = {}
         self._f: dict[int, list[int]] = {}
         self._g: dict[int, list[int]] = {}
-        self._x: dict[int, list[int]] = {}
         self._binom: list[list[int]] = []  # half rows, see _binom_half
 
     def _factorials(self, n: int) -> list[int]:
@@ -179,24 +177,4 @@ class RankDP:
 
     def g_eq(self, n: int, k: int) -> Rational:
         tab = self._g_table(k, n)
-        return Rational(tab[n]) / self._factorials(n)[n]
-
-    # -- leaf depth profile --------------------------------------------------
-
-    def _x_table(self, j: int, n: int) -> list[int]:
-        tab = self._x.setdefault(j, [0, 1 if j == 0 else 0])
-        if j == 0:
-            tab.extend([0] * (n + 1 - len(tab)))
-            return tab
-        if len(tab) <= n:
-            prev = self._x_table(j - 1, n)
-            fact = self._factorials(n)
-            run = _scaled_prefix([prev[i] for i in range(len(tab))], fact)
-            for m in range(len(tab), n + 1):
-                tab.append(2 * run)
-                run = run * m + prev[m]
-        return tab
-
-    def x_profile(self, n: int, j: int) -> Rational:
-        tab = self._x_table(j, n)
         return Rational(tab[n]) / self._factorials(n)[n]

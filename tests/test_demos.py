@@ -1,11 +1,16 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/,
+and every name the package's modules export resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import ranktree
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -20,3 +25,14 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_every_exported_name_resolves():
+    modules = [ranktree] + [
+        importlib.import_module(f"ranktree.{info.name}")
+        for info in pkgutil.iter_modules(ranktree.__path__)
+    ]
+    assert {"ranktree.oracle", "ranktree.plring"} <= {m.__name__ for m in modules}
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

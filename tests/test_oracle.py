@@ -111,32 +111,6 @@ def test_leaf_pairs_dominate_closest_pairs():
             assert f >= g >= 0
 
 
-def test_leaf_depth_profile_small_cases():
-    # depth-0 leaf only for n = 1; depth 1 only when one subtree is empty
-    assert oracle.leaf_depth_profile(1, 0) == 1
-    assert oracle.leaf_depth_profile(2, 1) == 1
-    assert oracle.leaf_depth_profile(3, 1) == rational(2, 3)
-    total = sum(oracle.leaf_depth_profile(10, j) for j in range(10))
-    assert total == Rational(11) / 3
-
-
-def test_external_profile_dominates_leaf_profile():
-    # every leaf at depth j yields external nodes at depth j+1, but the
-    # cleanest domination is E[X_{n,j}] <= external profile at the same j
-    for n in range(2, 40):
-        for j in range(1, 9):
-            assert oracle.leaf_depth_profile(n, j) <= oracle.external_depth_profile(
-                n, j
-            )
-
-
-def test_external_profile_row_sums():
-    # summing 2^j |s(n,j)| over j gives (n+1)!/2, i.e. n+1 external nodes...
-    for n in range(1, 15):
-        total = sum(oracle.external_depth_profile(n, j) for j in range(n + 1))
-        assert total == n + 1
-
-
 def test_subtree_counts_match_closed_form():
     # the accessor asserts DP == closed form internally
     for n in (1, 2, 10, 60):
@@ -209,7 +183,7 @@ def _rows(dp, n, ks):
     """Every accessor of dp at size n, for each k in ks."""
     return [
         (dp.p_gt(n, k), dp.p_eq(n, k), dp.e_count(n, k), dp.f_gt(n, k), dp.f_eq(n, k),
-         dp.g_eq(n, k), dp.x_profile(n, k))
+         dp.g_eq(n, k))
         for k in ks
     ]
 
@@ -316,14 +290,14 @@ def test_streamed_counts_match_reference_at_the_band_edges(reference):
 
 def test_levels_past_the_largest_rank_hold_no_table(reference, capsys, monkeypatch):
     dp = oracle.RankDP()
-    assert _rows(dp, 5, range(5, 3000, 997)) == [(0,) * 7] * 4
+    assert _rows(dp, 5, range(5, 3000, 997)) == [(0,) * 6] * 4
     assert dp.p_gt(5, 4) == dp.f_gt(5, 4) == 0
     assert dp.p_gt(0, 3000) == 1
     assert dp._basis is None
     monkeypatch.setattr(oracle, "_DEFAULT", dp)
     assert cli.main(["oracle", "--n", "5", "--kmax", "3000"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) > 3000
-    for table in (dp._p, dp._e, dp._f, dp._g, dp._x):
+    for table in (dp._p, dp._e, dp._f, dp._g):
         assert max(table, default=-1) < 5
     for n in range(1, 13):
         ks = (n - 1, n, n + 1)
@@ -336,11 +310,10 @@ def test_a_wrong_residue_fails_the_check_prime():
     dp._p[2][30, 0] = (dp._p[2][30, 0] + 1) % dp._basis.q[0]
     with pytest.raises(InternalInconsistency, match="check prime"):
         dp.p_gt(30, 2)
-    dp._x.clear()
-    dp.x_profile(30, 2)
-    dp._x[2][30, -1] = (dp._x[2][30, -1] + 1) % dp._basis.q[-1]  # the check prime's own residue
+    dp.g_eq(30, 2)
+    dp._g[2][30, -1] = (dp._g[2][30, -1] + 1) % dp._basis.q[-1]  # the check prime's own residue
     with pytest.raises(InternalInconsistency, match="check prime"):
-        dp.x_profile(30, 2)
+        dp.g_eq(30, 2)
 
 
 def test_a_wrong_crt_coefficient_exits_3(capsys, monkeypatch):
