@@ -8,7 +8,16 @@ Submodules:
 * montecarlo -- seeded tree simulation and empirical estimates
 * conjecture -- denominator factorizations, structure checks, alpha_0
 * cli        -- batch front end (constants/bounds/oracle/simulate/factor/verify)
+
+Importing the package sets OPENBLAS_NUM_THREADS to 1 unless the caller
+set it; it takes effect only if numpy was not imported first.
 """
+
+import os
+
+# OpenBLAS reads this once, when numpy loads; its second thread costs CPU in
+# every run and saves no wall time in the residue maps (see residues)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .plring import DivergentIntegral, PLExpr, Rational, rational
 from .genfun import InternalInconsistency

@@ -32,11 +32,13 @@ int.from_bytes.  Both products are exact by one lemma: a value below
 terms sum below 2^53 in any order.  Moduli enforces it rather than round:
 it refuses, with CapacityExceeded, a bound that needs 2^11 CRT primes or
 more, and integers of 2^11 limbs or more.  A rebuild takes 64 rows at a
-time, which bounds the memory of its float64 sums.  The products run in
-numpy's einsum, in the calling thread: with `@` numpy hands them to the
-threaded OpenBLAS, whose second thread raised the CPU time of a cold
-`constants --kmax 6` from 1.20 to 1.57 s (one benchmark pair) and saved
-no wall time.
+time, which bounds the memory of its float64 sums.  The products are
+numpy's `@`, a BLAS dgemm, which the lemma keeps exact whatever order
+and blocking the BLAS sums in.  The package sets OpenBLAS to one thread
+(see ranktree/__init__.py): a second thread spins for about 0.1 s of CPU
+in every run and saves no wall time, even at k = 7.  On one thread `@`
+is about 8 times faster than numpy's einsum on a k = 8 rebuild block
+(64 x 1,100 by 1,100 x 1,800: 7.5 ms against 62 ms).
 
 The convolution kernels stay with their callers: the oracle's convolve
 1-D levels in int64 and skip a band of zero rows, the product's convolve
@@ -199,8 +201,12 @@ class Moduli:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in one thread: einsum, which never calls the threaded BLAS."""
-    return np.einsum("ij,jk->ik", a, b)
+    """a @ b for float64 matrices whose products and sums stay below 2^53.
+
+    Every partial sum is then an integer that float64 holds exactly, so
+    the result does not depend on the BLAS's summation order or threads.
+    """
+    return a @ b
 
 
 def _limb_rows(nums: list[int]) -> np.ndarray:

@@ -1,6 +1,10 @@
 """The moduli shared by the oracle and the residue product: prime choice and checked rebuild."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,21 @@ def test_the_largest_limb_and_residue_sums_are_exact(bound):
     assert moduli.rebuild((moduli.q - 1)[None, :], bound) == [-1]
 
 
+@pytest.mark.parametrize("bound", EDGE_BOUNDS, ids=["kmax7-product", "oracle-n1000"])
+def test_blocks_of_the_largest_sums_are_exact(bound):
+    # more than two rebuild blocks of worst-case rows: large enough for the
+    # BLAS's blocked kernels, not only its small-matrix path
+    moduli = Moduli(bound)
+    rows = 2 * residues._BLOCK + 7
+    top = np.broadcast_to(moduli.q - 1, (rows, len(moduli.q)))
+    assert moduli.rebuild(top, bound) == [-1] * rows
+    ones = (1 << 16 * (bound.bit_length() // 16)) - 1
+    values = [ones if i % 2 else -ones for i in range(rows)]
+    got = moduli.residues(values)
+    assert got.tolist() == _rows(moduli, [-ones, ones])[np.arange(rows) % 2].tolist()
+    assert moduli.rebuild(got, bound) == values
+
+
 def test_sums_past_the_float64_mantissa_are_refused():
     # 2^11 terms below 2^42 could reach 2^53: such bounds and integers are refused
     with pytest.raises(ValueError, match="primes"):
@@ -110,3 +129,32 @@ def test_sums_past_the_float64_mantissa_are_refused():
     assert moduli.residues([widest]).tolist() == _rows(moduli, [widest]).tolist()
     with pytest.raises(ValueError, match="limbs"):
         moduli.residues([widest + 1])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh(args, threads=None):
+    """Run `python args` on this checkout's sources in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    paths = [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_importing_the_package_defaults_openblas_to_one_thread(preset, expected):
+    code = "import os, ranktree; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(["-c", code], preset) == expected + "\n"
+
+
+def test_two_blas_threads_print_the_same_bytes():
+    # bounds --kmax 5 takes its largest products by residues
+    out = _fresh(["-m", "ranktree.cli", "bounds", "--kmax", "5"], "2")
+    assert out == (ROOT / "tests" / "golden" / "bounds-kmax5.json").read_text()
