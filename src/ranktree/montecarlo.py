@@ -8,22 +8,31 @@ The census runs as one numpy kernel on a chunk of trees at once.  The
 chunk's labels sit side by side in one flat int32 array, each row behind
 a sentinel larger than every label.  Every step is a whole-array
 operation: the nearest larger label on either side of each vertex (L, R)
-by binary lifting over window maxima; the subtree of a vertex is the open
-interval (L, R), so its size is R - L - 1 and its leaves are the local
-minima in it; its parent is whichever of L and R carries the smaller
-label.  Ranks are then filled in passes k = 0, 1, 2, ... from the leaves
-upwards, and per-tree totals come from bincount.
+by a few single steps, then binary lifting over window maxima for the
+bounds still short of it; the subtree of a vertex is the open interval
+(L, R), so its size is R - L - 1 and its leaves are the local minima in
+it; its parent is whichever of L and R carries the smaller label.  Ranks
+are then filled in passes k = 0, 1, 2, ... from the leaves upwards, and
+per-tree totals come from bincount.
 
-Cost: the search for L and R takes ceil(log2 n) rounds and O(n log n)
-work on any input.  Each rank pass touches only the vertices ranked in
-it, so the passes do O(n) work in all, but there is one pass per rank: a
-chunk of random permutations needs about 8 at n = 1000 and 11 at
-n = 10^6, a sorted permutation n.  So rank_census on one sorted
-permutation of 10^5 takes about 0.8 s, most of it per-pass numpy
-overhead, where a per-vertex walk takes about 0.2 s.  estimate() feeds
-the kernel chunks of about _CHUNK_LABELS labels, a fixed budget that
-sets its peak memory; a chunk holds at least one tree, so a single trial
-at n = 10^6 takes under a second and about 160 MB.
+Cost: the search for L and R takes _SHORT_STEPS = 3 single steps on
+each side, which settle a bound at distance at most 4: about 80 % of the
+bounds of a random permutation, since a vertex is the largest of its 5
+nearest labels on one side with probability 1/5.  Only the other, far
+bounds go through the ceil(log2 n) lifting rounds, so the search does
+O(n log n) work on any input.  The lifting needs no padding in front of
+the array: a window that would start before position 0 is read at a
+negative index, which wraps onto the array's tail, and every window
+there holds the closing sentinel, so the bound stays put.  Each rank
+pass touches only the vertices ranked in it, so the passes do O(n) work
+in all, but there is one pass per rank: a chunk of random permutations
+needs about 8 at n = 1000 and 11 at n = 10^6, a sorted permutation n.
+So rank_census on one sorted permutation of 10^5 takes about 0.8 s,
+most of it per-pass numpy overhead, where a per-vertex walk takes about
+0.2 s.  estimate() feeds the kernel chunks of about _CHUNK_LABELS =
+16,384 labels, a fixed budget that sets its peak memory: about 98 bytes
+a label, 1.6 MB a chunk.  A chunk holds at least one tree, so a single
+trial at n = 10^6 takes well under a second and about 157 MB.
 
 Reproducibility contract: estimate(n, trials, seed, ...) derives one
 PCG64 stream per trial from numpy's SeedSequence, so the report depends
@@ -59,10 +68,12 @@ __all__ = [
 
 NO_CHILD = -1
 
-# labels per census kernel call in estimate(); 4096 keeps the kernel's
-# arrays within a few hundred kB, and larger chunks buy fewer numpy calls
-# with peak memory
-_CHUNK_LABELS = 4096
+# labels per census kernel call in estimate(); 16,384 keeps the kernel's
+# arrays within about 1.6 MB (98 bytes a label), and larger chunks buy
+# fewer numpy calls with peak memory: 65,536 cost 9 MB more
+_CHUNK_LABELS = 16_384
+# single steps each bound takes before the far ones go to binary lifting
+_SHORT_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -131,26 +142,41 @@ def _nearest_larger(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the nearest larger label left and right of each vertex.
 
-    Binary lifting over window maxima: level k holds, at each position j,
-    the largest label in positions j .. j + 2^k - 1 (cut at the array end).
-    Each vertex starts its two bounds at its neighbours and, for k from the
-    top level down, moves a bound 2^k further out whenever the window it
-    would step over holds only smaller labels.  The sentinels stop every
-    row, so a bound moves at most n - 1 positions and ceil(log2 n) levels
-    suffice: O(n log n) work in that many rounds, whatever the input.
+    Each vertex starts its two bounds at its neighbours, and a bound moves
+    one position out while it sits on a smaller label: _SHORT_STEPS such
+    steps settle most bounds of a random permutation.  The bounds left on
+    a smaller label go on by binary lifting over window maxima: level k
+    holds, at each position j, the largest label in positions
+    j .. j + 2^k - 1 (cut at the array end), and for k from the top level
+    down a bound moves 2^k further out whenever the window it would step
+    over holds only smaller labels.  The sentinels stop every row, so a
+    bound moves at most n - 1 positions and ceil(log2 n) levels suffice.
+
+    A left window that would start before position 0 is read at a
+    negative index, which wraps onto the array's tail: every window
+    there holds the closing sentinel, larger than any label, so such a
+    bound stays put, as it must in front of the sentinel at position 0.
     """
+    lab = labels[vertices]
+    lpos, rpos = vertices - 1, vertices + 1
+    for _ in range(_SHORT_STEPS):
+        lpos -= labels[lpos] < lab
+        rpos += labels[rpos] < lab
+    lfar = np.flatnonzero(labels[lpos] < lab)
+    rfar = np.flatnonzero(labels[rpos] < lab)
     levels = [labels]
     for k in range(1, max(1, (n - 1).bit_length())):
         prev, s = levels[-1], 1 << (k - 1)
         level = prev.copy()
         np.maximum(prev[:-s], prev[s:], out=level[:-s])
         levels.append(level)
-    lab = labels[vertices]
-    lpos, rpos = vertices - 1, vertices + 1
+    lp, llab = lpos[lfar], lab[lfar]
+    rp, rlab = rpos[rfar], lab[rfar]
     for k in range(len(levels) - 1, -1, -1):
         level, s = levels[k], 1 << k
-        lpos -= s * (level[np.maximum(lpos - (s - 1), 0)] < lab)
-        rpos += s * (level[rpos] < lab)
+        lp -= s * (level[lp - (s - 1)] < llab)
+        rp += s * (level[rp] < rlab)
+    lpos[lfar], rpos[rfar] = lp, rp
     return lpos, rpos
 
 

@@ -1,6 +1,7 @@
 """Simulator: tree construction, census, greedy walk, seeded estimates."""
 
 import time
+import tracemalloc
 from dataclasses import asdict
 from itertools import permutations
 
@@ -94,7 +95,7 @@ def assert_kernel_matches_reference(perms):
     forest = mc._forest(perms)
     tot = mc._totals(forest)
     for row, perm in enumerate(perms.tolist()):
-        t = mc.build_tree(perm)
+        t = ref.build_tree_naive(perm)
         assert asdict(mc._census(tot, n, row)) == asdict(ref.rank_census(t)), perm
         first = row * (n + 1) + 1  # position of vertex 0 of this row
         span = slice(first, first + n)
@@ -137,17 +138,95 @@ def test_kernel_matches_reference_on_chains():
         assert mc.subtree_sizes(t) == ref.subtree_sizes(t)
 
 
+def nearest_larger_scan(labels: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """Nearest larger label left and right of every vertex of a flat chunk
+    (see montecarlo._Forest), scanning out from each vertex within its row."""
+    left, right = [], []
+    ends = np.flatnonzero(labels > n).tolist()
+    for a, b in zip(ends, ends[1:]):
+        row = labels[a : b + 1]
+        for i in range(1, b - a):
+            larger = row > row[i]
+            left.append(a + i - 1 - int(np.argmax(larger[i - 1 :: -1])))
+            right.append(a + i + 1 + int(np.argmax(larger[i + 1 :])))
+    return left, right
+
+
+def assert_bounds_match_scan(perms):
+    labels, vertices, lpos, rpos, n = mc._bounds(perms)
+    assert vertices.tolist() == np.flatnonzero(labels <= n).tolist()
+    assert (lpos.tolist(), rpos.tolist()) == nearest_larger_scan(labels, n)
+
+
+def test_nearest_larger_at_the_seam_of_short_steps_and_lifting():
+    # vertex 5 of each row has its nearest larger label at distance d on
+    # the left and e on the right, 1..5 or the row's sentinel at 6: bounds
+    # settled by each of the short steps, and just past them
+    n, v, rows = 11, 5, []
+    for d in range(1, 7):
+        for e in range(1, 7):
+            larger = [p for p in (v - d, v + e) if 0 <= p < n]
+            row = [0] * n
+            row[v] = n - len(larger)
+            for i, p in enumerate(larger):
+                row[p] = row[v] + 1 + i
+            rest = iter(range(1, n))
+            rows.append([x or next(rest) for x in row])
+            _, _, lpos, rpos, _ = mc._bounds([rows[-1]])
+            assert (v + 1 - lpos[v], rpos[v] - v - 1) == (d, e)
+    assert_bounds_match_scan(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_nearest_larger_on_all_small_permutations(n):
+    assert_bounds_match_scan(list(permutations(range(1, n + 1))))
+
+
+def staircase(n: int, step: int) -> list[int]:
+    """Decreasing runs of ``step`` labels, each run above the one before."""
+    return [x for top in range(step, n + step, step) for x in range(min(top, n), top - step, -1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 100, 1024, 1025, 5000])
+def test_nearest_larger_on_chains(n):
+    # row 0 rises, so its far left bounds end on the sentinel at position 0
+    # and the lifting reads windows before it; the last row falls, so its
+    # right bounds end on the closing sentinel
+    up = list(range(1, n + 1))
+    perms = [up, staircase(n, 3), staircase(n, 7), up[-2::-1] + [n], up[::-1]]
+    assert_bounds_match_scan(perms)
+
+
 def test_one_tree_census_is_fast_on_long_runs():
     # every peak of the second run lies beyond m/2 smaller peaks of the
     # first: a search moving one candidate per round takes m/2 rounds over
-    # m/2 vertices here, about a minute at this n; binary lifting takes
-    # 18 rounds
+    # m/2 vertices here, about a minute at this n.  The short steps settle
+    # the leaves and one side of every peak; binary lifting takes the
+    # other side in 18 rounds
     t = mc.build_tree(peaks_and_leaves(50_000))
     start = time.perf_counter()
     census, sizes = mc.rank_census(t), mc.subtree_sizes(t)
     assert time.perf_counter() - start < 2.0
     assert census == ref.rank_census(t)
     assert sizes == ref.subtree_sizes(t)
+
+
+def test_census_memory_per_label_on_a_full_chunk():
+    # one kernel call on a full chunk at n = 1000 peaks at 98 bytes per
+    # label (about 1.57 MB at 16,016 labels): the arrays the kernel holds
+    # at once.  One more intp array over the chunk, 8 bytes a label, breaks
+    # the budget
+    n = 1000
+    trees = mc._CHUNK_LABELS // (n + 1)
+    rng = np.random.default_rng(7)
+    perms = np.stack([rng.permutation(n) for _ in range(trees)]) + 1
+    tracemalloc.start()
+    try:
+        mc._totals(mc._forest(perms), 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (trees * (n + 1)) < 104
 
 
 def test_greedy_walk_bounds():
@@ -215,9 +294,11 @@ def test_estimate_rejects_bad_trials():
         mc.estimate(10, 0, seed=0)
 
 
-@pytest.mark.parametrize("n, trials", [(40, 30), (200, 64)])
+@pytest.mark.parametrize("n, trials", [(40, 30), (200, 64), (1000, 37)])
 def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch, n, trials):
+    # (1000, 37) at the default size: two full chunks and a partial one
+    default = mc.estimate(n, trials, seed=12).to_dict()
     monkeypatch.setattr(mc, "_CHUNK_LABELS", 1)  # one trial per chunk
-    one_by_one = mc.estimate(n, trials, seed=12).to_dict()
+    assert mc.estimate(n, trials, seed=12).to_dict() == default
     monkeypatch.setattr(mc, "_CHUNK_LABELS", trials * (n + 1))  # all at once
-    assert mc.estimate(n, trials, seed=12).to_dict() == one_by_one
+    assert mc.estimate(n, trials, seed=12).to_dict() == default
