@@ -191,8 +191,15 @@ def _within(stat, exact, sigmas: float = 4.0) -> bool:
     return abs(stat.mean - float(exact)) <= slack
 
 
+def _estimate(n: int, trials: int, seed: int, kmax: int) -> montecarlo.EstimateReport:
+    # each window is a multiple of the standard error, which needs two trials
+    if trials < 2:
+        raise ValueError("the simulation checks need trials >= 2")
+    return montecarlo.estimate(n, trials, seed, kmax)
+
+
 def simulation_rank_fractions(n: int, trials: int, seed: int) -> Check:
-    rep = montecarlo.estimate(n, trials, seed, kmax=3)
+    rep = _estimate(n, trials, seed, kmax=3)
     counts = oracle.expected_rank_counts(n, 3)
     ok = all(_within(rep[f"rank_fraction/{k}"], counts[k] / n) for k in range(4))
     ok = ok and _within(rep["leaf_fraction"], counts[0] / n)
@@ -200,7 +207,7 @@ def simulation_rank_fractions(n: int, trials: int, seed: int) -> Check:
 
 
 def simulation_root_rank(trials: int, seed: int) -> Check:
-    rep = montecarlo.estimate(200, trials, seed, kmax=3)
+    rep = _estimate(200, trials, seed, kmax=3)
     ok = all(
         _within(rep[f"root_rank_freq/{k}"], oracle.root_rank_prob(200, k)) for k in range(4)
     )
@@ -208,7 +215,7 @@ def simulation_root_rank(trials: int, seed: int) -> Check:
 
 
 def simulation_greedy_walk(trials: int, seed: int) -> Check:
-    rep = montecarlo.estimate(30, trials, seed, kmax=5)
+    rep = _estimate(30, trials, seed, kmax=5)
     ok = all(
         _within(rep[f"greedy_gt/{k}"], genfun.greedy_tail_gf(k).series(30)[30])
         for k in range(6)

@@ -2,7 +2,8 @@
 
 A permutation p of 1..n maps to the tree whose root carries the largest
 label, with the left/right subtrees built from the substrings on either
-side.  A single tree is stored as flat child-index arrays (build_tree).
+side.  No child pointers are stored: the subtree of a vertex is an
+interval of positions, and the root of a subtree its largest label.
 
 The census runs as one numpy kernel on a chunk of trees at once.  The
 chunk's labels sit side by side in one flat int32 array, each row behind
@@ -27,11 +28,11 @@ there holds the closing sentinel, so the bound stays put.  Each rank
 pass touches only the vertices ranked in it, so the passes do O(n) work
 in all, but there is one pass per rank: a chunk of random permutations
 needs about 8 at n = 1000 and 11 at n = 10^6, a sorted permutation n.
-So rank_census on one sorted permutation of 10^5 takes about 0.8 s,
-most of it per-pass numpy overhead, where a per-vertex walk takes about
+So the kernel on one sorted permutation of 10^5 takes about 0.8 s, most
+of it per-pass numpy overhead, where a per-vertex walk takes about
 0.2 s.  estimate() feeds the kernel chunks of about _CHUNK_LABELS =
-16,384 labels, a fixed budget that sets its peak memory: about 98 bytes
-a label, 1.6 MB a chunk.  A chunk holds at least one tree, so a single
+16,384 labels, a fixed budget that sets its peak memory: about 80 bytes
+a label, 1.3 MB a chunk.  A chunk holds at least one tree, so a single
 trial at n = 10^6 takes well under a second and about 157 MB.
 
 Reproducibility contract: estimate(n, trials, seed, ...) derives one
@@ -54,64 +55,14 @@ import numpy as np
 
 from .genfun import InternalInconsistency
 
-__all__ = [
-    "DecreasingTree",
-    "CensusReport",
-    "StatSummary",
-    "EstimateReport",
-    "build_tree",
-    "rank_census",
-    "greedy_path_length",
-    "subtree_sizes",
-    "estimate",
-]
-
-NO_CHILD = -1
+__all__ = ["StatSummary", "EstimateReport", "estimate"]
 
 # labels per census kernel call in estimate(); 16,384 keeps the kernel's
-# arrays within about 1.6 MB (98 bytes a label), and larger chunks buy
+# arrays within about 1.3 MB (80 bytes a label), and larger chunks buy
 # fewer numpy calls with peak memory: 65,536 cost 9 MB more
 _CHUNK_LABELS = 16_384
 # single steps each bound takes before the far ones go to binary lifting
 _SHORT_STEPS = 3
-
-
-@dataclass(frozen=True)
-class DecreasingTree:
-    """Flat tree: vertex i is position i of the permutation, label perm[i]."""
-
-    n: int
-    labels: tuple[int, ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    root: int
-
-
-def _validate(perm) -> list[int]:
-    perm = list(perm)
-    n = len(perm)
-    if n < 1 or sorted(perm) != list(range(1, n + 1)):
-        raise ValueError("input must be a permutation of 1..n")
-    return perm
-
-
-def build_tree(perm) -> DecreasingTree:
-    """The tree of one permutation, read off the census kernel's forest."""
-    perm = _validate(perm)
-    forest = _forest([perm])
-    n = len(perm)
-
-    def vertices(children: np.ndarray) -> tuple[int, ...]:  # positions minus one
-        row = children[1 : n + 1]
-        return tuple(np.where(row == NO_CHILD, NO_CHILD, row - 1).tolist())
-
-    return DecreasingTree(
-        n=n,
-        labels=tuple(perm),
-        left=vertices(forest.left),
-        right=vertices(forest.right),
-        root=int(forest.roots[0]) - 1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +74,11 @@ class _Forest(NamedTuple):
 
     Position t*(n+1) is the sentinel in front of row t, and vertex i of
     row t sits at t*(n+1) + 1 + i; one more sentinel closes the array.
-    Child entries are positions, or NO_CHILD.  Entries at sentinels are
-    meaningless.
+    The per-vertex entries at sentinels are meaningless.
     """
 
     n: int
-    left: np.ndarray
-    right: np.ndarray
-    size: np.ndarray     # vertices in the subtree
+    labels: np.ndarray   # the flat labels, sentinels n + 1 included
     rank: np.ndarray     # distance to the nearest leaf
     leaves: np.ndarray   # leaves in the subtree
     closest: np.ndarray  # leaves at distance rank
@@ -195,21 +143,15 @@ def _forest(perms) -> _Forest:
     labels, vertices, lpos, rpos, n = _bounds(perms)
     llab, rlab = labels[lpos], labels[rpos]
 
-    # the subtree of a vertex is the open interval (L, R); the parent is the
-    # smaller of the two bounding labels, and both are sentinels at a root
-    size = np.zeros(labels.size, dtype=np.int32)
-    size[vertices] = rpos - lpos - 1
-    lchild, rchild = rlab < llab, llab < rlab  # child of R / of L
+    # the subtree of a vertex is the open interval (L, R), a leaf's holds
+    # only the vertex; the parent is the smaller of the two bounding labels,
+    # and both are sentinels at a root
     parent = np.zeros(labels.size, dtype=np.intp)
-    parent[vertices] = np.where(rchild, lpos, rpos)
-    is_lchild = np.zeros(labels.size, dtype=bool)
-    is_lchild[vertices] = lchild
-    left = np.full(labels.size, NO_CHILD, dtype=np.intp)
-    right = np.full(labels.size, NO_CHILD, dtype=np.intp)
-    left[rpos[lchild]] = vertices[lchild]
-    right[lpos[rchild]] = vertices[rchild]
+    parent[vertices] = np.where(llab < rlab, lpos, rpos)
+    is_lchild = np.zeros(labels.size, dtype=bool)  # the child of R
+    is_lchild[vertices] = rlab < llab
 
-    leaf_pos = vertices[size[vertices] == 1]
+    leaf_pos = vertices[rpos - lpos == 2]
     prefix = np.zeros(labels.size, dtype=np.int32)
     prefix[leaf_pos] = 1
     np.cumsum(prefix, out=prefix)
@@ -245,7 +187,7 @@ def _forest(perms) -> _Forest:
         rank[frontier] = k
 
     roots = vertices[llab == rlab]
-    return _Forest(n, left, right, size, rank, leaves, closest, roots)
+    return _Forest(n, labels, rank, leaves, closest, roots)
 
 
 class _Totals(NamedTuple):
@@ -281,77 +223,29 @@ def _totals(forest: _Forest, min_ranks: int = 1) -> _Totals:
     )
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """Per-tree totals for one sampled tree."""
+def _greedy_walk(labels: np.ndarray, lo: int, hi: int, rng) -> int:
+    """Length of the randomized greedy walk down the tree of labels[lo+1:hi].
 
-    n: int
-    rank_counts: dict[int, int]          # V_{n,k}
-    leaf_count: int                      # L_n = V_{n,0}
-    root_rank: int                       # S_n
-    leaf_pair_counts: dict[int, int]     # rank-k vertex x descendant leaf
-    closest_pair_counts: dict[int, int]  # rank-k vertex x closest leaf
-
-
-def _census(tot: _Totals, n: int, row: int = 0) -> CensusReport:
-    """The totals of one tree of a chunk as a CensusReport."""
-    counts, leaf_pairs, closest_pairs = (
-        a[row].tolist() for a in (tot.rank_counts, tot.leaf_pairs, tot.closest_pairs)
-    )
-    ranks = [k for k, c in enumerate(counts) if c]
-    return CensusReport(
-        n=n,
-        rank_counts={k: counts[k] for k in ranks},
-        leaf_count=counts[0],
-        root_rank=int(tot.root_rank[row]),
-        leaf_pair_counts={k: leaf_pairs[k] for k in ranks},
-        closest_pair_counts={k: closest_pairs[k] for k in ranks},
-    )
-
-
-def rank_census(t: DecreasingTree) -> CensusReport:
-    """Every per-vertex statistic of one tree, through the batched kernel.
-
-    rank(leaf) = 0, rank(v) = 1 + min over existing children; the
-    closest-leaf count of v adds up the counts of the children achieving
-    the minimum.
+    The walk starts at the root, the largest label between the sentinels
+    at lo and hi.  A vertex v whose subtree is the open interval (lo, hi)
+    has a left subtree of v - lo - 1 vertices and a right one of
+    hi - v - 1, each rooted at the largest label on its side.  At a
+    branching vertex one subtree is deleted with probability proportional
+    to its size and the walk descends into the other one; a lone child is
+    followed deterministically.  A step scans the subtree it enters, so a
+    walk down a sorted row costs O(n^2); a random one is short.
     """
-    return _census(_totals(_forest([t.labels])), t.n)
-
-
-def subtree_sizes(t: DecreasingTree) -> list[int]:
-    _, _, lpos, rpos, _ = _bounds([t.labels])
-    return (rpos - lpos - 1).tolist()
-
-
-def _greedy_walk(left, right, size, v, rng) -> int:
-    """The greedy walk from v over child and size arrays (see greedy_path_length)."""
-    length = 0
-    while True:
-        l, r = left[v], right[v]
-        if l == NO_CHILD and r == NO_CHILD:
-            return length
-        if l == NO_CHILD:
-            v = r
-        elif r == NO_CHILD:
-            v = l
+    visited = 0
+    while hi - lo > 1:
+        v = lo + 1 + int(labels[lo + 1 : hi].argmax())
+        sl, sr = v - lo - 1, hi - v - 1
+        # delete the left subtree with probability sl/(sl+sr)
+        if sr and (not sl or rng.random() * (sl + sr) < sl):
+            lo = v  # into the right subtree, (v, hi)
         else:
-            sl, sr = size[l], size[r]
-            # delete the left subtree with probability sl/(sl+sr)
-            v = r if rng.random() * (sl + sr) < sl else l
-        length += 1
-
-
-def greedy_path_length(t: DecreasingTree, rng, sizes: list[int] | None = None) -> int:
-    """Length of the randomized greedy root-to-leaf walk.
-
-    At a branching vertex one subtree is deleted with probability
-    proportional to its size and the walk descends into the other one;
-    a lone child is followed deterministically.
-    """
-    if sizes is None:
-        sizes = subtree_sizes(t)
-    return _greedy_walk(t.left, t.right, sizes, t.root, rng)
+            hi = v  # into the left one, (lo, v); past a leaf, empty
+        visited += 1
+    return visited - 1
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +377,22 @@ def estimate(n: int, trials: int, seed: int, kmax: int = 5) -> EstimateReport:
     have a vertex of rank k.  Trials run in chunks of about _CHUNK_LABELS
     labels through the census kernel; the report does not depend on it.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    per_chunk = max(1, _CHUNK_LABELS // (n + 1))
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    width = n + 1
+    per_chunk = max(1, _CHUNK_LABELS // width)
     acc = None
     for first in range(0, trials, per_chunk):
         rngs = [trial_rng(seed, t) for t in range(first, min(first + per_chunk, trials))]
         forest = _forest(np.stack([rng.permutation(n) for rng in rngs]) + 1)
         tot = _totals(forest, kmax + 1)
         glen = np.array([
-            _greedy_walk(forest.left, forest.right, forest.size, root, rng)
-            for root, rng in zip(forest.roots, rngs)
+            _greedy_walk(forest.labels, row * width, (row + 1) * width, rng)
+            for row, rng in enumerate(rngs)
         ])
         if np.any(glen < tot.root_rank):
             raise InternalInconsistency("greedy walk shorter than the root rank")

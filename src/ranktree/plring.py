@@ -284,14 +284,13 @@ class PLExpr:
     def __pow__(self, n: int) -> "PLExpr":
         if n < 0:
             raise ValueError("negative powers of PLExpr are not defined")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return ONE
+        if n == 1:  # the first factor itself, not ONE times it
+            return self
+        half = self ** (n // 2)
+        square = half * half
+        return square * self if n & 1 else square
 
     # -- calculus ----------------------------------------------------------
 

@@ -54,3 +54,17 @@ def test_ode_residuals_fails_on_a_perturbed_memo_entry(monkeypatch):
     monkeypatch.setattr(genfun, "_CACHE", {})
     genfun.cache_insert("root_rank", 1, wrong)
     assert checks.ode_residuals()[1] is False
+
+
+@pytest.mark.parametrize(
+    "check,args",
+    [
+        (checks.simulation_rank_fractions, (50, 1, 0)),
+        (checks.simulation_root_rank, (1, 0)),
+        (checks.simulation_greedy_walk, (1, 0)),
+    ],
+)
+def test_simulation_checks_refuse_fewer_than_two_trials(check, args):
+    # a one-trial summary has no standard error to set the window
+    with pytest.raises(ValueError, match="trials >= 2"):
+        check(*args)

@@ -2,7 +2,6 @@
 
 import time
 import tracemalloc
-from dataclasses import asdict
 from itertools import permutations
 
 import numpy as np
@@ -13,36 +12,50 @@ from ranktree import montecarlo as mc
 from ranktree import genfun, oracle
 
 
-def test_build_tree_single_vertex():
-    t = mc.build_tree([1])
-    assert t.n == 1 and t.root == 0
-    assert t.left == (mc.NO_CHILD,) and t.right == (mc.NO_CHILD,)
+def census_of_row(tot, n: int, row: int = 0) -> ref.Census:
+    """The kernel's totals of one tree of a chunk, as a reference record."""
+    counts, leaf_pairs, closest_pairs = (
+        a[row].tolist() for a in (tot.rank_counts, tot.leaf_pairs, tot.closest_pairs)
+    )
+    ranks = [k for k, c in enumerate(counts) if c]
+    return ref.Census(
+        n=n,
+        rank_counts={k: counts[k] for k in ranks},
+        leaf_count=counts[0],
+        root_rank=int(tot.root_rank[row]),
+        leaf_pair_counts={k: leaf_pairs[k] for k in ranks},
+        closest_pair_counts={k: closest_pairs[k] for k in ranks},
+    )
 
 
-def test_build_tree_rejects_non_permutations():
-    for bad in ([], [0, 1], [1, 1], [2, 3]):
-        with pytest.raises(ValueError):
-            mc.build_tree(bad)
+def kernel_census(perm) -> ref.Census:
+    return census_of_row(mc._totals(mc._forest([perm])), len(perm))
+
+
+def kernel_sizes(perms) -> np.ndarray:
+    """Subtree sizes R - L - 1 of every vertex, one row per permutation."""
+    _, _, lpos, rpos, n = mc._bounds(perms)
+    return (rpos - lpos - 1).reshape(-1, n)
 
 
 def test_build_tree_matches_naive_on_all_small_permutations():
     for n in range(1, 7):
         for perm in permutations(range(1, n + 1)):
-            assert mc.build_tree(perm) == ref.build_tree_naive(perm)
+            assert ref.build_tree_stack(perm) == ref.build_tree_naive(perm)
 
 
 def test_tree_is_heap_ordered_and_in_order():
     perm = [3, 1, 4, 7, 2, 6, 5]
-    t = mc.build_tree(perm)
+    t = ref.build_tree_naive(perm)
     for v in range(t.n):
         for ch in (t.left[v], t.right[v]):
-            if ch != mc.NO_CHILD:
+            if ch != ref.NO_CHILD:
                 assert t.labels[ch] < t.labels[v]
     # in-order traversal recovers positions left to right
     order = []
 
     def walk(v):
-        if v == mc.NO_CHILD:
+        if v == ref.NO_CHILD:
             return
         walk(t.left[v])
         order.append(v)
@@ -53,16 +66,14 @@ def test_tree_is_heap_ordered_and_in_order():
 
 
 def test_census_chain_and_balanced():
-    chain = mc.rank_census(mc.build_tree([4, 3, 2, 1]))
+    chain = kernel_census([4, 3, 2, 1])
     assert chain.root_rank == 3
     assert chain.rank_counts == {0: 1, 1: 1, 2: 1, 3: 1}
     assert chain.leaf_count == 1
-    balanced = mc.rank_census(mc.build_tree([2, 7, 1, 5, 3, 6, 4]))
-    assert balanced.leaf_count == sum(
-        1
-        for v in range(7)
-        if mc.build_tree([2, 7, 1, 5, 3, 6, 4]).left[v] == mc.NO_CHILD
-        and mc.build_tree([2, 7, 1, 5, 3, 6, 4]).right[v] == mc.NO_CHILD
+    perm = [2, 7, 1, 5, 3, 6, 4]
+    t = ref.build_tree_naive(perm)
+    assert kernel_census(perm).leaf_count == sum(
+        1 for v in range(7) if t.left[v] == t.right[v] == ref.NO_CHILD
     )
 
 
@@ -70,8 +81,7 @@ def test_census_totals_are_consistent():
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(1, 60))
-        perm = (rng.permutation(n) + 1).tolist()
-        census = mc.rank_census(mc.build_tree(perm))
+        census = kernel_census((rng.permutation(n) + 1).tolist())
         assert sum(census.rank_counts.values()) == n
         assert census.leaf_count == census.rank_counts.get(0, 0)
         # every leaf is someone's descendant leaf; the root contributes all
@@ -82,9 +92,8 @@ def test_census_totals_are_consistent():
 
 def test_subtree_sizes_sum():
     perm = [5, 2, 6, 1, 9, 3, 8, 4, 7]
-    t = mc.build_tree(perm)
-    sizes = mc.subtree_sizes(t)
-    assert sizes[t.root] == t.n
+    sizes = kernel_sizes([perm])[0]
+    assert sizes[perm.index(9)] == len(perm)
     assert min(sizes) == 1
 
 
@@ -94,15 +103,12 @@ def assert_kernel_matches_reference(perms):
     n = perms.shape[1]
     forest = mc._forest(perms)
     tot = mc._totals(forest)
+    sizes = kernel_sizes(perms)
     for row, perm in enumerate(perms.tolist()):
         t = ref.build_tree_naive(perm)
-        assert asdict(mc._census(tot, n, row)) == asdict(ref.rank_census(t)), perm
-        first = row * (n + 1) + 1  # position of vertex 0 of this row
-        span = slice(first, first + n)
-        assert forest.size[span].tolist() == ref.subtree_sizes(t), perm
-        for got, want in ((forest.left, t.left), (forest.right, t.right)):
-            assert [c if c == mc.NO_CHILD else c - first for c in got[span].tolist()] == list(want)
-        assert forest.roots[row] - first == t.root
+        assert census_of_row(tot, n, row) == ref.rank_census(t), perm
+        assert sizes[row].tolist() == ref.subtree_sizes(t), perm
+        assert forest.roots[row] - (row * (n + 1) + 1) == t.root
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -132,10 +138,6 @@ def test_kernel_matches_reference_on_chains():
     up = list(range(1, n + 1))
     perms = [up, up[::-1], up[-2::-1] + [n], peaks_and_leaves(n // 4)]
     assert_kernel_matches_reference(perms)
-    for perm in perms:
-        t = mc.build_tree(perm)
-        assert mc.rank_census(t) == ref.rank_census(t)
-        assert mc.subtree_sizes(t) == ref.subtree_sizes(t)
 
 
 def nearest_larger_scan(labels: np.ndarray, n: int) -> tuple[list[int], list[int]]:
@@ -203,17 +205,18 @@ def test_one_tree_census_is_fast_on_long_runs():
     # m/2 vertices here, about a minute at this n.  The short steps settle
     # the leaves and one side of every peak; binary lifting takes the
     # other side in 18 rounds
-    t = mc.build_tree(peaks_and_leaves(50_000))
+    perm = peaks_and_leaves(50_000)
     start = time.perf_counter()
-    census, sizes = mc.rank_census(t), mc.subtree_sizes(t)
+    tot = mc._totals(mc._forest([perm]))
     assert time.perf_counter() - start < 2.0
-    assert census == ref.rank_census(t)
-    assert sizes == ref.subtree_sizes(t)
+    t = ref.build_tree_stack(perm)
+    assert census_of_row(tot, len(perm)) == ref.rank_census(t)
+    assert kernel_sizes([perm])[0].tolist() == ref.subtree_sizes(t)
 
 
 def test_census_memory_per_label_on_a_full_chunk():
-    # one kernel call on a full chunk at n = 1000 peaks at 98 bytes per
-    # label (about 1.57 MB at 16,016 labels): the arrays the kernel holds
+    # one kernel call on a full chunk at n = 1000 peaks at 80 bytes per
+    # label (about 1.28 MB at 16,016 labels): the arrays the kernel holds
     # at once.  One more intp array over the chunk, 8 bytes a label, breaks
     # the budget
     n = 1000
@@ -226,23 +229,65 @@ def test_census_memory_per_label_on_a_full_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (trees * (n + 1)) < 104
+    assert peak / (trees * (n + 1)) < 86
+
+
+def kernel_walks(perms, seed: int) -> list[tuple[int, float]]:
+    """Greedy walk of every row of one kernel call, each on its own stream,
+    with the stream's next draw after it."""
+    perms = np.asarray(perms)
+    width = perms.shape[1] + 1
+    labels = mc._forest(perms).labels
+    out = []
+    for row in range(len(perms)):
+        rng = np.random.default_rng([seed, row])
+        out.append((mc._greedy_walk(labels, row * width, (row + 1) * width, rng), rng.random()))
+    return out
+
+
+def reference_walks(perms, seed: int) -> list[tuple[int, float]]:
+    out = []
+    for row, perm in enumerate(np.asarray(perms).tolist()):
+        rng = np.random.default_rng([seed, row])
+        out.append((ref.greedy_walk(ref.build_tree_naive(perm), rng), rng.random()))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_greedy_walk_matches_reference_on_all_small_permutations(n):
+    perms = list(permutations(range(1, n + 1)))
+    for seed in range(4):
+        assert kernel_walks(perms, seed) == reference_walks(perms, seed)
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+def test_greedy_walk_matches_reference_on_a_random_chunk(n):
+    rng = np.random.default_rng(2025)
+    perms = [rng.permutation(n) + 1 for _ in range(mc._CHUNK_LABELS // (n + 1))]
+    assert kernel_walks(perms, 3) == reference_walks(perms, 3)
+
+
+def test_greedy_walk_matches_reference_on_chains():
+    # small: a step scans the subtree it enters, O(n^2) on a sorted row
+    n = 60
+    up = list(range(1, n + 1))
+    perms = [up, up[::-1], up[-2::-1] + [n], peaks_and_leaves(n // 4), staircase(n, 7)]
+    assert kernel_walks(perms, 1) == reference_walks(perms, 1)
 
 
 def test_greedy_walk_bounds():
     rng = np.random.default_rng(5)
     for _ in range(40):
         n = int(rng.integers(1, 80))
-        t = mc.build_tree((rng.permutation(n) + 1).tolist())
-        census = mc.rank_census(t)
-        glen = mc.greedy_path_length(t, rng)
-        assert census.root_rank <= glen <= n - 1
+        forest = mc._forest([rng.permutation(n) + 1])
+        glen = mc._greedy_walk(forest.labels, 0, n + 1, rng)
+        assert mc._totals(forest).root_rank[0] <= glen <= n - 1
 
 
 def test_greedy_walk_deterministic_on_chain():
-    t = mc.build_tree([4, 3, 2, 1])
-    rng = np.random.default_rng(0)
-    assert mc.greedy_path_length(t, rng) == 3
+    for perm in ([4, 3, 2, 1], [1, 2, 3, 4]):
+        labels = mc._forest([perm]).labels
+        assert mc._greedy_walk(labels, 0, 5, np.random.default_rng(0)) == 3
 
 
 def test_trial_streams_are_independent_of_order():
@@ -292,6 +337,16 @@ def test_estimate_emits_expected_statistic_names():
 def test_estimate_rejects_bad_trials():
     with pytest.raises(ValueError):
         mc.estimate(10, 0, seed=0)
+
+
+def test_estimate_rejects_bad_n():
+    with pytest.raises(ValueError, match="n must be"):
+        mc.estimate(0, 5, seed=0)
+
+
+def test_estimate_rejects_bad_kmax():
+    with pytest.raises(ValueError, match="kmax must be"):
+        mc.estimate(10, 5, seed=0, kmax=-1)
 
 
 @pytest.mark.parametrize("n, trials", [(40, 30), (200, 64), (1000, 37)])

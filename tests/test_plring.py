@@ -187,6 +187,20 @@ def test_power_operator():
     assert (U + ONE) ** 0 == ONE
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_power_makes_one_product_per_square_and_factor(monkeypatch, n, products):
+    # the result starts from the first factor: x ** 2 is the square alone
+    x = U + V
+    want = ONE
+    for _ in range(n):
+        want = want * x
+    calls = []
+    mul = PLExpr.__mul__
+    monkeypatch.setattr(PLExpr, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert x**n == want
+    assert len(calls) == products
+
+
 # -- the integer-numerator kernel against the dict-of-Fraction reference -----
 
 fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
