@@ -123,11 +123,11 @@ def ode_residuals() -> Check:
 
 
 def _series_agree(gf, dp, ks: range, order: int) -> bool:
-    """Coefficients 1..order of gf(k) equal the exact DP values dp(n, k), k in ks."""
+    """Coefficients 0..order of gf(k) equal the exact DP values dp(n, k), k in ks."""
     for k in ks:
         coeffs = gf(k).series(order)
         # largest n first: the DP's tables then grow once, not once per n
-        if any(coeffs[n] != dp(n, k) for n in range(order, 0, -1)):
+        if any(coeffs[n] != dp(n, k) for n in range(order, -1, -1)):
             return False
     return True
 
@@ -137,7 +137,7 @@ def cdf_series_vs_oracle(kmax: int, order: int) -> Check:
         return 1 - oracle.root_rank_tail(n, k)
 
     ok = _series_agree(genfun.root_rank_cdf_gf, cdf_by_dp, range(kmax + 1), order)
-    return "cdf-series-vs-oracle", ok, f"k <= {kmax}, coefficients 1..{order}"
+    return "cdf-series-vs-oracle", ok, f"k <= {kmax}, coefficients 0..{order}"
 
 
 # (levels k, order) of the pair families' series checks

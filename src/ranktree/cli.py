@@ -409,11 +409,13 @@ def cmd_verify(args) -> int:
 
 
 def _rho(text: str) -> str:
-    """--rho as given, once it parses: a bad value is a usage error before any work."""
+    """--rho as given, once it parses as a positive rational: else a usage error before any work."""
     try:
-        checks.parse_rational(text)
+        value = checks.parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {text}")
     return text
 
 

@@ -86,7 +86,7 @@ def _root_rank_rhs(k: int) -> PLExpr:
     # routes to c_k share no generating function
     prev = root_rank_gf(k - 1)
     below = sum((root_rank_gf(j) for j in range(k - 1)), ZERO)
-    return 2 * prev * (UINV - below) - prev * prev
+    return prev * (2 * (UINV - below) - prev)
 
 
 def _greedy_tail_rhs(k: int) -> PLExpr:

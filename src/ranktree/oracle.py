@@ -91,7 +91,7 @@ def max_root_rank(n: int) -> int:
 
 
 class _Basis:
-    """The moduli for tables up to size cap, and the per-size constants.
+    """The moduli for tables up to size cap = n, and the per-size constants.
 
     q is the moduli's q, the CRT primes then the check prime; fact[m],
     inv[m] and inv2[m] are m!, 1/m and 2/m modulo each of them, and
@@ -100,15 +100,11 @@ class _Basis:
 
     def __init__(self, n: int):
         self.moduli = moduli = Moduli(max(n, 1) * math.factorial(n))
-        cap, fact = n, math.factorial(n)
-        while (cap + 1) ** 2 * fact <= moduli.half:  # (cap+1)·(cap+1)! <= M/2
-            cap += 1
-            fact *= cap
-        if moduli.check <= cap + 2:
+        if moduli.check <= n + 2:
             raise ValueError("n is too large for primes below 2^26")
-        self.cap = cap
+        self.cap = n
         self.q = q = moduli.q
-        size = cap + 3
+        size = n + 3  # inv[3], read for E[L_n], exists from n = 1 on
         fact = np.ones((size, len(q)), np.int64)
         for m in range(1, size):
             fact[m] = fact[m - 1] * m % q
@@ -120,7 +116,7 @@ class _Basis:
         self.inv = np.zeros_like(fact)
         self.inv[1:] = inv_fact[1:] * fact[:-1] % q
         self.inv2 = 2 * self.inv % q
-        self.w = self.inv[1 : cap + 2] * self.inv[2 : cap + 3] % q
+        self.w = self.inv[1 : n + 2] * self.inv[2 : n + 3] % q
 
     def ones(self, rows: int) -> np.ndarray:
         return np.ones((rows, len(self.q)), np.int64)

@@ -16,29 +16,31 @@ denominator: a map (b, c) -> int and a positive int ``den``.  The form is
 canonical: every numerator is nonzero, gcd(den, *numerators) == 1, and
 zero is the empty map over 1.  Equality and hashing therefore compare the
 two parts directly.  A product multiplies integers only and reduces once
-over its output; a sum rescales both sides to the lcm of their
-denominators; the calculus operations scale numerators by integer
-factors.  ``antiderivative`` reduces each column of b against its own
-(b+1)^(t+1), t its top power of v, and each b = -1 term against its
-c+1, and puts the columns over the lcm of what is left, not over the lcm
-of every (b+1)^(t+1).  The canonical reduction finds gcd(den,
-*numerators) by a checked combination: the gcd of den with two weighted
-sums of the numerators is a multiple of the true gcd, and each numerator
-it does not divide is taken into it, so it ends exact.  ``series`` is
-Taylor's formula on the ring's own derivative: it differentiates the raw
-numerators ``order`` times over the same denominator, and coefficient j
-is the v-free part of the j-th derivative over den·j!.  No rational is
-formed per term inside the kernel: ``terms``, ``coeff``, iteration and
-the scalar results (``value_at_0``, ``integral01``, ``series``) hand out
-reduced Rationals built from the integer parts.
+over its output; a sum or a difference rescales both sides to the lcm of
+their denominators in one pass, the sign of a difference folded into the
+right side's factor, so no negated copy is made; the calculus operations
+scale numerators by integer factors.  ``antiderivative`` reduces each
+column of b against its own (b+1)^(t+1), t its top power of v, and each
+b = -1 term against its c+1, and puts the columns over the lcm of what is
+left, not over the lcm of every (b+1)^(t+1).  The canonical reduction
+finds gcd(den, *numerators) by a checked combination: the gcd of den with
+two weighted sums of the numerators is a multiple of the true gcd, and
+each numerator it does not divide is taken into it, so it ends exact.
+``series`` is Taylor's formula on the ring's own derivative: it
+differentiates the raw numerators ``order`` times over the same
+denominator, and coefficient j is the v-free part of the j-th derivative
+over den·j!.  No rational is formed per term inside the kernel:
+``terms``, ``coeff``, iteration and the scalar results (``value_at_0``,
+``integral01``, ``series``) hand out reduced Rationals built from the
+integer parts.
 
 Products.  A product of two term maps takes one of two routes, with the
 same result to the last bit; both end in the same canonical reduction.
 
-* Short operands go through a double loop over the terms, each square
-  visiting every cross pair once.  Below _RESIDUE_PAIRS term pairs this is
-  the faster route.  A product by a single term always takes it, however
-  long the other operand.
+* Short operands go through one double loop over the terms, squares
+  included.  Below _RESIDUE_PAIRS term pairs this is the faster route.
+  A product by a single term always takes it, however long the other
+  operand.
 * From _RESIDUE_PAIRS term pairs on, the numerators are computed modulo
   the moduli of ranktree.residues for the bound
   max|a|·max|b|·min(len a, len b), which no output numerator exceeds in
@@ -69,10 +71,12 @@ same result to the last bit; both end in the same canonical reduction.
 
 The cutoff was measured on the products of constants_table(6) (2-core
 Xeon, Python 3.11.7, numpy 2.4.6), best of 3 on each route, in three
-sweeps.  Squares of B_4-sized operands (173^2 = 29,929 and 174^2 =
-30,276 pairs) take 7.1-9.1 ms by residues and 7.4-10.3 ms in the loop,
-so squares cross near the cutoff.  Products of distinct operands cross
-between 8,650 pairs (173 × 50: 4.4-6.2 ms against 3.7-4.4 ms) and the
+sweeps, when the loop still visited each cross pair of a square once.
+Squares of B_4-sized operands (173^2 = 29,929 and 174^2 = 30,276 pairs)
+took 7.1-9.1 ms by residues and 7.4-10.3 ms in that loop.  The loop
+squares of a run to kmax = 7 now have at most 50 terms (2,500 pairs),
+far below the cutoff.  Products of distinct operands cross between
+8,650 pairs (173 × 50: 4.4-6.2 ms against 3.7-4.4 ms) and the
 next size above, 31,668 pairs (174 × 182: 8.7-9.6 ms against
 18.8-20.7 ms); no product of constants_table(6) lies between them.
 645 × 174 takes 34-37 ms against 86-103 ms.  A single term times B_6
@@ -214,20 +218,7 @@ class PLExpr:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "PLExpr":
-        if isinstance(other, (int, Rational)):
-            other = PLExpr.const(other)
-        if not isinstance(other, PLExpr):
-            return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other
-        g = math.gcd(self._den, other._den)
-        m1, m2 = other._den // g, self._den // g
-        out = {key: n * m1 for key, n in self._num.items()} if m1 != 1 else dict(self._num)
-        for key, n in other._num.items():
-            out[key] = out.get(key, 0) + n * m2
-        return _canon(out, self._den * m1)
+        return _merge(self, other, 1)
 
     __radd__ = __add__
 
@@ -235,14 +226,10 @@ class PLExpr:
         return _raw({key: -n for key, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "PLExpr":
-        if isinstance(other, (int, Rational)):
-            other = PLExpr.const(other)
-        if not isinstance(other, PLExpr):
-            return NotImplemented
-        return self + (-other)
+        return _merge(self, other, -1)
 
     def __rsub__(self, other) -> "PLExpr":
-        return (-self) + other
+        return _merge(other, self, -1)
 
     def scale(self, a) -> "PLExpr":
         p, q = _ratio(a)
@@ -261,22 +248,11 @@ class PLExpr:
             return _canon(_residue_product(self._num, other._num), self._den * other._den)
         out: dict[tuple[int, int], int] = {}
         get = out.get
-        if other is self:
-            # a square: each cross term once, doubled
-            items = list(self._num.items())
-            for i, ((b1, c1), n1) in enumerate(items):
-                key = (b1 + b1, c1 + c1)
-                out[key] = get(key, 0) + n1 * n1
-                n1 += n1
-                for (b2, c2), n2 in items[i + 1 :]:
-                    key = (b1 + b2, c1 + c2)
-                    out[key] = get(key, 0) + n1 * n2
-        else:
-            right = list(other._num.items())
-            for (b1, c1), n1 in self._num.items():
-                for (b2, c2), n2 in right:
-                    key = (b1 + b2, c1 + c2)
-                    out[key] = get(key, 0) + n1 * n2
+        right = list(other._num.items())
+        for (b1, c1), n1 in self._num.items():
+            for (b2, c2), n2 in right:
+                key = (b1 + b2, c1 + c2)
+                out[key] = get(key, 0) + n1 * n2
         return _canon(out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -445,6 +421,24 @@ class PLExpr:
                 {"num": str(n // g), "den": str(den // g), "upow": b, "vpow": c}
             )
         return records
+
+
+def _merge(a, b, sign: int) -> PLExpr:
+    """a + sign·b, sign ±1: b's numerators are scaled in the pass that adds them.
+
+    Either side may be an int or a Rational; NotImplemented for other types.
+    """
+    a, b = (PLExpr.const(x) if isinstance(x, (int, Rational)) else x for x in (a, b))
+    if not (isinstance(a, PLExpr) and isinstance(b, PLExpr)):
+        return NotImplemented
+    if not b._num:
+        return a
+    g = math.gcd(a._den, b._den)
+    m1, m2 = b._den // g, a._den // g * sign
+    out = {key: n * m1 for key, n in a._num.items()} if m1 != 1 else dict(a._num)
+    for key, n in b._num.items():
+        out[key] = out.get(key, 0) + n * m2
+    return _canon(out, a._den * m1)
 
 
 def _reduce(num: dict[tuple[int, int], int], den: int) -> tuple[dict, int]:

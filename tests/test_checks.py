@@ -56,6 +56,20 @@ def test_ode_residuals_fails_on_a_perturbed_memo_entry(monkeypatch):
     assert checks.ode_residuals()[1] is False
 
 
+@pytest.mark.parametrize("kind, k", [("closest_leaf", 4), ("leaf_pair_tail", 3)])
+def test_series_vs_oracle_sees_a_changed_constant_term(monkeypatch, kind, k):
+    # the numerator of x^0 one off, as in a corrupted cache entry: d/dx
+    # kills constants, so only coefficient 0 of the series can see it
+    genfun.gf_by_kind(kind, 5)  # the entries above k are built from the right one
+    expr = genfun.gf_by_kind(kind, k)
+    wrong = expr + PLExpr.const(Rational(1, expr.denominator))
+    assert wrong.series(order=30)[1:] == expr.series(order=30)[1:]
+    cache = genfun.cache_snapshot()
+    cache[(kind, k)] = wrong
+    monkeypatch.setattr(genfun, "_CACHE", cache)
+    assert checks.series_vs_oracle()[1] is False
+
+
 @pytest.mark.parametrize(
     "check,args",
     [

@@ -373,6 +373,11 @@ OUT_OF_RANGE = {
     "verify-trials": (["verify", "--trials", "1"], "--trials: must be >= 2"),
     "simulate-seed": (["simulate", "--n", "50", "--trials", "20", "--seed", "-1"], "--seed: must be >= 0"),
     "verify-seed": (["verify", "--n", "50", "--trials", "20", "--seed", "-1"], "--seed: must be >= 0"),
+    **{
+        f"{subcommand}-rho-{name}": (argv, "--rho: must be positive")
+        for subcommand, head in [("oracle", ["oracle", "--n", "600", "--kmax", "5"]), ("verify", ["verify"])]
+        for name, argv in [("0", head + ["--rho", "0"]), ("negative", head + ["--rho=-1/2"])]
+    },
 }
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -229,9 +230,13 @@ def _assert_canonical(e):
 @settings(max_examples=80, deadline=None)
 def test_ring_operations_match_reference(a, b, s):
     ea, eb = PLExpr(a), PLExpr(b)
+    r, const = rational(s.numerator, s.denominator), {(0, 0): s} if s else {}
     for got, want in (
         (ea + eb, ref.add(a, b)),
         (ea - eb, ref.sub(a, b)),
+        (ea - r, ref.sub(a, const)),
+        (r - ea, ref.sub(const, a)),
+        (1 - ea, ref.sub({(0, 0): Fraction(1)}, a)),
         (ea * eb, ref.mul(a, b)),
         (ea * ea, ref.mul(a, a)),
         (ea.scale(s), ref.scale(a, s)),
@@ -455,11 +460,45 @@ def test_root_rank_squares_agree_between_routes(monkeypatch, k):
 
 
 def test_root_rank_right_hand_side_agrees_between_routes(monkeypatch):
-    # the product 2 B_5 (1/(1-x) - B_{<=4}) of the B_6 recurrence
-    b5, rest = genfun.root_rank_gf(5), UINV - genfun.root_rank_cdf_gf(4)
+    # the product B_5 (2 (1/(1-x) - B_{<=4}) - B_5) of the B_6 recurrence
+    b5 = genfun.root_rank_gf(5)
+    rest = 2 * (UINV - genfun.root_rank_cdf_gf(4)) - b5
     by_residues, by_loop = _by_both_routes(monkeypatch, b5, rest)
     assert by_residues == by_loop
     _assert_canonical(by_residues)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_root_rank_right_hand_side_is_one_product(monkeypatch, k):
+    want = genfun.root_rank_gf(k)  # built, with the levels below, before counting
+    products = []
+    mul = PLExpr.__mul__
+
+    def counted(a, b):
+        if isinstance(b, PLExpr) and min(len(a), len(b)) > 1:
+            products.append((len(a), len(b)))
+        return mul(a, b)
+
+    monkeypatch.setattr(PLExpr, "__mul__", counted)
+    assert genfun._root_rank_rhs(k).antiderivative(0) == want
+    assert len(products) == 1
+
+
+def _peak(op, a, b) -> int:
+    tracemalloc.start()
+    try:
+        op(a, b)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_difference_makes_no_negated_copy():
+    # the k = 6 pair tails, 662 and 2,518 terms: a negated copy of b before
+    # the sum nearly doubles the peak of a - b
+    a, b = genfun.leaf_pair_tail_gf(5), genfun.leaf_pair_tail_gf(6)
+    assert a - b == a + (-b)
+    assert _peak(PLExpr.__sub__, a, b) <= 1.25 * _peak(PLExpr.__add__, a, b)
 
 
 @pytest.mark.parametrize("square", [True, False], ids=["square", "product"])
