@@ -3,10 +3,10 @@
 Submodules:
 
 * plring     -- exact kernel: rationals and the (1-x)^b log(1/(1-x))^c ring
-* genfun     -- generating-function recurrences and the constants c_k, f_k, g_k
+* genfun     -- generating-function recurrences, the constants c_k, f_k, g_k, alpha_0
 * oracle     -- exact finite-n dynamic programs (ground truth)
 * montecarlo -- seeded tree simulation and empirical estimates
-* conjecture -- denominator factorizations, structure checks, alpha_0
+* conjecture -- denominator factorizations and structure checks
 * cli        -- batch front end (constants/bounds/oracle/simulate/factor/verify)
 
 Importing the package sets OPENBLAS_NUM_THREADS to 1 unless the caller
@@ -19,13 +19,12 @@ import os
 # every run and saves no wall time in the residue maps (see residues)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .plring import DivergentIntegral, PLExpr, Rational, rational
+from .plring import DivergentIntegral, PLExpr, Rational
 from .genfun import InternalInconsistency
 
 __all__ = [
     "PLExpr",
     "Rational",
-    "rational",
     "DivergentIntegral",
     "InternalInconsistency",
 ]

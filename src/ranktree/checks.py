@@ -167,7 +167,7 @@ def structure_and_factorizations() -> Check:
 
 
 def alpha0_window() -> Check:
-    a0 = conjecture.alpha0(1e-12)
+    a0 = genfun.alpha0()
     return "alpha0-window", 0.3725 < a0 < 0.3735, f"alpha0 ~ {approx(a0)}"
 
 
@@ -186,8 +186,8 @@ def moment_ratio_stability(rho: str) -> Check:
 # Seeded simulation against exact values
 
 
-def _within(stat, exact, sigmas: float = 4.0) -> bool:
-    slack = sigmas * stat.stderr if stat.stderr > 0 else 1e-12
+def _within(stat, exact) -> bool:
+    slack = 4 * stat.stderr if stat.stderr > 0 else 1e-12
     return abs(stat.mean - float(exact)) <= slack
 
 

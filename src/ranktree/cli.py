@@ -4,8 +4,10 @@ Subcommands: constants, bounds, oracle, simulate, factor, verify.  JSON
 (canonical: sorted keys, exact values as decimal strings, floats at 12
 significant digits) is the primary format; CSV is a flat projection of
 the table-shaped outputs.  Exit codes: 0 success, 1 usage error,
-2 verification failure, 3 internal inconsistency or an exact computation
-past the capacity of the residue maps (valid input can reach it mid-run).
+2 verification failure, 3 internal inconsistency (a divergent integral
+included: valid input never makes one, a corrupted cache entry can) or an
+exact computation past the capacity of the residue maps (valid input can
+reach it mid-run).
 Option ranges are checked while parsing, so a value out of range exits 1
 before any work; the --kmax ceiling of the runs that build exact
 generating functions (constants, bounds, factor, oracle --series-order)
@@ -48,7 +50,7 @@ from pathlib import Path
 from . import checks, conjecture, genfun, montecarlo, oracle
 from .checks import approx, flat_rat
 from .genfun import KINDS, InternalInconsistency
-from .plring import PLExpr, Rational
+from .plring import DivergentIntegral, PLExpr, Rational
 from .residues import CapacityExceeded
 
 __all__ = ["main"]
@@ -419,6 +421,17 @@ def _rho(text: str) -> str:
     return text
 
 
+def _cache_dir(text: str) -> Path:
+    """--cache-dir as a Path, unless it or the nearest of its parents that
+    exists is not a directory: then a usage error before any work, not a
+    failed save after it."""
+    path = Path(text)
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{str(existing)!r} is not a directory")
+    return path
+
+
 def _at_least(low: int):
     """An int option below `low` is a usage error before any work, as --rho is."""
 
@@ -440,7 +453,7 @@ def _build_parser() -> _Parser:
     shared = {
         "--kmax": dict(type=_at_least(0), default=DEFAULT_KMAX),
         "--format": dict(choices=("json", "csv"), default="json"),
-        "--cache-dir": dict(type=Path, default=None),
+        "--cache-dir": dict(type=_cache_dir, default=None),
     }
     parser.set_defaults(cache_dir=None, series_order=None)
 
@@ -509,7 +522,7 @@ def main(argv=None) -> int:
         if cache_dir is not None:
             save_cache(cache_dir, accepted)
         return code
-    except InternalInconsistency as exc:
+    except (InternalInconsistency, DivergentIntegral) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except CapacityExceeded as exc:

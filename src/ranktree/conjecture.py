@@ -3,13 +3,11 @@
 Factors the denominators of c_k by trial division, checks that the
 largest prime divisor stays below 2^(k+1)+1 (a theorem) and that the
 prime support is a gap-free interval starting at 2 (a conjecture, for
-k >= 2), verifies the term-structure bounds on B_k, and locates the
-shortest-path constant alpha_0.
+k >= 2), and verifies the term-structure bounds on B_k.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 from . import genfun
@@ -25,7 +23,6 @@ __all__ = [
     "check_conjectures",
     "check_pl_structure",
     "factor_pass",
-    "alpha0",
 ]
 
 
@@ -39,12 +36,6 @@ class FactorReport:
     @property
     def fully_factored(self) -> bool:
         return self.residual == 1
-
-    def reconstruct(self) -> int:
-        value = self.residual
-        for p, e in self.factors:
-            value *= p**e
-        return value
 
     def to_dict(self) -> dict:
         return {
@@ -169,21 +160,3 @@ def factor_pass(verdict: ConjectureVerdict, structure: PLStructureReport) -> boo
     """The one pass criterion of ``factor`` and ``verify`` at a k: smoothness,
     gap-freeness where it applies (k >= 2) and the structure bounds."""
     return verdict.smoothness_pass and verdict.gap_free is not False and structure.passed
-
-
-def _g_of_alpha(a: float) -> float:
-    return a + a * math.log(2.0 / a) - 1.0
-
-
-def alpha0(tol: float) -> float:
-    """Smaller positive root of a + a log(2/a) - 1, by bisection."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lo, hi = 0.1, 1.0  # g(0.1) < 0 < g(1) = log 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _g_of_alpha(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2

@@ -9,7 +9,8 @@ Builds, inside the (1-x)^b log(1/(1-x))^c ring:
 * P_{>k}    -- tail GF of the randomized greedy root-to-leaf walk,
 
 and from them the limiting constants c_k, f_k, g_k, the tail moments
-I_{k,t} = integral of (1-y)^t P_{>k}(y), and the tail-bound tables.
+I_{k,t} = integral of (1-y)^t P_{>k}(y), the tail-bound tables and the
+shortest-path constant alpha_0 of their lower reference.
 
 Each family is described once, in the table _FAMILIES: its first k, its
 value there, the order of its differential equation in x, and the
@@ -61,6 +62,7 @@ __all__ = [
     "greedy_tail_gf",
     "tail_moment",
     "tail_envelope",
+    "alpha0",
     "tail_report",
     "ode_residual",
     "constants_table",
@@ -148,7 +150,7 @@ def gf_by_kind(kind: str, k: int) -> PLExpr:
         if k > first:
             expr = rhs(k)
             for _ in range(order):
-                expr = expr.antiderivative(0)
+                expr = expr.antiderivative()
         hit = _CACHE.setdefault(key, expr)
     return hit
 
@@ -300,6 +302,22 @@ def tail_envelope(k: int) -> Rational:
     return Rational(6 * k + 7, 3) / Rational(3) ** k
 
 
+def _g_of_alpha(a: float) -> float:
+    return a + a * math.log(2.0 / a) - 1.0
+
+
+def alpha0() -> float:
+    """Smaller positive root of a + a log(2/a) - 1, bisected to within 1e-12."""
+    lo, hi = 0.1, 1.0  # g(0.1) < 0 < g(1) = log 2
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2
+        if _g_of_alpha(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 @dataclass(frozen=True)
 class TailRow:
     k: int
@@ -318,20 +336,19 @@ class TailTable:
     moments: dict[tuple[int, int], Rational] = field(default_factory=dict)
 
 
-def tail_report(kmax: int, tmax: int = 4) -> TailTable:
-    """Exact tails 1 - S_k next to both proven upper bounds.
+def tail_report(kmax: int) -> TailTable:
+    """Exact tails 1 - S_k next to both proven upper bounds, and the
+    moments I_{k,t} for t = 1..4.
 
     Asserts 1 - S_k <= 2 I_{k,1} and 1 - S_k <= (6k+7)/3 (1/3)^k for every
     computed k; the exponential lower envelope is attached as a floating
     reference value only.
     """
-    from .conjecture import alpha0  # deferred: conjecture imports this module
-
-    a0 = alpha0(1e-12)
+    a0 = alpha0()
     rows = []
     moments = {}
     for k in range(kmax + 1):
-        for t in range(1, tmax + 1):
+        for t in range(1, 5):
             moments[(k, t)] = tail_moment(k, t)
         tail = 1 - partial_sum(k)
         tail_prev = 1 - partial_sum(k - 1)

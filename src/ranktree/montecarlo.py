@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .genfun import InternalInconsistency
+from .residues import InternalInconsistency
 
 __all__ = ["StatSummary", "EstimateReport", "estimate"]
 

@@ -32,8 +32,9 @@ convolution, for all sizes and primes at once.
 Primes and CRT.  Tables up to size n use the moduli of ranktree.residues
 for the bound n·n!: an accessor rebuilds n!·v there, requires it >= 0 and
 divides by n!.  Every prime exceeds n + 2, so the inverses of m and
-(m+1)(m+2) exist for every size in the tables.  A request above the
-moduli's capacity chooses new primes and drops every table.
+(m+1)(m+2) exist for every size in the tables.  Every level spans its
+basis, the sizes 0..n, so a level once held is never refilled; a request
+above n chooses new primes and drops every table.
 
 Overflow.  A product of two residues is below 2^52.  The convolutions add
 one product per step to int64 accumulators and reduce them modulo q every
@@ -93,9 +94,10 @@ def max_root_rank(n: int) -> int:
 class _Basis:
     """The moduli for tables up to size cap = n, and the per-size constants.
 
-    q is the moduli's q, the CRT primes then the check prime; fact[m],
-    inv[m] and inv2[m] are m!, 1/m and 2/m modulo each of them, and
-    w[m] = 1/((m+1)(m+2)).
+    Every level built on the basis has rows = cap + 1 rows, the sizes
+    0..cap.  q is the moduli's q, the CRT primes then the check prime;
+    fact[m], inv[m] and inv2[m] are m!, 1/m and 2/m modulo each of them,
+    and w[m] = 1/((m+1)(m+2)).
     """
 
     def __init__(self, n: int):
@@ -103,6 +105,7 @@ class _Basis:
         if moduli.check <= n + 2:
             raise ValueError("n is too large for primes below 2^26")
         self.cap = n
+        self.rows = n + 1
         self.q = q = moduli.q
         size = n + 3  # inv[3], read for E[L_n], exists from n = 1 on
         fact = np.ones((size, len(q)), np.int64)
@@ -118,12 +121,12 @@ class _Basis:
         self.inv2 = 2 * self.inv % q
         self.w = self.inv[1 : n + 2] * self.inv[2 : n + 3] % q
 
-    def ones(self, rows: int) -> np.ndarray:
-        return np.ones((rows, len(self.q)), np.int64)
+    def ones(self) -> np.ndarray:
+        return np.ones((self.rows, len(self.q)), np.int64)
 
-    def unit(self, rows: int) -> np.ndarray:
+    def unit(self) -> np.ndarray:
         """1 at size 1, 0 elsewhere."""
-        out = np.zeros((rows, len(self.q)), np.int64)
+        out = np.zeros((self.rows, len(self.q)), np.int64)
         out[1:2] = 1
         return out
 
@@ -185,8 +188,9 @@ def _weighted(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return total % q
 
 
-def _cross_conv(a: np.ndarray, b: np.ndarray, lo: int, rows: int, q: np.ndarray) -> np.ndarray:
-    """sum_{j+i=m-1} a[j] b[i] mod q for the sizes 2 <= m < rows; rows of a below lo must be zero."""
+def _cross_conv(a: np.ndarray, b: np.ndarray, lo: int, q: np.ndarray) -> np.ndarray:
+    """sum_{j+i=m-1} a[j] b[i] mod q for the sizes 2 <= m < len(a); rows of a below lo must be zero."""
+    rows = len(a)
     acc = np.zeros((rows - 2, a.shape[1]), np.int64)
     terms = 0
     for j in range(lo, rows - 1):
@@ -208,10 +212,14 @@ class RankDP:
     _f[k][m]  = E[1{root rank > k} * (leaf count)],   k >= -1
     _g[k][m]  = E[1{root rank = k} * (closest-leaf count)]
 
-    Accessors return exact Rationals.  Requests may come in any order; one
-    above the basis' capacity starts again with more primes.  A level past
-    the largest root rank of an n-tree (max_root_rank(n) = n-1)
-    is 0 at size n, and the accessors return that 0 without any table.
+    Accessors return exact Rationals.  Requests may come in any order.
+    Every held level spans the basis (_basis.rows sizes), so a level is
+    computed once per basis and never refilled; a request above the
+    basis' capacity starts again with more primes and drops every level.
+    A level past the largest root rank of an n-tree (max_root_rank(n) =
+    n-1) is 0 at size n, and the accessors return that 0 without any
+    table.  At n = 0 no level is filled: p_gt is 1, f_gt and g_eq are 0
+    at every level they have, and e_count raises.
     """
 
     def __init__(self):
@@ -233,36 +241,35 @@ class RankDP:
             self._basis = _Basis(n)
             for table in (self._p, self._e, self._f, self._g):
                 table.clear()
-        return self._basis.values(rows_of(k, n + 1)[n : n + 1], n)[0]
+        return self._basis.values(rows_of(k)[n : n + 1], n)[0]
 
     @staticmethod
-    def _grow(table: dict, first: int, k: int, rows: int, extend) -> np.ndarray:
-        """Level k of a chain of levels, filled to at least max(rows, 2) sizes.
+    def _grow(table: dict, first: int, k: int, extend) -> np.ndarray:
+        """Level k of a chain of levels.
 
-        Filled bottom-up from the first level below k that is long enough, so a
-        deep request needs no recursion; extend(level, rows) computes a
-        level whole.
+        Filled bottom-up from the first level below k that is held, so a
+        deep request needs no recursion; extend(level) computes a level
+        whole.
         """
         if k < first:
             raise ValueError(f"level must be >= {first}")
-        rows = max(rows, 2)
         low = k
-        while low >= first and len(table.get(low, ())) < rows:
+        while low >= first and low not in table:
             low -= 1
         for level in range(low + 1, k + 1):
-            table[level] = extend(level, rows)
+            table[level] = extend(level)
         return table[k]
 
     # -- root rank ---------------------------------------------------------
 
-    def _p_rows(self, k: int, rows: int) -> np.ndarray:
+    def _p_rows(self, k: int) -> np.ndarray:
         if k < 0:
-            return self._basis.ones(rows)  # p_{n,>k} = 1 for k <= -1
-        return self._grow(self._p, 0, k, rows, self._extend_p)
+            return self._basis.ones()  # p_{n,>k} = 1 for k <= -1
+        return self._grow(self._p, 0, k, self._extend_p)
 
-    def _extend_p(self, k: int, rows: int) -> np.ndarray:
+    def _extend_p(self, k: int) -> np.ndarray:
         b = self._basis
-        prev = self._p_rows(k - 1, rows)[:rows]
+        prev = self._p_rows(k - 1)
         return _p_level(prev, k, b.q, b.inv, b.inv2, np.empty_like(prev))
 
     def p_gt(self, n: int, k: int) -> Rational:
@@ -275,14 +282,14 @@ class RankDP:
 
     # -- expected rank counts ----------------------------------------------
 
-    def _e_rows(self, k: int, rows: int) -> np.ndarray:
+    def _e_rows(self, k: int) -> np.ndarray:
         tab = self._e.get(k)
-        if tab is None or len(tab) < rows:
+        if tab is None:
             b = self._basis
-            d = (self._p_rows(k - 1, rows)[:rows] - self._p_rows(k, rows)[:rows]) % b.q
-            t = d * b.w[:rows] % b.q
+            d = (self._p_rows(k - 1) - self._p_rows(k)) % b.q
+            t = d * b.w % b.q
             before = np.cumsum(t, axis=0) - t  # sum_{m<n} d_m w_m, below rows·q
-            n1 = np.arange(1, rows + 1, dtype=np.int64)[:, None]
+            n1 = np.arange(1, b.rows + 1, dtype=np.int64)[:, None]
             self._e[k] = tab = (d + 2 * n1 * (before % b.q)) % b.q
         return tab
 
@@ -313,7 +320,7 @@ class RankDP:
         b = _Basis(n)
         rows, width = n + 1, len(b.q)
         w = b.w[:n]
-        prev = b.ones(rows)
+        prev = b.ones()
         prev_sum = _weighted(prev[:n], w, b.q)
         buffers = (np.empty((rows, width), np.int64), np.empty((rows, width), np.int64))
         out = np.empty((n, width), np.int64)
@@ -331,24 +338,24 @@ class RankDP:
 
     # -- descendant-leaf pairs ---------------------------------------------
 
-    def _f_rows(self, k: int, rows: int) -> np.ndarray:
-        return self._grow(self._f, -1, k, rows, self._extend_f)
+    def _f_rows(self, k: int) -> np.ndarray:
+        return self._grow(self._f, -1, k, self._extend_f)
 
-    def _extend_f(self, k: int, rows: int) -> np.ndarray:
+    def _extend_f(self, k: int) -> np.ndarray:
         if k == -1:
             # f_{n,>-1} = E[L_n]: 1 at n = 1, (n+1)/3 for n >= 2
             b = self._basis
-            tab = np.arange(1, rows + 1, dtype=np.int64)[:, None] * b.inv[3] % b.q
+            tab = np.arange(1, b.rows + 1, dtype=np.int64)[:, None] * b.inv[3] % b.q
             tab[0] = 0
             tab[1:2] = 1
             return tab
-        return self._pair_level(rows, self._f_rows(k - 1, rows), self._p_rows(k - 1, rows), k + 1)
+        return self._pair_level(self._f_rows(k - 1), self._p_rows(k - 1), k + 1)
 
-    def _pair_level(self, rows: int, a: np.ndarray, p: np.ndarray, lo: int) -> np.ndarray:
+    def _pair_level(self, a: np.ndarray, p: np.ndarray, lo: int) -> np.ndarray:
         """0 at sizes 0 and 1, (2/m) sum_{j >= lo} a[j] p[m-1-j] at size m >= 2."""
         b = self._basis
-        conv = _cross_conv(a, p, lo, rows, b.q)
-        return np.concatenate([np.zeros((2, len(b.q)), np.int64), conv * b.inv2[2:rows] % b.q])
+        conv = _cross_conv(a, p, lo, b.q)
+        return np.concatenate([np.zeros((2, len(b.q)), np.int64), conv * b.inv2[2 : b.rows] % b.q])
 
     def f_gt(self, n: int, k: int) -> Rational:
         return self._value(self._f_rows, k, n, max_root_rank(n) - 1)
@@ -358,14 +365,14 @@ class RankDP:
 
     # -- closest-leaf pairs --------------------------------------------------
 
-    def _g_rows(self, k: int, rows: int) -> np.ndarray:
-        return self._grow(self._g, 0, k, rows, self._extend_g)
+    def _g_rows(self, k: int) -> np.ndarray:
+        return self._grow(self._g, 0, k, self._extend_g)
 
-    def _extend_g(self, k: int, rows: int) -> np.ndarray:
+    def _extend_g(self, k: int) -> np.ndarray:
         if k == 0:
-            return self._basis.unit(rows)  # Bhat_0 = x
+            return self._basis.unit()  # Bhat_0 = x
         # p_{m,>=k-1} = p_{m,>k-2}, which is 1 at m = 0
-        return self._pair_level(rows, self._g_rows(k - 1, rows), self._p_rows(k - 2, rows), k)
+        return self._pair_level(self._g_rows(k - 1), self._p_rows(k - 2), k)
 
     def g_eq(self, n: int, k: int) -> Rational:
         return self._value(self._g_rows, k, n, max_root_rank(n))

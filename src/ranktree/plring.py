@@ -104,7 +104,6 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "Rational",
-    "rational",
     "DivergentIntegral",
     "PLExpr",
     "ZERO",
@@ -121,15 +120,6 @@ __all__ = [
 _RESIDUE_PAIRS = 30_000
 _CHUNK = 4  # primes per FFT pass of the residue convolution
 _HALF = 13  # bits in the low half of a residue, which is below 2^(2·_HALF)
-
-
-def rational(num, den=1) -> Rational:
-    """Build a canonical Rational from ints, decimal strings, or Rationals."""
-    if isinstance(num, str):
-        num = int(num)
-    if isinstance(den, str):
-        den = int(den)
-    return Rational(num) / Rational(den)
 
 
 class DivergentIntegral(ValueError):
@@ -274,8 +264,8 @@ class PLExpr:
         """Exact d/dx:  u^b v^c  ->  -b u^(b-1) v^c + c u^(b-1) v^(c-1)."""
         return _canon(_derivative(self._num), self._den)
 
-    def antiderivative(self, value_at_0=0) -> "PLExpr":
-        """The antiderivative F with F(0) = value_at_0, exact.
+    def antiderivative(self) -> "PLExpr":
+        """The antiderivative F with F(0) = 0, exact.
 
         u^(-1) v^c integrates to v^(c+1)/(c+1).  For b != -1, with w = b+1,
         integration by parts gives
@@ -288,15 +278,13 @@ class PLExpr:
         column is reduced on its own: its numerators and w^(t+1), a few
         hundred bits at k = 7, are divided by their gcd; so is each b = -1
         term against its c+1.  All terms then go over den * scale, where
-        scale is the lcm of those reduced denominators and of the
-        denominator of value_at_0, and each column is rescaled by one
-        integer.  The common multiplier is thus no larger than the result
-        needs.  For the right-hand side of B_7, the lcm of every
-        (b+1)^(t+1) has 14,366 bits and the reduced one 7,150: putting
+        scale is the lcm of those reduced denominators, and each column is
+        rescaled by one integer.  The common multiplier is thus no larger
+        than the result needs.  For the right-hand side of B_7, the lcm of
+        every (b+1)^(t+1) has 14,366 bits and the reduced one 7,150: putting
         every term over the larger one and dividing the 7,215 surplus bits
         back out took about half of constants_table(7).
         """
-        p, q = _ratio(value_at_0)
         parts = []  # (numerators by term, reduced denominator), one per column
         for b, col in _columns(self._num).items():
             if b == -1:
@@ -317,7 +305,7 @@ class PLExpr:
             if g != 1:
                 nums = {key: n // g for key, n in nums.items()}
             parts.append((nums, d // g))
-        scale = math.lcm(q, *(abs(d) for _, d in parts))
+        scale = math.lcm(*(abs(d) for _, d in parts))
         out: dict[tuple[int, int], int] = {}
         for nums, d in parts:
             m = scale // d
@@ -326,8 +314,7 @@ class PLExpr:
         den = self._den * scale
         # fix the constant: F(0) is the sum of the v-free numerators, and
         # no column writes (0, 0)
-        at0 = sum(t for (_, c), t in out.items() if c == 0)
-        out[(0, 0)] = p * (den // q) - at0
+        out[(0, 0)] = -sum(t for (_, c), t in out.items() if c == 0)
         return _canon(out, den)
 
     def value_at_0(self) -> Rational:

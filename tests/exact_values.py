@@ -6,14 +6,14 @@ dual-route symbolic computation, and is pinned here so any regression in
 the engine trips a hard equality failure.
 """
 
-from ranktree.plring import Rational, rational
+from ranktree.plring import Rational
 
 C_EXACT = {
-    0: rational(1, 3),
-    1: rational(3, 10),
-    2: rational(1721, 8100),
-    3: rational(250488312501647783, 2294809143026400000),
-    4: rational(
+    0: Rational(1, 3),
+    1: Rational(3, 10),
+    2: Rational(1721, 8100),
+    3: Rational(250488312501647783, 2294809143026400000),
+    4: Rational(
         122058464141653662196290113232646304412999902283512425580156787323,
         3353377025022449199852900725670960067418280803797231788288000000000,
     ),
@@ -27,10 +27,10 @@ C5_DEN_FACTORS = [
     (47, 7), (53, 5), (59, 3), (61, 2),
 ]
 
-F_EXACT = [rational(1, 3), rational(17, 30), rational(152389, 170100)]
-G_EXACT = [rational(1, 3), rational(1, 3), rational(49, 180)]
-F_OVER_C = [Rational(1), rational(17, 9), rational(152389, 36141)]
-G_OVER_C = [Rational(1), rational(10, 9), rational(2205, 1721)]
+F_EXACT = [Rational(1, 3), Rational(17, 30), Rational(152389, 170100)]
+G_EXACT = [Rational(1, 3), Rational(1, 3), Rational(49, 180)]
+F_OVER_C = [Rational(1), Rational(17, 9), Rational(152389, 36141)]
+G_OVER_C = [Rational(1), Rational(10, 9), Rational(2205, 1721)]
 
 # first leaf-distance moments I_{k,1} of the greedy-walk tail
-I1_EXACT = [rational(1, 3), rational(7, 36), rational(109, 1080)]
+I1_EXACT = [Rational(1, 3), Rational(7, 36), Rational(109, 1080)]

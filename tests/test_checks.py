@@ -2,7 +2,7 @@
 
 import pytest
 
-from ranktree import checks, conjecture, genfun, oracle
+from ranktree import checks, genfun, oracle
 from ranktree.plring import PLExpr, Rational
 
 
@@ -33,7 +33,7 @@ BROKEN = [
     (checks.series_vs_oracle, (), oracle, "expected_closest_pairs", shift(1)),
     # the prime 1009 in every denominator breaks the smoothness bound
     (checks.structure_and_factorizations, (), genfun, "rank_constant", scale(Rational(1, 1009))),
-    (checks.alpha0_window, (), conjecture, "alpha0", scale(2)),
+    (checks.alpha0_window, (), genfun, "alpha0", scale(2)),
     (checks.moment_ratio_stability, ("7/5",), oracle, "moment_gf_ratio", times_n),
 ]
 

@@ -378,6 +378,14 @@ OUT_OF_RANGE = {
         for subcommand, head in [("oracle", ["oracle", "--n", "600", "--kmax", "5"]), ("verify", ["verify"])]
         for name, argv in [("0", head + ["--rho", "0"]), ("negative", head + ["--rho=-1/2"])]
     },
+    # a file at the cache directory or above it: refused before the work, not after it
+    **{
+        name: (
+            ["constants", "--kmax", "1", "--cache-dir", path],
+            f"argument --cache-dir: {__file__!r} is not a directory",
+        )
+        for name, path in [("cache-dir-file", __file__), ("cache-dir-under-file", f"{__file__}/cache")]
+    },
 }
 
 
@@ -447,6 +455,24 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "constants", "--kmax", "1")
     assert code == cli.EXIT_INCONSISTENT
     assert "internal inconsistency" in err
+
+
+def test_a_divergent_cache_entry_exits_3(capsys, monkeypatch, tmp_path):
+    # a canonical entry with a wrong exponent: c_3's integral of u·B_3 then
+    # diverges, which valid input never makes happen
+    cache = tmp_path / "cache"
+    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    entry = cache / "root_rank.3.json"
+    text = entry.read_text()
+    assert text.count('\n[1, 0, "5f172aeb742c"]\n') == 1
+    entry.write_text(text.replace('\n[1, 0, "5f172aeb742c"]\n', '\n[-3, 0, "5f172aeb742c"]\n'))
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert "internal inconsistency: term u^-2 v^0 diverges on [0, 1]" in err
+    assert "usage error" not in err
 
 
 def test_a_residue_capacity_refusal_mid_run_exits_3(capsys, monkeypatch):

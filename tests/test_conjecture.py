@@ -18,7 +18,7 @@ def test_factor_smooth_complete():
     rep = conjecture.factor_smooth(2**5 * 3**2 * 35, 7)
     assert rep.fully_factored
     assert rep.factors == [(2, 5), (3, 2), (5, 1), (7, 1)]
-    assert rep.reconstruct() == rep.input
+    assert math.prod(p**e for p, e in rep.factors) * rep.residual == rep.input
 
 
 def test_factor_smooth_residual():
@@ -26,7 +26,7 @@ def test_factor_smooth_residual():
     assert rep.factors == [(2, 2), (3, 1)]
     assert rep.residual == 101
     assert not rep.fully_factored
-    assert rep.reconstruct() == rep.input
+    assert math.prod(p**e for p, e in rep.factors) * rep.residual == rep.input
 
 
 def test_factor_smooth_prime_residual_within_bound():
@@ -91,22 +91,15 @@ def test_pl_structure_matches_a_per_term_factorization(k):
 
 
 def test_alpha0_window_and_residual():
-    a0 = conjecture.alpha0(1e-12)
+    a0 = genfun.alpha0()
     assert 0.3725 < a0 < 0.3735
     assert abs(a0 + a0 * math.log(2.0 / a0) - 1.0) < 1e-10
 
 
-def test_alpha0_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        conjecture.alpha0(0)
-
-
-
 def test_lower_envelope_report():
-    # the envelope rows now live in genfun.tail_report; the lower
-    # reference must be (2/3) e^{-k/alpha0} with this module's alpha0
+    # the lower reference must be (2/3) e^{-k/alpha0}, with genfun's alpha0
     report = genfun.tail_report(5)
-    assert report.alpha0 == pytest.approx(conjecture.alpha0(1e-12))
+    assert report.alpha0 == pytest.approx(genfun.alpha0())
     assert [row.k for row in report.rows] == list(range(6))
     for row in report.rows:
         assert row.exact_tail <= row.theorem_bound

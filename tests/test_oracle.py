@@ -10,7 +10,7 @@ import pytest
 import reference_oracle
 from ranktree import cli, oracle, residues
 from ranktree.genfun import InternalInconsistency
-from ranktree.plring import Rational, rational
+from ranktree.plring import Rational
 
 
 def test_small_root_rank_probabilities_by_hand():
@@ -18,10 +18,10 @@ def test_small_root_rank_probabilities_by_hand():
     assert oracle.root_rank_prob(1, 0) == 1
     assert oracle.root_rank_prob(2, 1) == 1
     # n = 3: a one-child root sits atop a 2-chain (rank 2), probability 2/3
-    assert oracle.root_rank_prob(3, 1) == rational(1, 3)
-    assert oracle.root_rank_prob(3, 2) == rational(2, 3)
+    assert oracle.root_rank_prob(3, 1) == Rational(1, 3)
+    assert oracle.root_rank_prob(3, 2) == Rational(2, 3)
     # n = 4: rank 3 needs the full chain, 8 of the 24 permutations
-    assert oracle.root_rank_tail(4, 2) == rational(1, 3)
+    assert oracle.root_rank_tail(4, 2) == Rational(1, 3)
 
 
 def _root_stats(perm):
@@ -132,7 +132,7 @@ def test_moment_ratio_at_one_is_unity():
 
 
 def test_moment_ratio_stability():
-    rho = rational(7, 5)
+    rho = Rational(7, 5)
     values = [float(oracle.moment_gf_ratio(n, rho)) for n in (100, 200, 400)]
     spread = (max(values) - min(values)) / max(values)
     assert spread < 0.05
@@ -152,7 +152,7 @@ def test_denominators_divide_factorial():
 
 def test_moment_ratio_rejects_empty_tree():
     with pytest.raises(ValueError, match="n must be >= 1"):
-        oracle.moment_gf_ratio(0, rational(7, 5))
+        oracle.moment_gf_ratio(0, Rational(7, 5))
 
 
 def test_binomial_convolutions_match_math_comb():
@@ -206,7 +206,7 @@ def test_engine_matches_reference_at_large_n(reference, n):
 def test_moment_ratio_matches_reference(reference):
     for n in (100, 200, 400):
         counts = [reference.e_count(n, k) for k in range(n)]
-        for rho in (rational(7, 5), rational(1, 3), Rational(1)):
+        for rho in (Rational(7, 5), Rational(1, 3), Rational(1)):
             expected = sum(rho**k * c for k, c in enumerate(counts)) / n
             assert oracle.moment_gf_ratio(n, rho) == expected, (n, rho)
 
@@ -228,6 +228,26 @@ def test_levels_grow_to_larger_sizes(reference):
     assert len(dp._p[3]) == 51
     assert _rows(dp, 200, range(4)) == _rows(reference, 200, range(4))
     assert len(dp._p[3]) == 201
+
+
+def test_every_held_level_spans_the_basis(monkeypatch):
+    dp = oracle.RankDP()
+    dp.g_eq(160, 0)
+    dp.g_eq(25, 3)  # below the cap: the levels it fills span it all the same
+    levels = [level for table in (dp._p, dp._e, dp._f, dp._g) for level in table.values()]
+    assert len(levels) > 1
+    assert {len(level) for level in levels} == {dp._basis.rows} == {161}
+    expected = oracle.RankDP().g_eq(160, 3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cross_conv(*args)
+
+    cross_conv = oracle._cross_conv
+    monkeypatch.setattr(oracle, "_cross_conv", counted)
+    assert dp.g_eq(160, 3) == expected
+    assert calls == []  # levels 1..3 are held whole, so none is refilled
 
 
 def test_primes_are_the_largest_below_the_bound():
@@ -267,7 +287,7 @@ def test_convolutions_do_not_overflow(kernel):
         level = oracle._p_level(a, 0, qs, inv, 2 * inv % q, np.empty_like(a))
         out = level[-3:] * sizes[:, None] % q  # P_0[m] is the convolution over m
     else:
-        out = oracle._cross_conv(a, b, 0, rows, qs)[-3:]
+        out = oracle._cross_conv(a, b, 0, qs)[-3:]
     expected = [_residue_sums(a[:, 0], b[:, 0], m, q) for m in sizes]
     assert out[:, 0].tolist() == expected
 
@@ -293,6 +313,11 @@ def test_levels_past_the_largest_rank_hold_no_table(reference, capsys, monkeypat
     assert _rows(dp, 5, range(5, 3000, 997)) == [(0,) * 6] * 4
     assert dp.p_gt(5, 4) == dp.f_gt(5, 4) == 0
     assert dp.p_gt(0, 3000) == 1
+    # n = 0 fills no level: f and g are 0 at every level, and e_count refuses it
+    assert [dp.f_gt(0, k) for k in range(-1, 4)] == [0] * 5
+    assert [dp.g_eq(0, k) for k in range(4)] == [0] * 4
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        dp.e_count(0, 0)
     assert dp._basis is None
     monkeypatch.setattr(oracle, "_DEFAULT", dp)
     assert cli.main(["oracle", "--n", "5", "--kmax", "3000"]) == cli.EXIT_OK
