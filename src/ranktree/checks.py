@@ -70,7 +70,7 @@ _C_EXACT = [Rational(1) / 3, Rational(3) / 10, Rational(1721) / 8100]
 
 
 def constants_exact() -> Check:
-    """c_0..c_2, each computed along two independent routes, exactly."""
+    """c_0..c_2 against their values by hand; rank_constant checks a second route."""
     c = [genfun.rank_constant(k) for k in range(3)]
     return "constants-exact", c == _C_EXACT, f"c_0..c_2 = {[flat_rat(x) for x in c]}"
 

@@ -24,16 +24,14 @@ per term, sorted by (upow, vpow):
 
 It holds the expression's canonical parts (PLExpr.parts): one positive
 denominator and the nonzero numerators over it.  Writing and reading
-them takes no gcd per term.  A reader holds one line at a time: reading
-each entry whole, as one JSON document, raised the peak of a warm
-`constants --kmax 6` from 38.4 to 43.2 MB, because freeing a text of
-2.2 MB raises glibc's threshold for serving allocations by mmap, and the
-heap then keeps what later work frees (2-core Xeon, glibc malloc).  An
-entry is loaded only if its term lines are as many as its head counts
-and its parts are canonical (PLExpr.from_parts); any other entry, one of
-an earlier format included, is treated as missing and rewritten.  The
-name keeps its .json suffix so that an entry of the earlier format (one
-JSON document) is rewritten in place.
+them takes no gcd per term.  A reader holds one line at a time: freeing
+a whole entry's text raises glibc's mmap threshold, and the heap then
+keeps what later work frees (a warm `constants --kmax 6` peaked 4.8 MB
+higher).  An entry is loaded only if its term lines are as many as its
+head counts and its parts are canonical (PLExpr.from_parts); any other
+entry, one of an earlier format included, is treated as missing and
+rewritten.  The name keeps its .json suffix so that an entry of the
+earlier format (one JSON document) is rewritten in place.
 """
 
 from __future__ import annotations

@@ -97,20 +97,9 @@ def check_conjectures(k: int, c: Rational) -> ConjectureVerdict:
     primes = [p for p, _ in report.factors]
     largest = primes[-1] if primes else 0
     smooth = report.fully_factored
-    if k >= 2 and report.fully_factored:
-        gap_free = primes == list(primes_upto(largest))
-    elif k >= 2:
-        gap_free = False
-    else:
-        gap_free = None
-    return ConjectureVerdict(
-        k=k,
-        denominator=report,
-        threshold=threshold,
-        largest_prime=largest,
-        smoothness_pass=smooth,
-        gap_free=gap_free,
-    )
+    # an incomplete factorization is not gap-free
+    gap_free = None if k < 2 else smooth and primes == list(primes_upto(largest))
+    return ConjectureVerdict(k, report, threshold, largest, smooth, gap_free)
 
 
 @dataclass(frozen=True)
@@ -145,15 +134,7 @@ def check_pl_structure(k: int) -> PLStructureReport:
         rep = factor_smooth(den, bound)
         max_prime = rep.factors[-1][0] if rep.fully_factored else rep.residual
     passed = min_u >= 0 and max_u <= bound and max_v <= bound and max_prime <= bound
-    return PLStructureReport(
-        k=k,
-        bound=bound,
-        max_upow=max_u,
-        max_vpow=max_v,
-        min_upow=min_u,
-        max_denom_prime=max_prime,
-        passed=passed,
-    )
+    return PLStructureReport(k, bound, max_u, max_v, min_u, max_prime, passed)
 
 
 def factor_pass(verdict: ConjectureVerdict, structure: PLStructureReport) -> bool:

@@ -28,19 +28,20 @@ the recurrences themselves; each family keeps an independent guard:
 * P_{>k}: the moment recurrence against the direct integral for k <= 6,
   and the simulated greedy walk at n = 30.
 
-Whenever two independent routes to the same exact value exist (the
-constants and the tail moments), both are computed and compared; any
-mismatch raises InternalInconsistency, since it can only mean a bug.
+Whenever two independent routes to the same exact value exist (the tail
+moments exactly, c_k modulo three fixed primes, product about 2^78), both
+are computed and compared; any mismatch raises InternalInconsistency.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .plring import ONE, PLExpr, Rational, U, UINV, X, ZERO
-from .residues import InternalInconsistency
+from .plring import ONE, PLExpr, Rational, U, UINV, X, ZERO, square_integral01
+from .residues import InternalInconsistency, Moduli
 
 __all__ = [
     "InternalInconsistency",
@@ -186,34 +187,50 @@ def root_rank_cdf_gf(k: int) -> PLExpr:
     return gf_by_kind("root_rank_cdf", k)
 
 
-_PARTIAL_SUMS: dict[int, Rational] = {}
+# k -> (c_k, S_k), stored once c_k has passed the check
+_PARTIAL_SUMS: dict[int, tuple[Rational, Rational]] = {}
 
 
-def partial_sum(k: int) -> Rational:
-    """S_k = c_0 + ... + c_k, via the cdf route that avoids B_k itself."""
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    if k == -1:
-        return Rational(0)
+@functools.cache
+def _check_moduli() -> Moduli:  # three primes near 2^26, far above 2^(k+1)+1
+    return Moduli(2**40)
+
+
+def _constant_and_sum(k: int) -> tuple[Rational, Rational]:
+    """(c_k, S_k), memoized: c_k = 2∫u·B_k, and S_k = S_{k-1} + c_k checked
+    against 4/3 - ∫(1 - u·B_{<=k-1})² modulo each prime of _check_moduli."""
     hit = _PARTIAL_SUMS.get(k)
     if hit is None:
-        cdf_prev = root_rank_cdf_gf(k - 1)
-        integrand = ONE + U * U - (ONE - U * cdf_prev) ** 2
-        hit = _PARTIAL_SUMS.setdefault(k, integrand.integral01())
+        # B_{<=k-1}'s route first: with B_k built first, a cold k = 7 run peaked 1.5 MB higher
+        moduli = _check_moduli()
+        square = square_integral01(ONE - U * root_rank_cdf_gf(k - 1), moduli)
+        c = 2 * (U * root_rank_gf(k)).integral01()
+        s = c + (_constant_and_sum(k - 1)[1] if k else 0)
+        t = Rational(4, 3) - s
+        for p, r in zip(moduli.q.tolist(), square):
+            if not t.denominator % p or (t.numerator - r * t.denominator) % p:
+                raise InternalInconsistency(f"c_{k}: the partial-sum route disagrees modulo {p}")
+        hit = _PARTIAL_SUMS.setdefault(k, (c, s))
     return hit
 
 
+def partial_sum(k: int) -> Rational:
+    """S_k = c_0 + ... + c_k exactly, each c_k checked modulo three primes (rank_constant)."""
+    if k < -1:
+        raise ValueError("k must be >= -1")
+    return _constant_and_sum(k)[1] if k >= 0 else Rational(0)
+
+
 def rank_constant(k: int) -> Rational:
-    """Exact c_k, cross-checked along two independent routes."""
+    """Exact c_k = 2∫u·B_k, checked against S_k = 4/3 - ∫(1 - u·B_{<=k-1})².
+
+    The check is taken modulo three fixed primes near 2^26, not exactly: a
+    wrong c_k passes only if their product, about 2^78, divides the
+    numerator of its error.  It guards against bugs, not an adversary.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    via_sums = partial_sum(k) - partial_sum(k - 1)
-    via_bk = 2 * (U * root_rank_gf(k)).integral01()
-    if via_sums != via_bk:
-        raise InternalInconsistency(
-            f"c_{k}: partial-sum route {via_sums} != integral route {via_bk}"
-        )
-    return via_bk
+    return _constant_and_sum(k)[0]
 
 
 # ---------------------------------------------------------------------------

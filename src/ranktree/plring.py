@@ -19,20 +19,12 @@ two parts directly.  A product multiplies integers only and reduces once
 over its output; a sum or a difference rescales both sides to the lcm of
 their denominators in one pass, the sign of a difference folded into the
 right side's factor, so no negated copy is made; the calculus operations
-scale numerators by integer factors.  ``antiderivative`` reduces each
-column of b against its own (b+1)^(t+1), t its top power of v, and each
-b = -1 term against its c+1, and puts the columns over the lcm of what is
-left, not over the lcm of every (b+1)^(t+1).  The canonical reduction
-finds gcd(den, *numerators) by a checked combination: the gcd of den with
-two weighted sums of the numerators is a multiple of the true gcd, and
-each numerator it does not divide is taken into it, so it ends exact.
-``series`` is Taylor's formula on the ring's own derivative: it
-differentiates the raw numerators ``order`` times over the same
-denominator, and coefficient j is the v-free part of the j-th derivative
-over den·j!.  No rational is formed per term inside the kernel:
-``terms``, ``coeff``, iteration and the scalar results (``value_at_0``,
-``integral01``, ``series``) hand out reduced Rationals built from the
-integer parts.
+scale numerators by integer factors (``antiderivative`` and ``series``
+say how), and the canonical reduction finds gcd(den, *numerators) by a
+checked combination (_gcd).  No rational is formed per term inside the
+kernel: ``terms``, ``coeff``, iteration and the scalar results
+(``value_at_0``, ``integral01``, ``series``) hand out reduced Rationals
+built from the integer parts.
 
 Products.  A product of two term maps takes one of two routes, with the
 same result to the last bit; both end in the same canonical reduction.
@@ -44,46 +36,26 @@ same result to the last bit; both end in the same canonical reduction.
 * From _RESIDUE_PAIRS term pairs on, the numerators are computed modulo
   the moduli of ranktree.residues for the bound
   max|a|·max|b|·min(len a, len b), which no output numerator exceeds in
-  absolute value, and rebuilt there, nonzero cells only.  Each operand
-  is reduced once, for all primes, by Moduli.residues.  Each residue,
+  absolute value, and rebuilt there, nonzero cells only.  Each residue,
   below 2^26, is split into 13-bit halves, so a product of grids is
-  three real convolutions: low·low, the cross terms and high·high, each
+  three real convolutions (low·low, the cross terms, high·high), each
   cell an exact integer below 2^27 times the length of the shorter
-  operand, far inside the 2^53 of a float64.  They are
-  computed by numpy's rfft2 on the dense (b, c) grids, zero-padded on
-  each axis to the least 5-smooth length that holds the product, so the
-  cyclic convolution is the linear one; a square transforms its operand
-  once.  Every output cell must lie within 1/4 of an integer, or
-  InternalInconsistency names the rounding check (the error is far
-  smaller: Percival 2003 bounds it; the largest seen by
-  `constants --kmax 7` is 2^-15, about 3.1e-5).  The rounded cells are
-  reduced modulo q and recombined as high·2^26 + cross·2^13 + low.
-  The passes take _CHUNK primes at a time, each on its columns of the
-  operands' residues, and fill an int32 table of cells × primes.  A pass
-  holds, per prime, the low and high spectra of each operand on the
-  padded grid and one or two product spectra at a time, so its memory
-  grows with the primes per pass.  With 1, 4, 8 and 32 primes a pass a
-  cold `constants --kmax 6` peaked at 41.2-41.3, 41.3, 41.8 and
-  49.3-49.4 MB and a warm one at 38.3-38.4, 39.3-39.4, 41.2-41.3 and
-  48.8-48.9 MB, and the cold runs took 1.30-1.37, 1.25-1.35, 1.22-1.33
-  and 1.29-1.32 s (3 runs each): past 4 primes, more primes a pass cost
-  memory and save no time.
+  operand, far inside the 2^53 of a float64.  numpy's rfft2 computes
+  them on the dense (b, c) grids, padded so that the cyclic convolution
+  is the linear one.  Every output cell must lie within 1/4 of an
+  integer, or InternalInconsistency names the rounding check (Percival
+  2003 bounds the error; the largest seen by `constants --kmax 7` is
+  about 3.1e-5).  A pass of _CHUNK primes holds the spectra of its
+  primes, so 32 primes a pass raised the peak of a cold
+  `constants --kmax 6` by 8 MB over 4, and more than 4 saved no time.
+* square_integral01 takes the integral over [0, 1] of a square from its
+  residue table alone, modulo each prime, with no rebuild.
 
 The cutoff was measured on the products of constants_table(6) (2-core
-Xeon, Python 3.11.7, numpy 2.4.6), best of 3 on each route, in three
-sweeps, when the loop still visited each cross pair of a square once.
-Squares of B_4-sized operands (173^2 = 29,929 and 174^2 = 30,276 pairs)
-took 7.1-9.1 ms by residues and 7.4-10.3 ms in that loop.  The loop
-squares of a run to kmax = 7 now have at most 50 terms (2,500 pairs),
-far below the cutoff.  Products of distinct operands cross between
-8,650 pairs (173 × 50: 4.4-6.2 ms against 3.7-4.4 ms) and the
-next size above, 31,668 pairs (174 × 182: 8.7-9.6 ms against
-18.8-20.7 ms); no product of constants_table(6) lies between them.
-645 × 174 takes 34-37 ms against 86-103 ms.  A single term times B_6
-(2,485 pairs) shows why the cutoff counts pairs: the loop takes 6-8 ms,
-while the residue route, which reduces 2,485 numerators of 3,500 bits
-and transforms the whole product grid, takes 97-99 ms (best of 5, two
-runs).
+Xeon, Python 3.11.7, numpy 2.4.6, best of 3): squares of about 30,000
+pairs took 7-10 ms on both routes, 645 × 174 34-37 ms by residues against
+86-103 ms in the loop, and a single term times B_6 (2,485 pairs) 97-99 ms
+by residues against 6-8 ms in the loop, which is why the cutoff counts pairs.
 """
 
 from __future__ import annotations
@@ -112,6 +84,7 @@ __all__ = [
     "UINV",
     "V",
     "X",
+    "square_integral01",
 ]
 
 
@@ -280,10 +253,8 @@ class PLExpr:
         term against its c+1.  All terms then go over den * scale, where
         scale is the lcm of those reduced denominators, and each column is
         rescaled by one integer.  The common multiplier is thus no larger
-        than the result needs.  For the right-hand side of B_7, the lcm of
-        every (b+1)^(t+1) has 14,366 bits and the reduced one 7,150: putting
-        every term over the larger one and dividing the 7,215 surplus bits
-        back out took about half of constants_table(7).
+        than the result needs: for the right-hand side of B_7 it has 7,150
+        bits, where the lcm of every (b+1)^(t+1) has 14,366.
         """
         parts = []  # (numerators by term, reduced denominator), one per column
         for b, col in _columns(self._num).items():
@@ -543,6 +514,45 @@ def _product_table(a: dict, b: dict, moduli: Moduli) -> np.ndarray:
         del cross  # before the next pass allocates its own
         table[..., cols] = np.moveaxis(acc % qc, 0, -1)
     return table
+
+
+def square_integral01(expr: PLExpr, moduli: Moduli) -> list[int]:
+    """The integral of expr² over [0, 1] modulo each prime of moduli.q.
+
+    The square's residue table comes from _product_table: no cell is
+    rebuilt, no big integer formed.  Cell (b, c) weighs c!·(b+1)^(-c-1),
+    the integral of u^b v^c, and the sum is divided by den².
+    DivergentIntegral if a term has b < 0; InternalInconsistency if a
+    prime divides den or some b+1.
+    """
+    q = moduli.q.tolist()
+    if not expr._num:
+        return [0] * len(q)
+    b, c = min(expr._num)
+    if b < 0:  # the square's cell at (2b, 2c) is that numerator squared
+        raise DivergentIntegral(f"term u^{2 * b} v^{2 * c} diverges on [0, 1]")
+    table = _product_table(expr._num, expr._num, moduli)
+    try:
+        weights = _integral_weights(*(2 * e for e in _origin(expr._num)), table.shape[:2], q)
+        inverses = [pow(expr._den**2, -1, p) for p in q]
+    except ValueError:
+        raise InternalInconsistency(f"a prime of {q} divides a denominator") from None
+    sums = (table * weights % moduli.q).sum(axis=(0, 1)).tolist()
+    return [s * i % p for s, i, p in zip(sums, inverses, q)]
+
+
+def _integral_weights(b0: int, c0: int, shape, q: list[int]) -> np.ndarray:
+    """c!·(b+1)^(-c-1) modulo each prime of q on the grid of this shape from
+    (b0, c0): int64, (rows, cols, primes).  ValueError if a prime divides a b+1."""
+    qa, lead = np.array(q, np.int64), math.factorial(c0)
+    rows = range(b0 + 1, b0 + 1 + shape[0])  # the values of b+1
+    inv = np.array([[pow(x, -1, p) for p in q] for x in rows], np.int64)
+    col = np.array([[lead * pow(x, -c0 - 1, p) % p for p in q] for x in rows], np.int64)
+    out = np.empty(shape + (len(q),), np.int64)
+    for j in range(shape[1]):  # from c to c+1 the weight gains (c+1)/(b+1)
+        out[:, j] = col
+        col = col * inv % qa * (c0 + j + 1) % qa
+    return out
 
 
 def _spectra(at, grid: tuple[int, int], res: np.ndarray, size) -> np.ndarray:

@@ -12,10 +12,8 @@ Moduli.  The Moduli for a bound B takes the fewest of the largest primes
 below 2^26 whose product M exceeds 2·B, and the next prime as the check
 prime; its q array holds the CRT primes, then the check prime.  Primes
 go in decreasing order, so the q for a smaller bound is the first
-columns of the q for a larger one.  A residue row is rebuilt from its
-CRT columns into the symmetric range (-M/2, M/2]; a value above the
-caller's bound in absolute value, or one that disagrees with the row's
-check-prime column, raises InternalInconsistency.  The callers keep
+columns of the q for a larger one.  Moduli.rebuild checks every value
+against the caller's bound and the check prime.  The callers keep
 their own scaling: the oracle multiplies by n! before the rebuild,
 divides after it and requires values >= 0; the product maps table cells
 to (b, c) terms.
@@ -34,23 +32,14 @@ it refuses, with CapacityExceeded, a bound that needs 2^11 CRT primes or
 more, and integers of 2^11 limbs or more.  A rebuild takes 64 rows at a
 time, which bounds the memory of its float64 sums.  The products are
 numpy's `@`, a BLAS dgemm, which the lemma keeps exact whatever order
-and blocking the BLAS sums in.  The package sets OpenBLAS to one thread
-(see ranktree/__init__.py): a second thread spins for about 0.1 s of CPU
-in every run and saves no wall time, even at k = 7.  On one thread `@`
-is about 8 times faster than numpy's einsum on a k = 8 rebuild block
-(64 x 1,100 by 1,100 x 1,800: 7.5 ms against 62 ms).
+and blocking the BLAS sums in, on the one OpenBLAS thread the package
+sets (see ranktree/__init__.py).  On a k = 8 rebuild block it is about 8
+times faster than numpy's einsum.
 
 The convolution kernels stay with their callers: the oracle's convolve
 1-D levels in int64 and skip a band of zero rows, the product's convolve
-(b, c) grids by FFT in float64.  Run on (rows, 1, primes) views, the
-product's earlier int64 2-D kernel made one n = 400 oracle level 22-27 %
-slower (6.5-7.5 ms against 5.3-6.1 ms) and made
-`oracle --n 400 --kmax 5 --rho 7/5 --series-order 50` take 1.85-2.01 s
-against 1.36-1.40 s in process (2-core Xeon, Python 3.11.7, numpy 2.4.6).
-
-A product of two residues is below 2^52, so an int64 accumulator can take
-_CADENCE such products on top of a reduced value before it must be
-reduced modulo q again.
+(b, c) grids by FFT in float64.  The product's earlier int64 2-D kernel,
+run on the oracle's levels, made `oracle --n 400` about 40 % slower.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 The low-order constants were verified by hand; everything larger was
 frozen from an independent finite-n dynamic-programming oracle and from
 dual-route symbolic computation, and is pinned here so any regression in
-the engine trips a hard equality failure.
+the engine trips a hard equality failure.  The exact square route to S_k,
+which the engine now takes only modulo primes, is kept here as the
+reference of that check.
 """
 
-from ranktree.plring import Rational
+from ranktree import genfun
+from ranktree.plring import ONE, U, Rational
 
 C_EXACT = {
     0: Rational(1, 3),
@@ -34,3 +37,14 @@ G_OVER_C = [Rational(1), Rational(10, 9), Rational(2205, 1721)]
 
 # first leaf-distance moments I_{k,1} of the greedy-walk tail
 I1_EXACT = [Rational(1, 3), Rational(7, 36), Rational(109, 1080)]
+
+
+def cdf_square(k):
+    """1 - u·B_{<=k-1}: S_k is 4/3 minus the integral of its square."""
+    return ONE - U * genfun.root_rank_cdf_gf(k - 1)
+
+
+def square_integral(k):
+    """∫(1 - u·B_{<=k-1})² over [0, 1], by the exact square: the reference
+    of the check in genfun.rank_constant, which takes it modulo primes."""
+    return (cdf_square(k) ** 2).integral01()

@@ -4,6 +4,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference_plring
@@ -473,6 +474,72 @@ def test_a_divergent_cache_entry_exits_3(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert "internal inconsistency: term u^-2 v^0 diverges on [0, 1]" in err
     assert "usage error" not in err
+
+
+def _one_more(head, terms):
+    # the first numerator one larger: still canonical, so the loader takes it
+    return _first_term(head, terms, n=f"{int(terms[0][2], 16) + 1:x}")
+
+
+def _u_cubed_below(head, terms):
+    # the first v-free term with b >= 0 moved to b = -3, where no term is
+    i = next(i for i, (b, c, _) in enumerate(terms) if b >= 0 and c == 0)
+    return head, [*terms[:i], [-3, *terms[i][1:]], *terms[i + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "entry, damage, message",
+    [
+        # the integral route reads B_3, the partial-sum route B_{<=2}
+        ("root_rank.3.json", _one_more, "c_3: the partial-sum route disagrees modulo "),
+        ("root_rank_cdf.2.json", _one_more, "c_3: the partial-sum route disagrees modulo "),
+        # u·B_{<=2} then has a term at u^-2, whose square is at u^-4
+        ("root_rank_cdf.2.json", _u_cubed_below, "term u^-4 v^0 diverges on [0, 1]"),
+    ],
+    ids=["root-rank-numerator", "cdf-numerator", "cdf-divergent"],
+)
+def test_a_cache_entry_that_breaks_a_route_to_c_k_exits_3(
+    capsys, monkeypatch, tmp_path, entry, damage, message
+):
+    cache = tmp_path / "cache"
+    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    _write(cache / entry, *damage(*_read(cache / entry)))
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert f"internal inconsistency: {message}" in err
+
+
+def _weights_one_row_off(monkeypatch):
+    real = plring._integral_weights
+    monkeypatch.setattr(plring, "_integral_weights", lambda b0, *rest: real(b0 + 1, *rest))
+
+
+def _prime_three_in_the_check(monkeypatch):
+    moduli = residues.Moduli(2**40)
+    moduli.q = np.array([3, *moduli.q[1:]], np.int64)
+    monkeypatch.setattr(genfun, "_check_moduli", lambda: moduli)
+
+
+@pytest.mark.parametrize(
+    "breaker, message",
+    [
+        (_weights_one_row_off, "c_0: the partial-sum route disagrees modulo "),
+        # c_0 passes modulo 3; the square of 1 - u·B_{<=0} has a cell at b = 2
+        (_prime_three_in_the_check, "a prime of [3, "),
+    ],
+    ids=["weights-off-by-one", "prime-three"],
+)
+def test_a_broken_modular_check_exits_3(capsys, monkeypatch, breaker, message):
+    breaker(monkeypatch)
+    monkeypatch.setattr(genfun, "_CACHE", {})
+    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    code, out, err = run(capsys, "constants", "--kmax", "2")
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert f"internal inconsistency: {message}" in err
 
 
 def test_a_residue_capacity_refusal_mid_run_exits_3(capsys, monkeypatch):

@@ -2,9 +2,19 @@
 
 import pytest
 
-from exact_values import C_EXACT, F_EXACT, F_OVER_C, G_EXACT, G_OVER_C, I1_EXACT
+from exact_values import (
+    C_EXACT,
+    F_EXACT,
+    F_OVER_C,
+    G_EXACT,
+    G_OVER_C,
+    I1_EXACT,
+    cdf_square,
+    square_integral,
+)
 from ranktree import checks, genfun, oracle
-from ranktree.plring import ONE, PLExpr, Rational, U, UINV, X
+from ranktree.plring import ONE, PLExpr, Rational, U, UINV, X, square_integral01
+from ranktree.residues import Moduli
 
 
 def test_rank_gf_base_case():
@@ -50,6 +60,17 @@ def test_constants_are_positive_and_summable():
         assert s == s_prev + c
         assert s < 1
         s_prev = s
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_partial_sum_route_matches_the_exact_square(k):
+    # S_k is 4/3 minus the integral exactly, and the check's residues are the integral's
+    exact = square_integral(k)
+    assert genfun.partial_sum(k) == Rational(4, 3) - exact
+    moduli = Moduli(2**40)
+    assert square_integral01(cdf_square(k), moduli) == [
+        int(exact.numerator) * pow(int(exact.denominator), -1, p) % p for p in moduli.q.tolist()
+    ]
 
 
 def test_partial_sum_windows():

@@ -346,6 +346,32 @@ def test_integral01_matches_reference(a):
     assert PLExpr(a).integral01() == ref.integral01(a)
 
 
+@given(ref_convergent)
+@settings(max_examples=60, deadline=None)
+@example({(2, 3): Fraction(5, 7), (4, 1): Fraction(-1, 3)})  # the grid starts past (0, 0)
+def test_square_integral01_reduces_the_exact_integral(a):
+    moduli = residues.Moduli(2**40)
+    exact = ref.integral01(ref.mul(a, a))
+    assert plring.square_integral01(PLExpr(a), moduli) == [
+        exact.numerator * pow(exact.denominator, -1, p) % p for p in moduli.q.tolist()
+    ]
+
+
+def test_square_integral01_rejects_a_divergent_square():
+    # the least term u^-1 v squares to u^-2 v^2, whatever the others cancel
+    with pytest.raises(DivergentIntegral, match=r"term u\^-2 v\^2 diverges"):
+        plring.square_integral01(PLExpr.term(1, -1, 1) + V + ONE, residues.Moduli(2**40))
+
+
+def test_square_integral01_refuses_a_prime_that_divides_a_denominator():
+    moduli = residues.Moduli(2**40)
+    moduli.q = np.array([3, *moduli.q[1:]], np.int64)
+    # 3 divides b+1 at the cell b = 2 of the first square, and den² of the second
+    for expr in (ONE - U + U * U, PLExpr.const(Rational(1, 3))):
+        with pytest.raises(InternalInconsistency, match=r"a prime of \[3, .* divides a denominator"):
+            plring.square_integral01(expr, moduli)
+
+
 @given(ref_exprs, st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 @example(CALCULUS_CASES["b<-1"], 60)
