@@ -7,9 +7,9 @@ denominator dividing n! and lies in [0, n], so n!·v is an integer in
 [0, n·n!] (at n = 0 the one value is 1).
 
 Residue form.  The tables hold v itself, not n!·v, modulo word-size primes:
-each level is an int64 numpy array of shape (sizes, primes), row m holding
-the value at size m modulo every prime.  In this probability form the
-binomial weights of the recurrences cancel, e.g.
+each level is an int32 numpy array of shape (sizes, primes), 4 bytes per
+size and prime, row m holding the value at size m modulo every prime.  In
+this probability form the binomial weights of the recurrences cancel, e.g.
 
     P_k[m] = (1/m) sum_j P_{k-1}[j] P_{k-1}[m-1-j],
 
@@ -20,8 +20,8 @@ pair j = 0 is 2 P_{k-1}[m-1], with no product; the pairs with both
 indices >= k+1 start at the size 2k+4 and the middle term at 2k+3, so
 from k >= (n-2)/2 on a level is its predecessor shifted by one size,
 P_k[m] = 2 P_{k-1}[m-1]/m.  The leaf-pair and closest-leaf tables are
-(2/m) times a cross-convolution, and the rank counts follow from one
-weighted sum per level,
+(2/m) times a cross-convolution, and each rank count follows from one
+weighted sum over a root-rank level pair, with no table of its own,
 
     E_{n,k} = d_n + 2(n+1) sum_{m<n} d_m / ((m+1)(m+2)),
     d_m = P_{k-1}[m] - P_k[m].
@@ -36,23 +36,24 @@ divides by n!.  Every prime exceeds n + 2, so the inverses of m and
 basis, the sizes 0..n, so a level once held is never refilled; a request
 above n chooses new primes and drops every table.
 
-Overflow.  A product of two residues is below 2^52.  The convolutions add
-one product per step to int64 accumulators and reduce them modulo q every
-_CADENCE steps, the most that the prime bound allows without reaching
-2^63, so no sum overflows at any n; the weighted sums add raw products
-in chunks of _CADENCE sizes.  A root-rank level takes one more reduction,
-at the end: the reduced pair sum plus the j = 0 term (below 2q), times
-2/m, plus the reduced middle term times 1/m, is below 3·2^52.
+Overflow.  The kernels read levels as int64 and write them as int32.  A
+product of two residues is below 2^52.  The convolutions add one product
+per step to int64 accumulators and reduce them modulo q every _CADENCE
+steps, the most that the prime bound allows without reaching 2^63, so no
+sum overflows at any n; the weighted sums add raw products in chunks of
+_CADENCE sizes.  A root-rank level takes one more reduction, at the end:
+the reduced pair sum plus the j = 0 term (below 2q), times 2/m, plus the
+reduced middle term times 1/m, is below 3·2^52.
 
 Cost: level k at size n takes about (n - 2k)^2/4 products per prime, with
 about n log2(n)/26 primes, and from k >= (n-2)/2 on no product at all.
 moment_gf_ratio(n, rho) needs all n levels; it streams them on the primes
 for n, writing them into two preallocated level buffers in turn and
 keeping one residue row of E_{n,k} per level, and reads the levels
-already held.  The exact E_{n,k} are kept per n, so another rho at the
-same n costs no DP.  In process the stream takes about 0.7 s at n = 400,
-nearly all of it in the pair loop, and 31-40 s at n = 1000 (2-core Xeon,
-Python 3.11.7, numpy 2.4.6).
+already held, on the engine's basis if it was built for n.  The exact
+E_{n,k} are kept per n, so another rho at the same n costs no DP.  In
+process the stream takes about 0.7 s at n = 400, nearly all of it in the
+pair loop, and 31-40 s at n = 1000 (2-core Xeon, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -122,13 +123,7 @@ class _Basis:
         self.w = self.inv[1 : n + 2] * self.inv[2 : n + 3] % q
 
     def ones(self) -> np.ndarray:
-        return np.ones((self.rows, len(self.q)), np.int64)
-
-    def unit(self) -> np.ndarray:
-        """1 at size 1, 0 elsewhere."""
-        out = np.zeros((self.rows, len(self.q)), np.int64)
-        out[1:2] = 1
-        return out
+        return np.ones((self.rows, len(self.q)), np.int32)
 
     def values(self, residues: np.ndarray, n: int) -> list[Rational]:
         """Exact values at size n from their residue rows, one row each."""
@@ -142,7 +137,7 @@ class _Basis:
 def _p_level(
     prev: np.ndarray, k: int, q: np.ndarray, inv: np.ndarray, inv2: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Write level k of the root-rank tail into out, from level k-1 in prev.
+    """Write level k of the root-rank tail into the int64 out, from level k-1 in prev.
 
     Row m of out becomes P_k[m] mod q for m < len(out): 1 at m = 0, and
     (1/m) sum_{j+i=m-1} prev[j] prev[i] from m = 2 on.  Row 0 of prev must
@@ -154,6 +149,7 @@ def _p_level(
     """
     rows = len(out)
     lo = k + 2
+    prev = prev.astype(np.int64, copy=False)
     out[0] = 1
     out[1:lo] = 0
     if lo >= rows:
@@ -189,11 +185,14 @@ def _weighted(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _cross_conv(a: np.ndarray, b: np.ndarray, lo: int, q: np.ndarray) -> np.ndarray:
-    """sum_{j+i=m-1} a[j] b[i] mod q for the sizes 2 <= m < len(a); rows of a below lo must be zero."""
+    """sum_{j+i=m-1} a[j] b[i] mod q for the sizes 2 <= m < len(a), over the
+    rows j of a from lo (those below must be zero) to the last nonzero one."""
     rows = len(a)
+    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+    nonzero = np.flatnonzero(a[: rows - 1].any(axis=1))
     acc = np.zeros((rows - 2, a.shape[1]), np.int64)
     terms = 0
-    for j in range(lo, rows - 1):
+    for j in range(lo, nonzero[-1] + 1 if len(nonzero) else lo):
         m0 = max(2, j + 1)
         acc[m0 - 2 :] += a[j] * b[m0 - 1 - j : rows - 1 - j]
         terms += 1
@@ -204,44 +203,44 @@ def _cross_conv(a: np.ndarray, b: np.ndarray, lo: int, q: np.ndarray) -> np.ndar
 
 
 class RankDP:
-    """Lazily grown residue tables; level k of each dict is an array whose
-    row m holds the value at size m modulo every prime of the basis.
+    """Lazily grown residue tables; level k of each dict is an int32 array
+    whose row m holds the value at size m modulo every prime of the basis.
 
     _p[k][m]  = P(root rank of the m-tree > k),      k >= 0 (1 for k < 0)
-    _e[k][m]  = E[# vertices of rank k]
     _f[k][m]  = E[1{root rank > k} * (leaf count)],   k >= -1
     _g[k][m]  = E[1{root rank = k} * (closest-leaf count)]
 
-    Accessors return exact Rationals.  Requests may come in any order.
-    Every held level spans the basis (_basis.rows sizes), so a level is
-    computed once per basis and never refilled; a request above the
-    basis' capacity starts again with more primes and drops every level.
-    A level past the largest root rank of an n-tree (max_root_rank(n) =
-    n-1) is 0 at size n, and the accessors return that 0 without any
-    table.  At n = 0 no level is filled: p_gt is 1, f_gt and g_eq are 0
-    at every level they have, and e_count raises.
+    E[# vertices of rank k] at size n is one weighted sum over _p[k-1] and
+    _p[k].  Accessors return exact Rationals.  Requests may come in any
+    order.  Every held level spans the basis (_basis.rows sizes), so a
+    level is computed once per basis and never refilled; a request above
+    the basis' capacity starts again with more primes and drops every
+    level.  A level past the largest root rank of an n-tree
+    (max_root_rank(n) = n-1) is 0 at size n, and the accessors return that
+    0 without any table.  At n = 0 no level is filled: p_gt is 1, f_gt and
+    g_eq are 0 at every level they have, and e_count raises.
     """
 
     def __init__(self):
         self._basis: _Basis | None = None
         self._p: dict[int, np.ndarray] = {}
-        self._e: dict[int, np.ndarray] = {}
         self._f: dict[int, np.ndarray] = {}
         self._g: dict[int, np.ndarray] = {}
-        self._x: dict[int, np.ndarray] = {}  # always empty; perfbench/tracing.py still reads it
+        self._e: dict[int, np.ndarray] = {}  # always empty, as _x; perfbench/tracing.py reads both
+        self._x: dict[int, np.ndarray] = {}
         self._counts: dict[int, list[Rational]] = {}  # rank_counts(n), by n
 
-    def _value(self, rows_of, k: int, n: int, top: int) -> Rational:
-        """Level k at size n; 0 above top, the last level that can be nonzero."""
+    def _value(self, row, k: int, n: int, top: int) -> Rational:
+        """Level k at size n from row(k); 0 above top, the last level that can be nonzero."""
         if n < 0:
             raise ValueError("n must be >= 0")
         if k > top:
             return Rational(0)
         if self._basis is None or n > self._basis.cap:
             self._basis = _Basis(n)
-            for table in (self._p, self._e, self._f, self._g):
+            for table in (self._p, self._f, self._g):
                 table.clear()
-        return self._basis.values(rows_of(k)[n : n + 1], n)[0]
+        return self._basis.values(row(k), n)[0]
 
     @staticmethod
     def _grow(table: dict, first: int, k: int, extend) -> np.ndarray:
@@ -270,33 +269,29 @@ class RankDP:
     def _extend_p(self, k: int) -> np.ndarray:
         b = self._basis
         prev = self._p_rows(k - 1)
-        return _p_level(prev, k, b.q, b.inv, b.inv2, np.empty_like(prev))
+        out = _p_level(prev, k, b.q, b.inv, b.inv2, np.empty(prev.shape, np.int64))
+        return out.astype(np.int32)
 
     def p_gt(self, n: int, k: int) -> Rational:
         if n == 0:
             return Rational(1)  # p_{0,>k} := 1 at every k
-        return self._value(self._p_rows, k, n, max_root_rank(n) - 1)
+        return self._value(lambda k: self._p_rows(k)[n : n + 1], k, n, max_root_rank(n) - 1)
 
     def p_eq(self, n: int, k: int) -> Rational:
         return self.p_gt(n, k - 1) - self.p_gt(n, k)
 
     # -- expected rank counts ----------------------------------------------
 
-    def _e_rows(self, k: int) -> np.ndarray:
-        tab = self._e.get(k)
-        if tab is None:
-            b = self._basis
-            d = (self._p_rows(k - 1) - self._p_rows(k)) % b.q
-            t = d * b.w % b.q
-            before = np.cumsum(t, axis=0) - t  # sum_{m<n} d_m w_m, below rows·q
-            n1 = np.arange(1, b.rows + 1, dtype=np.int64)[:, None]
-            self._e[k] = tab = (d + 2 * n1 * (before % b.q)) % b.q
-        return tab
+    def _e_row(self, k: int, n: int) -> np.ndarray:
+        """E_{n,k} = d_n + 2(n+1) sum_{m<n} d_m w_m, d = P_{k-1} - P_k, as a residue row."""
+        b = self._basis
+        d = (self._p_rows(k - 1)[: n + 1] - self._p_rows(k)[: n + 1]) % b.q
+        return (d[n : n + 1] + 2 * (n + 1) * _weighted(d[:n], b.w[:n], b.q)) % b.q
 
     def e_count(self, n: int, k: int) -> Rational:
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self._value(self._e_rows, k, n, max_root_rank(n))
+        return self._value(lambda k: self._e_row(k, n), k, n, max_root_rank(n))
 
     def rank_counts(self, n: int) -> list[Rational]:
         """Exact E_{n,k} for k = 0..n-1 (vertices of rank >= n do not exist).
@@ -304,9 +299,9 @@ class RankDP:
         The levels are streamed: one held in _p is read, any other is
         computed from the previous level and dropped, so memory stays at
         two levels and one residue row per k.  The stream uses the primes
-        for n alone, whatever the capacity of the held tables: those
-        primes are the first columns of any basis that covers n.  Each n
-        is streamed once per engine, and the values are kept for the next
+        for n alone, the engine's basis if it was built for n: those primes
+        are the first columns of any basis that covers n.  Each n is
+        streamed once per engine, and the values are kept for the next
         call, e.g. the moment ratio at another rho.
         """
         if n < 1:
@@ -317,7 +312,7 @@ class RankDP:
         return list(counts)
 
     def _stream_counts(self, n: int) -> list[Rational]:
-        b = _Basis(n)
+        b = self._basis if self._basis is not None and self._basis.cap == n else _Basis(n)
         rows, width = n + 1, len(b.q)
         w = b.w[:n]
         prev = b.ones()
@@ -327,7 +322,7 @@ class RankDP:
         for k in range(n):
             held = self._p.get(k)
             if held is not None and len(held) >= rows:
-                cur = held[:rows, :width]
+                cur = held[:rows, :width].astype(np.int64)
             else:  # into the buffer that prev is not
                 cur = _p_level(prev, k, b.q, b.inv, b.inv2, buffers[k % 2])
             # sum_{m<n} cur[m] w_m: row 0 is 1 and rows 1..k+1 are zero
@@ -348,17 +343,18 @@ class RankDP:
             tab = np.arange(1, b.rows + 1, dtype=np.int64)[:, None] * b.inv[3] % b.q
             tab[0] = 0
             tab[1:2] = 1
-            return tab
+            return tab.astype(np.int32)
         return self._pair_level(self._f_rows(k - 1), self._p_rows(k - 1), k + 1)
 
     def _pair_level(self, a: np.ndarray, p: np.ndarray, lo: int) -> np.ndarray:
         """0 at sizes 0 and 1, (2/m) sum_{j >= lo} a[j] p[m-1-j] at size m >= 2."""
         b = self._basis
-        conv = _cross_conv(a, p, lo, b.q)
-        return np.concatenate([np.zeros((2, len(b.q)), np.int64), conv * b.inv2[2 : b.rows] % b.q])
+        out = np.zeros(a.shape, np.int32)
+        out[2:] = _cross_conv(a, p, lo, b.q) * b.inv2[2 : b.rows] % b.q
+        return out
 
     def f_gt(self, n: int, k: int) -> Rational:
-        return self._value(self._f_rows, k, n, max_root_rank(n) - 1)
+        return self._value(lambda k: self._f_rows(k)[n : n + 1], k, n, max_root_rank(n) - 1)
 
     def f_eq(self, n: int, k: int) -> Rational:
         return self.f_gt(n, k - 1) - self.f_gt(n, k)
@@ -369,13 +365,13 @@ class RankDP:
         return self._grow(self._g, 0, k, self._extend_g)
 
     def _extend_g(self, k: int) -> np.ndarray:
-        if k == 0:
-            return self._basis.unit()  # Bhat_0 = x
+        if k == 0:  # Bhat_0 = x: 1 at size 1, 0 elsewhere
+            return (np.arange(self._basis.rows) == 1)[:, None] * self._basis.ones()
         # p_{m,>=k-1} = p_{m,>k-2}, which is 1 at m = 0
         return self._pair_level(self._g_rows(k - 1), self._p_rows(k - 2), k)
 
     def g_eq(self, n: int, k: int) -> Rational:
-        return self._value(self._g_rows, k, n, max_root_rank(n))
+        return self._value(lambda k: self._g_rows(k)[n : n + 1], k, n, max_root_rank(n))
 
 
 _DEFAULT = RankDP()
@@ -447,6 +443,6 @@ def moment_gf_ratio(n: int, rho) -> Rational:
     if not rho > 0:
         raise ValueError("rho must be positive")
     total = Rational(0)
-    for k, count in enumerate(_DEFAULT.rank_counts(n)):
-        total += rho**k * count
+    for count in reversed(_DEFAULT.rank_counts(n)):  # Horner in rho
+        total = total * rho + count
     return total / n

@@ -30,11 +30,11 @@ int.from_bytes.  Both products are exact by one lemma: a value below
 terms sum below 2^53 in any order.  Moduli enforces it rather than round:
 it refuses, with CapacityExceeded, a bound that needs 2^11 CRT primes or
 more, and integers of 2^11 limbs or more.  A rebuild takes 64 rows at a
-time, which bounds the memory of its float64 sums.  The products are
-numpy's `@`, a BLAS dgemm, which the lemma keeps exact whatever order
-and blocking the BLAS sums in, on the one OpenBLAS thread the package
-sets (see ranktree/__init__.py).  On a k = 8 rebuild block it is about 8
-times faster than numpy's einsum.
+time and a reduction 512 integers, which bounds the memory of their
+float64 matrices.  The products are numpy's `@`, a BLAS dgemm, which the
+lemma keeps exact whatever order and blocking the BLAS sums in, on the
+one OpenBLAS thread the package sets (see ranktree/__init__.py).  On a
+k = 8 rebuild block it is about 8 times faster than numpy's einsum.
 
 The convolution kernels stay with their callers: the oracle's convolve
 1-D levels in int64 and skip a band of zero rows, the product's convolve
@@ -74,6 +74,9 @@ _LIMB = 16  # bits in a limb of both maps
 # 2^26 · 2^16 = 2^42
 _TERMS = 1 << 11
 _BLOCK = 64  # rows a rebuild turns into Python ints at a time
+# integers a reduction turns into limbs at a time: 84 -> 8 MB on 9,750 of
+# 14,400 bits, and within 5 % of one block's time on 2,485 of 3,500 bits
+_REDUCE_BLOCK = 512
 
 
 @lru_cache(maxsize=None)
@@ -143,8 +146,7 @@ class Moduli:
     def residues(self, nums) -> np.ndarray:
         """The integers nums modulo each prime of q: int32, one row per integer."""
         nums = list(nums)
-        limbs = _limb_rows(nums)
-        width = limbs.shape[1]
+        width = _limb_rows([max(map(abs, nums))]).shape[1]
         if width >= _TERMS:
             raise CapacityExceeded(f"integers of {width} limbs; fewer than {_TERMS} reduce exactly")
         q = self.q
@@ -152,10 +154,15 @@ class Moduli:
         powers[0] = 1
         for j in range(1, width):
             powers[j] = (powers[j - 1] << _LIMB) % q
-        sign = np.array([-1.0 if n < 0 else 1.0 for n in nums])
-        out = _product(limbs, powers.astype(np.float64))
-        out *= sign[:, None]
-        return np.mod(out, q, out=out).astype(np.int32)
+        powers = powers.astype(np.float64)
+        out = np.empty((len(nums), len(q)), np.int32)
+        for start in range(0, len(nums), _REDUCE_BLOCK):
+            block = nums[start : start + _REDUCE_BLOCK]
+            limbs = _limb_rows(block)
+            rows = _product(limbs, powers[: limbs.shape[1]])
+            rows *= [[-1.0 if n < 0 else 1.0] for n in block]
+            out[start : start + _REDUCE_BLOCK] = np.mod(rows, q, out=rows)
+        return out
 
     def rebuild(self, rows: np.ndarray, bound: int) -> list[int]:
         """The integers in [-bound, bound] with these residue rows, one per row.

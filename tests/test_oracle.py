@@ -204,6 +204,7 @@ def test_engine_matches_reference_at_large_n(reference, n):
 
 
 def test_moment_ratio_matches_reference(reference):
+    # the engine sums by Horner in rho; the reference by powers of rho
     for n in (100, 200, 400):
         counts = [reference.e_count(n, k) for k in range(n)]
         for rho in (Rational(7, 5), Rational(1, 3), Rational(1)):
@@ -250,6 +251,53 @@ def test_every_held_level_spans_the_basis(monkeypatch):
     assert calls == []  # levels 1..3 are held whole, so none is refilled
 
 
+def test_cli_holds_int32_levels_and_no_rank_count_table(capsys, monkeypatch):
+    dp = oracle.RankDP()
+    monkeypatch.setattr(oracle, "_DEFAULT", dp)
+    assert cli.main(["oracle", "--n", "400", "--kmax", "5"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert dp._e == {}
+    levels = [level for table in (dp._p, dp._f, dp._g) for level in table.values()]
+    assert len(levels) > 12
+    cells = dp._basis.rows * len(dp._basis.q)
+    assert {(level.dtype, level.nbytes) for level in levels} == {(np.dtype(np.int32), 4 * cells)}
+
+
+@pytest.mark.parametrize("n", [3, 5, 10, 37, 200])
+def test_rank_counts_stream_on_the_engine_basis(n, monkeypatch):
+    expected = oracle.RankDP().rank_counts(n)
+    dp, wider = oracle.RankDP(), oracle.RankDP()
+    dp.p_gt(n, 0)  # the basis for n, and level 0 held
+    wider.p_gt(n + 40, 0)
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return basis(m)
+
+    basis = oracle._Basis
+    monkeypatch.setattr(oracle, "_Basis", counted)
+    assert dp.rank_counts(n) == expected
+    assert built == []
+    assert wider.rank_counts(n) == expected  # on primes of its own for n
+    assert built == [n]
+
+
+@pytest.mark.parametrize("last", [1, 9, 30, 38, None])
+def test_cross_conv_stops_at_the_last_nonzero_row(last):
+    q = np.array(residues._largest_primes(3), np.int64)
+    rng = np.random.default_rng(last or 0)
+    a = rng.integers(0, q, size=(40, 3)).astype(np.int32)
+    b = rng.integers(0, q, size=(40, 3)).astype(np.int32)
+    lo = 1 if last == 1 else 4
+    a[:lo] = 0
+    a[(last or 0) + 1 :] = 0  # None: a is zero throughout
+    untrimmed = [  # every j, zero rows of a included
+        [_residue_sums(a[:, c], b[:, c], m, int(p)) for c, p in enumerate(q)] for m in range(2, len(a))
+    ]
+    assert oracle._cross_conv(a, b, lo, q).tolist() == untrimmed
+
+
 def test_primes_are_the_largest_below_the_bound():
     primes = residues._largest_primes(40)
     assert primes == sorted(primes, reverse=True)
@@ -269,7 +317,8 @@ def _residue_sums(a, b, m, q):
 @pytest.mark.parametrize("kernel", ["self", "cross", "weighted"])
 def test_convolutions_do_not_overflow(kernel):
     # residues next to q - 1 give products next to 2^52; more than
-    # _CADENCE of them on one accumulator row would pass 2^63 unreduced
+    # _CADENCE of them on one accumulator row would pass 2^63 unreduced,
+    # and int32 levels overflow at once unless the kernels read them as int64
     q = residues._largest_primes(1)[0]
     rows = 3 * residues._CADENCE
     a = q - 1 - np.arange(rows, dtype=np.int64)[:, None] % 7
@@ -283,13 +332,16 @@ def test_convolutions_do_not_overflow(kernel):
     if kernel == "self":
         a[0] = 1  # as in every level; level 0 has no zero rows
         b = a
-        inv = np.array([[pow(m, -1, q) if m else 0] for m in range(rows)], np.int64)
-        level = oracle._p_level(a, 0, qs, inv, 2 * inv % q, np.empty_like(a))
-        out = level[-3:] * sizes[:, None] % q  # P_0[m] is the convolution over m
-    else:
-        out = oracle._cross_conv(a, b, 0, qs)[-3:]
     expected = [_residue_sums(a[:, 0], b[:, 0], m, q) for m in sizes]
-    assert out[:, 0].tolist() == expected
+    inv = np.array([[pow(m, -1, q) if m else 0] for m in range(rows)], np.int64)
+    for dtype in (np.int64, np.int32):  # the held levels are int32
+        if kernel == "self":
+            out = np.empty((rows, 1), np.int64)
+            level = oracle._p_level(a.astype(dtype), 0, qs, inv, 2 * inv % q, out)
+            out = level[-3:] * sizes[:, None] % q  # P_0[m] is the convolution over m
+        else:
+            out = oracle._cross_conv(a.astype(dtype), b.astype(dtype), 0, qs)[-3:]
+        assert out[:, 0].tolist() == expected, dtype
 
 
 def test_reduction_cadence_does_not_change_values(monkeypatch):

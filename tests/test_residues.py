@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,24 @@ def test_blocks_of_the_largest_sums_are_exact(bound):
     got = moduli.residues(values)
     assert got.tolist() == _rows(moduli, [-ones, ones])[np.arange(rows) % 2].tolist()
     assert moduli.rebuild(got, bound) == values
+
+
+def test_reduction_memory_stays_bounded_on_wide_integers():
+    # 3,000 integers of 8,000 bits: their limbs as one float64 matrix take
+    # 12 MB; a block of rows at a time keeps the peak well under that
+    moduli = Moduli(2**40)
+    rng = np.random.default_rng(5)
+    values = [int.from_bytes(rng.bytes(1000), "little") * (-1) ** i for i in range(3000)]
+    values[-5:] = [0, 1, -1, 2**26, -(2**26)]  # a last block of narrow rows
+    tracemalloc.start()
+    try:
+        got = moduli.residues(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert got.dtype == np.int32
+    assert got.tolist() == _rows(moduli, values).tolist()
 
 
 def test_sums_past_the_float64_mantissa_are_refused():
