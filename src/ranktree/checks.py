@@ -49,8 +49,12 @@ ODE_RESIDUAL_RANGES = {
 
 
 def approx(x) -> float:
-    """x as a float rounded to 12 significant digits."""
-    return float(f"{float(x):.12g}")
+    """x as a float rounded to 12 significant digits; ValueError past the float range."""
+    try:
+        return float(f"{float(x):.12g}")
+    except OverflowError:  # only an exact value can be past it
+        bits = int(x.numerator).bit_length() - int(x.denominator).bit_length()
+        raise ValueError(f"a value near 2^{bits} is past the float range") from None
 
 
 def flat_rat(x: Rational) -> str:
@@ -173,8 +177,10 @@ def alpha0_window() -> Check:
 
 def moment_ratio_stability(rho: str) -> Check:
     value = parse_rational(rho)
-    ratios = [float(oracle.moment_gf_ratio(n, value)) for n in (100, 200, 400)]
-    spread = (max(ratios) - min(ratios)) / max(ratios)
+    ratios = [oracle.moment_gf_ratio(n, value) for n in (100, 200, 400)]
+    # the ratios grow like rho^(n-1), past the float range for a large rho;
+    # their relative spread is at most 1
+    spread = float((max(ratios) - min(ratios)) / max(ratios))
     return (
         "moment-ratio-stability",
         spread < 0.05,

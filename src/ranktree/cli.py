@@ -248,7 +248,7 @@ def cmd_constants(args) -> int:
                 ("g_over_c", row.g_over_c, "frac"),
             ],
         )
-        for row in genfun.constants_table(kmax).rows
+        for row in genfun.constants_table(kmax)
     )
     payload: dict = {"command": "constants", "kmax": kmax, "rows": rows_json}
     if args.dump_gf:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from . import genfun
+from . import genfun, residues
 from .plring import Rational
-from .residues import primes_upto
 
 __all__ = [
     "FactorReport",
     "ConjectureVerdict",
     "PLStructureReport",
-    "primes_upto",
     "factor_smooth",
     "check_conjectures",
     "check_pl_structure",
@@ -52,7 +50,7 @@ def factor_smooth(n: int, bound: int) -> FactorReport:
         raise ValueError("need n >= 1 and bound >= 2")
     residual = n
     factors = []
-    for p in primes_upto(bound):
+    for p in residues.primes_upto(bound):
         if p * p > residual and residual <= bound:
             break
         e = 0
@@ -98,7 +96,7 @@ def check_conjectures(k: int, c: Rational) -> ConjectureVerdict:
     largest = primes[-1] if primes else 0
     smooth = report.fully_factored
     # an incomplete factorization is not gap-free
-    gap_free = None if k < 2 else smooth and primes == list(primes_upto(largest))
+    gap_free = None if k < 2 else smooth and primes == list(residues.primes_upto(largest))
     return ConjectureVerdict(k, report, threshold, largest, smooth, gap_free)
 
 

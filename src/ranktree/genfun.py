@@ -45,7 +45,6 @@ from .residues import InternalInconsistency, Moduli
 
 __all__ = [
     "InternalInconsistency",
-    "ConstantsTable",
     "ConstantsRow",
     "TailTable",
     "TailRow",
@@ -347,7 +346,6 @@ class TailRow:
 
 @dataclass(frozen=True)
 class TailTable:
-    kmax: int
     alpha0: float
     rows: list[TailRow] = field(default_factory=list)
     moments: dict[tuple[int, int], Rational] = field(default_factory=dict)
@@ -385,7 +383,7 @@ def tail_report(kmax: int) -> TailTable:
                 lower_reference=(2.0 / 3.0) * math.exp(-k / a0),
             )
         )
-    return TailTable(kmax=kmax, alpha0=a0, rows=rows, moments=moments)
+    return TailTable(alpha0=a0, rows=rows, moments=moments)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +401,11 @@ class ConstantsRow:
     g_over_c: Rational
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    kmax: int
-    rows: list[ConstantsRow] = field(default_factory=list)
+def constants_table(kmax: int) -> list[ConstantsRow]:
+    """The rows k = 0..kmax of c_k, f_k, g_k, S_k and the per-vertex ratios.
 
-
-def constants_table(kmax: int) -> ConstantsTable:
+    InternalInconsistency unless every c_k > 0 and every S_k < 1.
+    """
     rows = []
     for k in range(kmax + 1):
         c = rank_constant(k)
@@ -423,4 +419,4 @@ def constants_table(kmax: int) -> ConstantsTable:
                 k=k, c=c, f=f, g=g, partial_sum=s, f_over_c=f / c, g_over_c=g / c
             )
         )
-    return ConstantsTable(kmax=kmax, rows=rows)
+    return rows

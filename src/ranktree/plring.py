@@ -22,9 +22,14 @@ right side's factor, so no negated copy is made; the calculus operations
 scale numerators by integer factors (``antiderivative`` and ``series``
 say how), and the canonical reduction finds gcd(den, *numerators) by a
 checked combination (_gcd).  No rational is formed per term inside the
-kernel: ``terms``, ``coeff``, iteration and the scalar results
-(``value_at_0``, ``integral01``, ``series``) hand out reduced Rationals
-built from the integer parts.
+kernel: ``terms`` and the scalar results (``integral01``, ``series``)
+hand out reduced Rationals built from the integer parts.
+
+Interface.  Each operation has one name.  ``PLExpr.term(a, b, c)`` is
+a·u^b·v^c, and a constant when b = c = 0.  ``+``, ``-`` and ``*`` take
+an int or a Rational on either side, so ``a * expr`` scales, and ``**``
+a nonnegative int.  ``terms`` holds the coefficients, and
+``series(0)[0]`` is the value at x = 0.
 
 Products.  A product of two term maps takes one of two routes, with the
 same result to the last bit; both end in the same canonical reduction.
@@ -131,10 +136,6 @@ class PLExpr:
     def term(cls, coeff, upow: int = 0, vpow: int = 0) -> "PLExpr":
         return cls({(upow, vpow): coeff})
 
-    @classmethod
-    def const(cls, value) -> "PLExpr":
-        return cls.term(value)
-
     # -- canonical access --------------------------------------------------
 
     @property
@@ -152,17 +153,11 @@ class PLExpr:
         """The (upow, vpow) pairs of the nonzero terms, in no set order."""
         return self._num.keys()
 
-    def coeff(self, upow: int, vpow: int) -> Rational:
-        return Rational(self._num.get((upow, vpow), 0), self._den)
-
     def is_zero(self) -> bool:
         return not self._num
 
     def __len__(self) -> int:
         return len(self._num)
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PLExpr):
@@ -175,7 +170,7 @@ class PLExpr:
     def __repr__(self) -> str:
         if not self._num:
             return "PLExpr(0)"
-        bits = [f"({a})*u^{b}*v^{c}" for (b, c), a in self]
+        bits = [f"({a})*u^{b}*v^{c}" for (b, c), a in sorted(self.terms.items())]
         return "PLExpr[" + " + ".join(bits) + "]"
 
     # -- ring operations ---------------------------------------------------
@@ -194,15 +189,12 @@ class PLExpr:
     def __rsub__(self, other) -> "PLExpr":
         return _merge(other, self, -1)
 
-    def scale(self, a) -> "PLExpr":
-        p, q = _ratio(a)
-        if not p:
-            return ZERO
-        return _canon({key: n * p for key, n in self._num.items()}, self._den * q)
-
     def __mul__(self, other) -> "PLExpr":
         if isinstance(other, (int, Rational)):
-            return self.scale(other)
+            p, q = _ratio(other)
+            if not p:
+                return ZERO
+            return _canon({key: n * p for key, n in self._num.items()}, self._den * q)
         if not isinstance(other, PLExpr):
             return NotImplemented
         la, lb = len(self._num), len(other._num)
@@ -287,10 +279,6 @@ class PLExpr:
         # no column writes (0, 0)
         out[(0, 0)] = -sum(t for (_, c), t in out.items() if c == 0)
         return _canon(out, den)
-
-    def value_at_0(self) -> Rational:
-        """Exact value at x = 0, where u = 1 and v = 0."""
-        return Rational(sum(n for (_, c), n in self._num.items() if c == 0), self._den)
 
     def integral01(self) -> Rational:
         """Exact integral over [0, 1]: each term contributes c!/(b+1)^(c+1).
@@ -386,7 +374,7 @@ def _merge(a, b, sign: int) -> PLExpr:
 
     Either side may be an int or a Rational; NotImplemented for other types.
     """
-    a, b = (PLExpr.const(x) if isinstance(x, (int, Rational)) else x for x in (a, b))
+    a, b = (PLExpr.term(x) if isinstance(x, (int, Rational)) else x for x in (a, b))
     if not (isinstance(a, PLExpr) and isinstance(b, PLExpr)):
         return NotImplemented
     if not b._num:
@@ -568,17 +556,13 @@ def _spectra(at, grid: tuple[int, int], res: np.ndarray, size) -> np.ndarray:
     return np.fft.rfft2(halves, s=size)
 
 
-def _inverse(spectrum: np.ndarray, size, shape) -> np.ndarray:
-    """The real convolution of length `size` with this spectrum, cut to `shape`."""
-    return np.fft.irfft2(spectrum, s=size)[..., : shape[0], : shape[1]]
-
-
 def _cells_mod(spectrum: np.ndarray, size, shape, q: np.ndarray) -> np.ndarray:
-    """The convolution with this spectrum, rounded to int64 and reduced modulo q.
+    """The real convolution of length `size` with this spectrum, cut to
+    `shape`, rounded to int64 and reduced modulo q.
 
     InternalInconsistency if a cell is more than 1/4 off an integer.
     """
-    x = _inverse(spectrum, size, shape)
+    x = np.fft.irfft2(spectrum, s=size)[..., : shape[0], : shape[1]]
     r = np.rint(x)
     x -= r
     err = float(np.abs(x, out=x).max())
@@ -628,7 +612,7 @@ def _rebuild(table, moduli: Moduli, bound: int, origin) -> dict[tuple[int, int],
 
 
 ZERO = PLExpr()
-ONE = PLExpr.const(1)
+ONE = PLExpr.term(1)
 U = PLExpr.term(1, 1, 0)
 UINV = PLExpr.term(1, -1, 0)
 V = PLExpr.term(1, 0, 1)

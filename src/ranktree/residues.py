@@ -159,7 +159,7 @@ class Moduli:
         for start in range(0, len(nums), _REDUCE_BLOCK):
             block = nums[start : start + _REDUCE_BLOCK]
             limbs = _limb_rows(block)
-            rows = _product(limbs, powers[: limbs.shape[1]])
+            rows = limbs @ powers[: limbs.shape[1]]
             rows *= [[-1.0 if n < 0 else 1.0] for n in block]
             out[start : start + _REDUCE_BLOCK] = np.mod(rows, q, out=rows)
         return out
@@ -179,7 +179,7 @@ class Moduli:
             # column j of the sums is sum_i r_i · (limb j of e_i), below 2^53;
             # its 16-bit piece m weighs 2^(16(j+m)), so the pieces m of a row
             # read back as one integer, shifted by 16m bits
-            sums = _product(block[:, :-1].astype(np.float64), self.coeffs).astype("<i8")
+            sums = (block[:, :-1].astype(np.float64) @ self.coeffs).astype("<i8")
             pieces = sums.view("<u2").reshape(len(block), -1, 4).transpose(0, 2, 1)
             data = memoryview(np.ascontiguousarray(pieces).tobytes())
             ints = [int.from_bytes(data[k : k + step], "little") for k in range(0, len(data), step)]
@@ -194,15 +194,6 @@ class Moduli:
                     )
                 out.append(x)
         return out
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for float64 matrices whose products and sums stay below 2^53.
-
-    Every partial sum is then an integer that float64 holds exactly, so
-    the result does not depend on the BLAS's summation order or threads.
-    """
-    return a @ b
 
 
 def _limb_rows(nums: list[int]) -> np.ndarray:

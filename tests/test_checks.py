@@ -49,9 +49,24 @@ def test_check_fails_on_a_wrong_value(monkeypatch, check, args, module, attr, br
     assert check(*args)[1] is False
 
 
-def test_ode_residuals_fails_on_a_perturbed_memo_entry(monkeypatch):
+def test_approx_refuses_a_value_past_the_float_range():
+    assert checks.approx(Rational(10) ** 300 / 7) == 1.42857142857e299
+    with pytest.raises(ValueError, match="past the float range"):
+        checks.approx(Rational(10) ** 400)
+
+
+def test_moment_ratio_stability_takes_a_rho_past_the_float_range():
+    # the ratios, about rho^(n-1), are compared exactly; only their spread
+    # becomes a float
+    name, ok, detail = checks.moment_ratio_stability("1e200")
+    assert name == "moment-ratio-stability"
+    assert ok is False
+    assert detail == "rho=1e200, spread 100.0% over n in 100..400"
+
+
+def test_ode_residuals_fails_on_a_perturbed_memo_entry(fresh_memo):
     wrong = genfun.root_rank_gf(1) + PLExpr.term(1, 5, 0)
-    monkeypatch.setattr(genfun, "_CACHE", {})
+    fresh_memo()
     genfun.cache_insert("root_rank", 1, wrong)
     assert checks.ode_residuals()[1] is False
 
@@ -62,7 +77,7 @@ def test_series_vs_oracle_sees_a_changed_constant_term(monkeypatch, kind, k):
     # kills constants, so only coefficient 0 of the series can see it
     genfun.gf_by_kind(kind, 5)  # the entries above k are built from the right one
     expr = genfun.gf_by_kind(kind, k)
-    wrong = expr + PLExpr.const(Rational(1, expr.denominator))
+    wrong = expr + PLExpr.term(Rational(1, expr.denominator))
     assert wrong.series(order=30)[1:] == expr.series(order=30)[1:]
     cache = genfun.cache_snapshot()
     cache[(kind, k)] = wrong

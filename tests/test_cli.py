@@ -195,21 +195,20 @@ def _first_format(head, terms):
         "lost-line",
     ],
 )
-def test_malformed_cache_entry_is_rewritten(capsys, monkeypatch, tmp_path, damage):
+def test_malformed_cache_entry_is_rewritten(capsys, fresh_memo, tmp_path, damage):
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(fresh))
     run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
     entry = cache / "closest_leaf.2.json"
     _write(entry, *damage(*_read(entry)))
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    fresh_memo()
     code, out, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
     assert code == 0
     assert out == cold
     assert entry.read_bytes() == (fresh / "closest_leaf.2.json").read_bytes()
 
 
-def test_indented_cache_entries_load_with_identical_output(capsys, monkeypatch, tmp_path):
+def test_indented_cache_entries_load_with_identical_output(capsys, fresh_memo, tmp_path):
     # entries are written compact, one JSON value a line; whitespace within
     # and before a line does not change what it reads as
     fresh, old = tmp_path / "fresh", tmp_path / "old"
@@ -223,11 +222,10 @@ def test_indented_cache_entries_load_with_identical_output(capsys, monkeypatch, 
         (old / name).write_text("".join(f"  {line}\n" for line in spaced))
     indented = {name: (old / name).read_text() for name in names}
     built = genfun.cache_snapshot()
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    fresh_memo()
     assert cli.load_cache(old) == len(names)
     assert genfun.cache_snapshot() == {key: built[key] for key in genfun.cache_snapshot()}
-    monkeypatch.setattr(genfun, "_CACHE", {})
+    fresh_memo()
     code, warm, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(old))
     assert code == 0
     assert warm == cold
@@ -312,7 +310,7 @@ def test_values_beyond_the_int_digit_limit(capsys, monkeypatch, tmp_path):
     big = Rational(10**5000 + 1) / (3 * 10**5000)
     num, den = "1" + "0" * 4999 + "1", "3" + "0" * 5000
     row = genfun.ConstantsRow(0, big, big, big, big, big, big)
-    monkeypatch.setattr(genfun, "constants_table", lambda kmax: genfun.ConstantsTable(0, [row]))
+    monkeypatch.setattr(genfun, "constants_table", lambda kmax: [row])
     monkeypatch.setattr(genfun, "_CACHE", {("root_rank", 0): PLExpr.term(big)})
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     limit = get_limit()
@@ -353,6 +351,15 @@ def test_a_bad_rho_is_a_usage_error_before_any_work(capsys, argv):
     assert exc.value.code == cli.EXIT_USAGE
     assert captured.out == ""
     assert "not a rational number" in captured.err
+
+
+def test_a_rho_past_the_float_range_is_a_usage_error(capsys):
+    # the moment ratio is about rho^(n-1), whose approx has no float
+    code, out, err = run(capsys, "oracle", "--n", "10", "--kmax", "1", "--rho", "1e400")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: ") and "past the float range" in err
+    assert err.count("\n") == 1
 
 
 OUT_OF_RANGE = {
@@ -419,11 +426,10 @@ def test_kmax_ceiling_is_enforced(capsys):
     assert "ceiling" in err
 
 
-def test_oracle_series_order_keeps_to_the_kmax_ceiling(capsys, monkeypatch):
+def test_oracle_series_order_keeps_to_the_kmax_ceiling(capsys, monkeypatch, fresh_memo):
     # the series check builds B_{<=0..kmax}: the same exact work as constants
     monkeypatch.setattr(cli, "STRETCH_KMAX", 3)
     monkeypatch.setattr(cli, "DEFAULT_KMAX", 2)
-    monkeypatch.setattr(genfun, "_CACHE", {})
     code, out, err = run(capsys, "oracle", "--n", "5", "--kmax", "4", "--series-order", "2")
     assert code == cli.EXIT_USAGE
     assert out == ""
@@ -458,7 +464,7 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     assert "internal inconsistency" in err
 
 
-def test_a_divergent_cache_entry_exits_3(capsys, monkeypatch, tmp_path):
+def test_a_divergent_cache_entry_exits_3(capsys, fresh_memo, tmp_path):
     # a canonical entry with a wrong exponent: c_3's integral of u·B_3 then
     # diverges, which valid input never makes happen
     cache = tmp_path / "cache"
@@ -467,8 +473,7 @@ def test_a_divergent_cache_entry_exits_3(capsys, monkeypatch, tmp_path):
     text = entry.read_text()
     assert text.count('\n[1, 0, "5f172aeb742c"]\n') == 1
     entry.write_text(text.replace('\n[1, 0, "5f172aeb742c"]\n', '\n[-3, 0, "5f172aeb742c"]\n'))
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    fresh_memo()
     code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""
@@ -499,13 +504,12 @@ def _u_cubed_below(head, terms):
     ids=["root-rank-numerator", "cdf-numerator", "cdf-divergent"],
 )
 def test_a_cache_entry_that_breaks_a_route_to_c_k_exits_3(
-    capsys, monkeypatch, tmp_path, entry, damage, message
+    capsys, fresh_memo, tmp_path, entry, damage, message
 ):
     cache = tmp_path / "cache"
     run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     _write(cache / entry, *damage(*_read(cache / entry)))
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    fresh_memo()
     code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""
@@ -532,22 +536,18 @@ def _prime_three_in_the_check(monkeypatch):
     ],
     ids=["weights-off-by-one", "prime-three"],
 )
-def test_a_broken_modular_check_exits_3(capsys, monkeypatch, breaker, message):
+def test_a_broken_modular_check_exits_3(capsys, monkeypatch, fresh_memo, breaker, message):
     breaker(monkeypatch)
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
     code, out, err = run(capsys, "constants", "--kmax", "2")
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""
     assert f"internal inconsistency: {message}" in err
 
 
-def test_a_residue_capacity_refusal_mid_run_exits_3(capsys, monkeypatch):
+def test_a_residue_capacity_refusal_mid_run_exits_3(capsys, monkeypatch, fresh_memo):
     # valid input, refused in the middle of the run: not a usage error
     monkeypatch.setattr(plring, "_RESIDUE_PAIRS", 1)  # every product by residues
     monkeypatch.setattr(residues, "_TERMS", 4)
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
     code, out, err = run(capsys, "constants", "--kmax", "4")
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""

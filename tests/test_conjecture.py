@@ -8,12 +8,6 @@ from exact_values import C3_DEN_FACTORS, C5_DEN_FACTORS
 from ranktree import conjecture, genfun
 
 
-def test_primes_upto():
-    assert conjecture.primes_upto(1) == ()
-    assert conjecture.primes_upto(2) == (2,)
-    assert conjecture.primes_upto(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
 def test_factor_smooth_complete():
     rep = conjecture.factor_smooth(2**5 * 3**2 * 35, 7)
     assert rep.fully_factored
@@ -76,7 +70,7 @@ def _pl_structure_by_term(k):
     """check_pl_structure with every term's denominator factored on its own."""
     bound = 2 ** (k + 1) - 1
     max_u = max_v = max_prime = min_u = 0
-    for (b, c), a in genfun.root_rank_gf(k):
+    for (b, c), a in sorted(genfun.root_rank_gf(k).terms.items()):
         max_u, min_u, max_v = max(max_u, b), min(min_u, b), max(max_v, c)
         if a.denominator > 1:
             rep = conjecture.factor_smooth(int(a.denominator), bound)

@@ -37,7 +37,7 @@ def test_rank_gf_first_level_closed_form():
 
 def test_rank_gf_vanishes_at_origin():
     for k in range(5):
-        assert genfun.root_rank_gf(k).value_at_0() == 0
+        assert genfun.root_rank_gf(k).series(0) == [0]
 
 
 def test_cdf_is_sum_of_levels():
@@ -106,13 +106,12 @@ def test_ode_residuals_identically_zero(kind, ks):
 
 @pytest.mark.parametrize("kind", genfun.KINDS)
 @pytest.mark.parametrize("step", [0, 1])
-def test_ode_residual_sees_a_perturbed_memo_entry(monkeypatch, kind, step):
+def test_ode_residual_sees_a_perturbed_memo_entry(fresh_memo, kind, step):
     # the residual shares its right-hand side with the build, so it must
     # still catch a wrong F_k; u^5 survives two differentiations
     k = min(checks.ODE_RESIDUAL_RANGES[kind]) + step
-    monkeypatch.setattr(genfun, "_CACHE", {})
     wrong = genfun.gf_by_kind(kind, k) + PLExpr.term(1, 5, 0)
-    monkeypatch.setattr(genfun, "_CACHE", {})
+    fresh_memo()
     genfun.cache_insert(kind, k, wrong)
     assert genfun.gf_by_kind(kind, k) == wrong
     assert not genfun.ode_residual(kind, k).is_zero()
@@ -183,11 +182,10 @@ def test_high_order_series_matches_the_oracle():
 
 
 def test_constants_table_shape():
-    table = genfun.constants_table(2)
-    assert table.kmax == 2
-    assert [row.k for row in table.rows] == [0, 1, 2]
-    assert table.rows[2].c == C_EXACT[2]
-    assert table.rows[2].f_over_c == F_OVER_C[2]
+    rows = genfun.constants_table(2)
+    assert [row.k for row in rows] == [0, 1, 2]
+    assert rows[2].c == C_EXACT[2]
+    assert rows[2].f_over_c == F_OVER_C[2]
 
 
 def test_gf_by_kind_dispatch():

@@ -36,8 +36,7 @@ exprs = st.dictionaries(exponents, coeffs, max_size=6).map(PLExpr)
 def test_constructor_drops_zero_coefficients():
     e = PLExpr({(1, 0): Rational(0), (2, 1): Rational(3)})
     assert len(e) == 1
-    assert e.coeff(1, 0) == 0
-    assert e.coeff(2, 1) == 3
+    assert e.terms == {(2, 1): 3}
 
 
 def test_basic_identities():
@@ -50,7 +49,7 @@ def test_basic_identities():
 
 def test_derivative_of_building_blocks():
     # d/dx u = -1, d/dx v = 1/(1-x)
-    assert U.differentiate() == PLExpr.const(-1)
+    assert U.differentiate() == PLExpr.term(-1)
     assert V.differentiate() == UINV
     assert (U * V).differentiate() == ONE - V
     assert ONE.differentiate().is_zero()
@@ -59,7 +58,7 @@ def test_derivative_of_building_blocks():
 def test_antiderivative_fixes_value_at_zero():
     for e in (U, V, U * V, UINV * UINV, PLExpr.term(1, -1, 2)):
         f = e.antiderivative() + 7
-        assert f.value_at_0() == 7
+        assert f.series(0) == [7]
         assert f.differentiate() == e
 
 
@@ -129,7 +128,7 @@ def test_ring_laws(a, b, c):
 @given(exprs)
 @settings(max_examples=60, deadline=None)
 def test_derivative_then_antiderivative_round_trips(e):
-    c0 = e.value_at_0()
+    c0 = e.series(0)[0]
     assert e.differentiate().antiderivative() + c0 == e
 
 
@@ -238,7 +237,7 @@ def test_ring_operations_match_reference(a, b, s):
         (1 - ea, ref.sub({(0, 0): Fraction(1)}, a)),
         (ea * eb, ref.mul(a, b)),
         (ea * ea, ref.mul(a, a)),
-        (ea.scale(s), ref.scale(a, s)),
+        (ea * r, ref.scale(a, s)),
         (ea**3, ref.power(a, 3)),
     ):
         assert got.terms == want
@@ -296,7 +295,7 @@ def test_calculus_matches_reference(a, v0):
     assert e.differentiate().terms == ref.differentiate(a)
     assert (e.antiderivative() + v0).terms == ref.antiderivative(a, v0)
     assert e.antiderivative().terms == ref.antiderivative(a)
-    assert e.value_at_0() == ref.value_at_0(a)
+    assert e.series(0) == [ref.value_at_0(a)]
     _assert_canonical(e.antiderivative())
     _assert_canonical(e.antiderivative() + v0)
 
@@ -367,7 +366,7 @@ def test_square_integral01_refuses_a_prime_that_divides_a_denominator():
     moduli = residues.Moduli(2**40)
     moduli.q = np.array([3, *moduli.q[1:]], np.int64)
     # 3 divides b+1 at the cell b = 2 of the first square, and den² of the second
-    for expr in (ONE - U + U * U, PLExpr.const(Rational(1, 3))):
+    for expr in (ONE - U + U * U, PLExpr.term(Rational(1, 3))):
         with pytest.raises(InternalInconsistency, match=r"a prime of \[3, .* divides a denominator"):
             plring.square_integral01(expr, moduli)
 
@@ -403,7 +402,7 @@ def test_canonical_form_is_route_independent(a, b, c):
     routes = [
         (ea + eb) * ec,
         ea * ec + eb * ec,
-        ec * eb + ((ea * ec).scale(Rational(3, 7)) + (ea * ec).scale(Rational(4, 7))),
+        ec * eb + ((ea * ec) * Rational(3, 7) + Rational(4, 7) * (ea * ec)),
     ]
     for e in routes:
         _assert_canonical(e)
@@ -557,7 +556,9 @@ def _above_bound(flat, q, bound):
     [_add_one(0), _add_one(-1), _add_one(-1, nonzero=False), _above_bound],
     ids=["crt-prime", "check-prime", "check-prime-of-a-zero-cell", "consistent-above-bound"],
 )
-def test_a_wrong_product_residue_is_caught(residue_route, monkeypatch, capsys, corrupt):
+def test_a_wrong_product_residue_is_caught(
+    residue_route, monkeypatch, capsys, fresh_memo, corrupt
+):
     real = plring._rebuild
 
     def rebuild(table, moduli, bound, origin):
@@ -568,8 +569,7 @@ def test_a_wrong_product_residue_is_caught(residue_route, monkeypatch, capsys, c
     monkeypatch.setattr(plring, "_rebuild", rebuild)
     with pytest.raises(InternalInconsistency, match="check prime"):
         b * b
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    fresh_memo()
     code = cli.main(["constants", "--kmax", "2"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INCONSISTENT
@@ -577,20 +577,21 @@ def test_a_wrong_product_residue_is_caught(residue_route, monkeypatch, capsys, c
     assert "check prime" in captured.err
 
 
-def test_a_rounding_error_in_the_convolution_is_caught(residue_route, monkeypatch, capsys):
-    real = plring._inverse
+def test_a_rounding_error_in_the_convolution_is_caught(
+    residue_route, monkeypatch, capsys, fresh_memo
+):
+    real = np.fft.irfft2
 
-    def inverse(*args):
-        x = real(*args)
+    def irfft2(*args, **kwargs):
+        x = real(*args, **kwargs)
         x[(0,) * x.ndim] += 0.3
         return x
 
     b = genfun.root_rank_gf(3)
-    monkeypatch.setattr(plring, "_inverse", inverse)
+    monkeypatch.setattr(np.fft, "irfft2", irfft2)
     with pytest.raises(InternalInconsistency, match="rounding check"):
         b * b
-    monkeypatch.setattr(genfun, "_CACHE", {})
-    monkeypatch.setattr(genfun, "_PARTIAL_SUMS", {})
+    fresh_memo()
     code = cli.main(["constants", "--kmax", "2"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INCONSISTENT

@@ -17,6 +17,12 @@ from ranktree.residues import InternalInconsistency, Moduli
 BOUNDS = [1, 2**25, 200 * math.factorial(200), 400 * math.factorial(400)]
 
 
+def test_primes_upto():
+    assert residues.primes_upto(1) == ()
+    assert residues.primes_upto(2) == (2,)
+    assert residues.primes_upto(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
 def _rows(moduli, values):
     return np.array([[x % p for p in moduli.q.tolist()] for x in values], np.int64)
 
