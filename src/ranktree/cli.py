@@ -11,27 +11,30 @@ reach it mid-run).
 Option ranges are checked while parsing, so a value out of range exits 1
 before any work; the --kmax ceiling of the runs that build exact
 generating functions (constants, bounds, factor, oracle --series-order)
-is checked next, before the cache loads.
+is checked next, before the cache loads.  An oracle --rho whose moment
+ratio is provably past the float range is refused before any DP.
 
 An optional on-disk cache (--cache-dir) stores one expression per
 (kind, k), so repeated runs skip the symbolic recurrences entirely.  An
-entry is the file <kind>.<k>.json in JSON lines: a head, then one line
-per term, sorted by (upow, vpow):
+entry is the file <kind>.<k>.bin: one JSON head line, then a binary body
+of the terms, sorted by (upow, vpow):
 
-    {"count": <terms>, "den": "<hex>", "format": "ranktree-plexpr/2", "k": k, "kind": kind}
-    [upow, vpow, "<signed hex numerator>"]
-    ...
+    {"count": <terms>, "den": "<hex>", "format": "ranktree-plexpr/3", "k": k, "kind": kind}
+    the keys (upow, vpow), as little-endian int32 pairs
+    one little-endian int32 per numerator: its length in bytes, negative
+      for a negative numerator
+    the magnitudes of the numerators, little-endian, one after another
 
 It holds the expression's canonical parts (PLExpr.parts): one positive
 denominator and the nonzero numerators over it.  Writing and reading
-them takes no gcd per term.  A reader holds one line at a time: freeing
-a whole entry's text raises glibc's mmap threshold, and the heap then
-keeps what later work frees (a warm `constants --kmax 6` peaked 4.8 MB
-higher).  An entry is loaded only if its term lines are as many as its
-head counts and its parts are canonical (PLExpr.from_parts); any other
-entry, one of an earlier format included, is treated as missing and
-rewritten.  The name keeps its .json suffix so that an entry of the
-earlier format (one JSON document) is rewritten in place.
+them takes no gcd per term and no text conversion.  The writer streams
+one numerator at a time, and the reader reads each numerator from the
+buffered file, so neither holds a whole entry's bytes.  An entry is
+loaded only if its body holds exactly the terms its head counts, with no
+byte missing or left over, and its parts are canonical
+(PLExpr.from_parts); any other entry is treated as missing and
+rewritten.  Entries of the earlier formats are <kind>.<k>.json files:
+they are neither read nor removed.
 """
 
 from __future__ import annotations
@@ -40,10 +43,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from collections.abc import Collection
 from pathlib import Path
+
+import numpy as np
 
 from . import checks, conjecture, genfun, montecarlo, oracle
 from .checks import approx, flat_rat
@@ -58,7 +64,8 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INCONSISTENT = 3
 
-CACHE_FORMAT = "ranktree-plexpr/2"
+CACHE_FORMAT = "ranktree-plexpr/3"
+_INT32 = np.dtype("<i4")  # the keys and the signed lengths of an entry
 
 # constants/bounds beyond this are refused: the term count of the rank
 # generating functions grows like 4^k, so k = 8 is out of reach exactly
@@ -144,38 +151,52 @@ def _check_kmax(k: int) -> None:
 
 
 def _cache_path(cache_dir: Path, kind: str, k: int) -> Path:
-    return cache_dir / f"{kind}.{k}.json"
+    return cache_dir / f"{kind}.{k}.bin"
 
 
-def _entry_text(kind: str, k: int, expr: PLExpr):
-    """The lines of the cache entry of one expression: the head, then one
-    line per term."""
+def _entry_bytes(kind: str, k: int, expr: PLExpr):
+    """The bytes of the cache entry of one expression, in pieces: the head
+    line, the keys, the signed lengths, then one magnitude at a time."""
     items, den = expr.parts()
     head = {"count": len(items), "den": f"{den:x}", "format": CACHE_FORMAT, "k": k, "kind": kind}
-    yield json.dumps(head, sort_keys=True) + "\n"
-    for (b, c), n in items:
-        yield f'[{b}, {c}, "{n:x}"]\n'
+    yield (json.dumps(head, sort_keys=True) + "\n").encode()
+    yield np.array([key for key, _ in items], _INT32).tobytes()
+    sizes = [(abs(n).bit_length() + 7) // 8 for _, n in items]
+    yield np.array([size if n > 0 else -size for size, (_, n) in zip(sizes, items)], _INT32).tobytes()
+    for size, (_, n) in zip(sizes, items):
+        yield abs(n).to_bytes(size, "little")
 
 
-def _term(line: str) -> tuple[tuple[int, int], int]:
-    b, c, n = json.loads(line)
-    return (b, c), int(n, 16)
-
-
-def _read_entry(lines) -> tuple[dict, PLExpr]:
-    """The head and the expression of the entry with these lines.
+def _read_entry(fh) -> tuple[dict, PLExpr]:
+    """The head and the expression of the entry in the binary file fh.
 
     ValueError, TypeError or KeyError unless the head carries the current
-    format, the term lines are as many as it counts, and the parts are
-    canonical (PLExpr.from_parts).
+    format, the body holds exactly the keys, lengths and magnitudes of as
+    many terms as the head counts, and the parts are canonical
+    (PLExpr.from_parts).  Both the count and the lengths are checked
+    against the size of the file before the bytes they cover are read.
     """
-    head = json.loads(next(lines, ""))
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    head = json.loads(fh.readline())
     if not isinstance(head, dict) or head.get("format") != CACHE_FORMAT:
         raise ValueError("not an entry of the current format")
-    terms = [_term(line) for line in lines]
-    if len(terms) != head["count"]:
-        raise ValueError(f"{len(terms)} term lines where the head counts {head['count']!r}")
-    return head, PLExpr.from_parts(terms, int(head["den"], 16))
+    count = head["count"]
+    if type(count) is not int or count < 0:
+        raise ValueError(f"the head counts {count!r} terms")
+    left = end - fh.tell() - 12 * count
+    if left < 0:
+        raise ValueError("the entry ends before its keys and lengths")
+    keys = np.frombuffer(fh.read(8 * count), _INT32).reshape(count, 2).tolist()
+    sizes = np.frombuffer(fh.read(4 * count), _INT32).tolist()
+    total = sum(map(abs, sizes))
+    if total != left:
+        raise ValueError(f"the lengths add up to {total} bytes, and {left} follow")
+    nums = [
+        int.from_bytes(fh.read(size), "little") if size > 0 else -int.from_bytes(fh.read(-size), "little")
+        for size in sizes
+    ]
+    return head, PLExpr.from_parts(zip(keys, nums), int(head["den"], 16))
 
 
 def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
@@ -188,9 +209,9 @@ def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
     loaded = 0
     if not cache_dir.is_dir():
         return 0
-    for path in sorted(cache_dir.glob("*.json")):
+    for path in sorted(cache_dir.glob("*.bin")):
         try:
-            with path.open() as fh:
+            with path.open("rb") as fh:
                 head, expr = _read_entry(fh)
         except (OSError, ValueError, TypeError, KeyError):
             continue  # truncated or malformed: like a missing entry
@@ -220,8 +241,8 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
             continue
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with tmp.open("w") as fh:
-                fh.writelines(_entry_text(kind, k, expr))
+            with tmp.open("wb") as fh:
+                fh.writelines(_entry_bytes(kind, k, expr))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -291,9 +312,27 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _refuse_a_ratio_past_the_float_range(n: int, rho: Rational) -> None:
+    """A usage error, before any DP, when the moment ratio of --rho must be
+    past the float range of its approx field.
+
+    Only a path has root rank n-1, and 2^(n-1) of the n! permutations build
+    one, so E_{n,n-1} = 2^(n-1)/n! and the ratio (1/n)·sum_k rho^k E_{n,k}
+    is at least rho^(n-1)·2^(n-1)/(n·n!).  That bound is compared with
+    2^1024 in integers.
+    """
+    p, q = int(rho.numerator), int(rho.denominator)
+    num, den = (2 * p) ** (n - 1), q ** (n - 1) * n * math.factorial(n)
+    if num >= den << 1024:
+        bits = (num // den).bit_length() - 1
+        raise ValueError(f"the moment ratio, at least 2^{bits}, is past the float range")
+
+
 def cmd_oracle(args) -> int:
     n = args.n
     kmax = args.kmax
+    if args.rho is not None:
+        _refuse_a_ratio_past_the_float_range(n, checks.parse_rational(args.rho))
     if n > oracle.DEFAULT_N_CAP:
         print(
             f"warning: n={n} exceeds the default cap {oracle.DEFAULT_N_CAP}; "
@@ -506,8 +545,8 @@ def main(argv=None) -> int:
     cache_dir = args.cache_dir
     accepted: set[Path] = set()
     # exact values from k = 7 on have more decimal digits than Python 3.11+
-    # converts by default (4300) in the output; the cache entries are hex,
-    # which the limit does not cover.  It is lifted for this run only
+    # converts by default (4300) in the output; the cache entries are
+    # binary, which the limit does not cover.  It is lifted for this run only
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .plring import ONE, PLExpr, Rational, U, UINV, X, ZERO, square_integral01
+from .plring import ONE, DivergentIntegral, PLExpr, Rational, U, UINV, X, ZERO, square_integral01
 from .residues import InternalInconsistency, Moduli
 
 __all__ = [
@@ -203,7 +203,7 @@ def _constant_and_sum(k: int) -> tuple[Rational, Rational]:
         # B_{<=k-1}'s route first: with B_k built first, a cold k = 7 run peaked 1.5 MB higher
         moduli = _check_moduli()
         square = square_integral01(ONE - U * root_rank_cdf_gf(k - 1), moduli)
-        c = 2 * (U * root_rank_gf(k)).integral01()
+        c = 2 * root_rank_gf(k).integral01(1)
         s = c + (_constant_and_sum(k - 1)[1] if k else 0)
         t = Rational(4, 3) - s
         for p, r in zip(moduli.q.tolist(), square):
@@ -248,11 +248,33 @@ def leaf_pair_gf(k: int) -> PLExpr:
     return leaf_pair_tail_gf(k - 1) - leaf_pair_tail_gf(k)
 
 
+# k -> (J_k, D_k): J_k = ∫u·G_k over [0, 1], where Bcal_{>k} = G_k + D_k and
+# D_k holds the terms u^b v^c with b <= -2, whose integrals against u diverge
+_TAIL_INTEGRALS: dict[int, tuple[Rational, PLExpr]] = {}
+
+
+def _tail_integral(k: int) -> tuple[Rational, PLExpr]:
+    hit = _TAIL_INTEGRALS.get(k)
+    if hit is None:
+        hit = _TAIL_INTEGRALS.setdefault(k, leaf_pair_tail_gf(k).integral01(1, split=True))
+    return hit
+
+
 def leaf_pair_constant(k: int) -> Rational:
-    """Exact f_k = 2 * integral of (1-x) Bcal_k over [0, 1]."""
-    expr = U * leaf_pair_gf(k)
-    # divergent parts of the two tails must cancel; integral01 raises otherwise
-    return 2 * expr.integral01()
+    """Exact f_k = 2∫u·Bcal_k = 2(J_{k-1} - J_k), Bcal_k = Bcal_{>k-1} - Bcal_{>k}.
+
+    Each tail is integrated once (J_k is memoized and shared by f_k and
+    f_{k+1}), and no difference expression is built.  The divergent parts
+    of the two tails must be equal, so that Bcal_k has none: DivergentIntegral
+    names the least term where they differ otherwise.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    (above, divergent_above), (value, divergent) = _tail_integral(k - 1), _tail_integral(k)
+    if divergent_above != divergent:
+        b, c = min((divergent_above - divergent).exponents)
+        raise DivergentIntegral(f"term u^{b + 1} v^{c} diverges on [0, 1]")
+    return 2 * (above - value)
 
 
 def closest_leaf_gf(k: int) -> PLExpr:
@@ -262,7 +284,7 @@ def closest_leaf_gf(k: int) -> PLExpr:
 
 def closest_leaf_constant(k: int) -> Rational:
     """Exact g_k = 2 * integral of (1-x) Bhat_k over [0, 1]."""
-    return 2 * (U * closest_leaf_gf(k)).integral01()
+    return 2 * closest_leaf_gf(k).integral01(1)
 
 
 def per_vertex_ratios(k: int) -> tuple[Rational, Rational]:
@@ -305,7 +327,7 @@ def tail_moment(k: int, t: int) -> Rational:
             / Rational((t + 2) * (t + 1))
         )
     if -1 <= k <= _TAIL_MOMENT_CHECK_KMAX:
-        direct = (PLExpr.term(1, t, 0) * greedy_tail_gf(k)).integral01()
+        direct = greedy_tail_gf(k).integral01(t)
         if direct != value:
             raise InternalInconsistency(
                 f"I_{{{k},{t}}}: recurrence {value} != integral {direct}"

@@ -29,7 +29,9 @@ Interface.  Each operation has one name.  ``PLExpr.term(a, b, c)`` is
 a·u^b·v^c, and a constant when b = c = 0.  ``+``, ``-`` and ``*`` take
 an int or a Rational on either side, so ``a * expr`` scales, and ``**``
 a nonnegative int.  ``terms`` holds the coefficients, and
-``series(0)[0]`` is the value at x = 0.
+``series(0)[0]`` is the value at x = 0.  ``integral01(s)`` is the
+integral of u^s·F over [0, 1], with no product formed; with
+``split=True`` it sets apart the terms whose integral diverges.
 
 Products.  A product of two term maps takes one of two routes, with the
 same result to the last bit; both end in the same canonical reduction.
@@ -280,25 +282,36 @@ class PLExpr:
         out[(0, 0)] = -sum(t for (_, c), t in out.items() if c == 0)
         return _canon(out, den)
 
-    def integral01(self) -> Rational:
-        """Exact integral over [0, 1]: each term contributes c!/(b+1)^(c+1).
+    def integral01(self, s: int = 0, *, split: bool = False):
+        """Exact integral of u^s·F over [0, 1], for an int s; no product
+        u^s·F is formed.
 
-        The column b, up to its top power t of v, sums by Horner over c to
-        (sum_c n_c c! (b+1)^(t-c)) / (b+1)^(t+1).
+        Each term contributes c!/w^(c+1), w = b + s + 1.  The column b, up
+        to its top power t of v, sums by Horner over c to
+        (sum_c n_c c! w^(t-c)) / w^(t+1).
+
+        A term u^b v^c with b + s < 0 diverges: DivergentIntegral names the
+        least such term of u^s·F.  With ``split`` the result is instead the
+        pair (the integral of u^s·G, D), where F = G + D and D holds the
+        divergent terms.
         """
-        for b, c in self._num:
-            if b < 0:
-                raise DivergentIntegral(f"term u^{b} v^{c} diverges on [0, 1]")
         columns = _columns(self._num)
-        scale = math.lcm(*((b + 1) ** (max(col) + 1) for b, col in columns.items()))
+        divergent = {}
+        for b in [b for b in columns if b + s < 0]:
+            divergent.update(((b, c), n) for c, n in columns.pop(b).items())
+        if divergent and not split:
+            b, c = min(divergent)
+            raise DivergentIntegral(f"term u^{b + s} v^{c} diverges on [0, 1]")
+        scale = math.lcm(*((b + s + 1) ** (max(col) + 1) for b, col in columns.items()))
         total = 0
         for b, col in columns.items():
-            w, top, acc, fact = b + 1, max(col), 0, 1
+            w, top, acc, fact = b + s + 1, max(col), 0, 1
             for c in range(top + 1):
                 acc = acc * w + col.get(c, 0) * fact
                 fact *= c + 1
             total += acc * (scale // w ** (top + 1))
-        return Rational(total, self._den * scale)
+        value = Rational(total, self._den * scale)
+        return (value, _canon(divergent, self._den)) if split else value
 
     # -- power series ------------------------------------------------------
 

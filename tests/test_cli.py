@@ -1,6 +1,8 @@
 """Front-end: schemas, exit codes, determinism, and the disk cache."""
 
 import json
+import math
+import struct
 import sys
 from pathlib import Path
 
@@ -103,46 +105,76 @@ def test_factor_passes_for_low_k(capsys):
 def test_cache_cold_then_warm_identical_bytes(capsys, tmp_path):
     cache = tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
-    files = sorted(p.name for p in cache.glob("*.json"))
-    assert "root_rank.2.json" in files
+    files = sorted(p.name for p in cache.glob("*.bin"))
+    assert "root_rank.2.bin" in files
     _, warm, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
     assert cold == warm
 
 
-def _read(entry):
-    """The head and the term lines of a cache entry, decoded."""
-    head, *terms = entry.read_text().splitlines()
-    return json.loads(head), [json.loads(line) for line in terms]
+def _encode(head, terms):
+    """The bytes of an entry with this head and these [b, c, numerator]
+    terms, laid out here independently of cli: the head line, the keys as
+    int32 pairs, one signed int32 length in bytes per numerator, then the
+    little-endian magnitudes."""
+    sizes = [(abs(n).bit_length() + 7) // 8 for _, _, n in terms]
+    return b"".join(
+        [
+            (json.dumps(head, sort_keys=True) + "\n").encode(),
+            struct.pack(f"<{2 * len(terms)}i", *(e for b, c, _ in terms for e in (b, c))),
+            struct.pack(f"<{len(terms)}i", *(s if n > 0 else -s for s, (_, _, n) in zip(sizes, terms))),
+            *(abs(n).to_bytes(s, "little") for s, (_, _, n) in zip(sizes, terms)),
+        ]
+    )
 
 
-def _write(entry, head, terms):
-    entry.write_text("".join(json.dumps(line) + "\n" for line in [head, *terms]))
+def _decode(data):
+    """The head and the [b, c, numerator] terms of an entry's bytes."""
+    line, _, body = data.partition(b"\n")
+    head = json.loads(line)
+    count = head["count"]
+    keys = struct.unpack_from(f"<{2 * count}i", body)
+    sizes = struct.unpack_from(f"<{count}i", body, 8 * count)
+    at, terms = 12 * count, []
+    for i, size in enumerate(sizes):
+        n = int.from_bytes(body[at : at + abs(size)], "little")
+        terms.append([keys[2 * i], keys[2 * i + 1], -n if size < 0 else n])
+        at += abs(size)
+    assert at == len(body)
+    return head, terms
 
 
 def test_cached_expression_matches_recomputation(tmp_path):
     cache = tmp_path / "cache"
     genfun.root_rank_gf(2)
     cli.save_cache(cache)
-    head, terms = _read(cache / "root_rank.2.json")
+    data = (cache / "root_rank.2.bin").read_bytes()
+    head, terms = _decode(data)
     assert head["format"] == cli.CACHE_FORMAT
     assert head["count"] == len(terms)
-    parts = [((b, c), int(n, 16)) for b, c, n in terms]
+    parts = [((b, c), n) for b, c, n in terms]
     assert PLExpr.from_parts(parts, int(head["den"], 16)) == genfun.root_rank_gf(2)
+    # the writer's layout is the one decoded here, to the byte
+    assert data == _encode(head, terms)
 
 
 def test_truncated_cache_entry_is_rewritten(capsys, tmp_path):
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
     run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
-    entry = cache / "root_rank.2.json"
-    entry.write_text(entry.read_text()[:40])
+    entry = cache / "root_rank.2.bin"
+    entry.write_bytes(entry.read_bytes()[:40])
     for _ in range(2):
         code, out, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
         assert code == 0
         assert out == cold
-        assert entry.read_bytes() == (fresh / "root_rank.2.json").read_bytes()
+        assert entry.read_bytes() == (fresh / "root_rank.2.bin").read_bytes()
     # nothing but the entries themselves: no temporary file is left behind
     assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in fresh.iterdir())
+
+
+def _terms(damage):
+    """A damage to the decoded head and terms, as a damage to the bytes."""
+    return lambda data: _encode(*damage(*_decode(data)))
 
 
 def _first_term(head, terms, b=None, c=None, n=None):
@@ -152,94 +184,95 @@ def _first_term(head, terms, b=None, c=None, n=None):
 
 def _times_three(head, terms):
     # the same values over a denominator three times larger: not in lowest terms
-    terms = [[b, c, f"{3 * int(n, 16):x}"] for b, c, n in terms]
+    terms = [[b, c, 3 * n] for b, c, n in terms]
     return {**head, "den": f"{3 * int(head['den'], 16):x}"}, terms
 
 
-def _bool_vpow(head, terms):
-    # True == 1 and False == 0: the key keeps its value, only its type is wrong
-    c = terms[0][1]
-    assert c in (0, 1)
-    return _first_term(head, terms, c=bool(c))
-
-
-def _first_format(head, terms):
-    # a valid entry of the first format: one JSON document, with one record
-    # per term in lowest terms
-    records = genfun.gf_by_kind(head["kind"], head["k"]).to_records()
-    return {"format": "ranktree-plexpr/1", "kind": head["kind"], "k": head["k"], "terms": records}, []
+def _first_length(data, size):
+    # the signed length of the first numerator set to `size`
+    head, _ = _decode(data)
+    at = data.index(b"\n") + 1 + 8 * head["count"]
+    return data[:at] + struct.pack("<i", size) + data[at + 4 :]
 
 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda head, terms: ([head], terms),
-        lambda head, terms: (head, []),
-        lambda head, terms: (head, [None, *terms[1:]]),
-        lambda head, terms: ({**head, "den": "0"}, terms),
-        lambda head, terms: _first_term(head, terms, n="xyz"),  # not hex
-        # int() would truncate it to another exponent
-        lambda head, terms: _first_term(head, terms, b=terms[0][0] + 1.5),
-        _times_three,
-        lambda head, terms: _first_term(head, terms, n="0"),
-        lambda head, terms: ({**head, "count": head["count"] + 1}, [*terms, terms[0]]),
-        lambda head, terms: ({**head, "den": "-" + head["den"]}, terms),
-        _bool_vpow,
-        _first_format,
-        # cut at a line boundary, so every line that is left reads
-        lambda head, terms: (head, terms[:-1]),
+        _terms(lambda head, terms: ([head], terms)),
+        _terms(lambda head, terms: (head, [])),
+        _terms(lambda head, terms: ({**head, "den": "0"}, terms)),
+        _terms(lambda head, terms: ({**head, "den": "-" + head["den"]}, terms)),
+        _terms(lambda head, terms: ({**head, "den": "xyz"}, terms)),  # not hex
+        _terms(_times_three),
+        _terms(lambda head, terms: _first_term(head, terms, n=0)),
+        _terms(lambda head, terms: _first_term(head, terms, c=-1)),
+        _terms(lambda head, terms: ({**head, "count": head["count"] + 1}, [*terms, terms[0]])),
+        _terms(lambda head, terms: ({**head, "format": "ranktree-plexpr/2"}, terms)),
+        _terms(lambda head, terms: ({**head, "count": str(head["count"])}, terms)),
+        # the head counts one term more than the body holds
+        _terms(lambda head, terms: (head, terms[:-1])),
+        lambda data: data[:-1],
+        lambda data: data + b"\0",
+        # far more than the file holds: refused before any read
+        _terms(lambda head, terms: ({**head, "count": 2**40}, terms)),
+        lambda data: _first_length(data, 2**31 - 1),
     ],
     ids=[
-        "json-list", "no-terms", "null-terms", "zero-den", "bad-num", "float-upow",
-        "shared-factor", "zero-num", "repeated-key", "negative-den", "bool-vpow", "first-format",
-        "lost-line",
+        "json-list", "no-terms", "zero-den", "negative-den", "non-hex-den", "shared-factor",
+        "zero-num", "negative-vpow", "repeated-key", "wrong-format", "str-count", "lost-term",
+        "short-body", "trailing-bytes", "huge-count", "huge-length",
     ],
 )
 def test_malformed_cache_entry_is_rewritten(capsys, fresh_memo, tmp_path, damage):
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(fresh))
     run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
-    entry = cache / "closest_leaf.2.json"
-    _write(entry, *damage(*_read(entry)))
+    entry = cache / "closest_leaf.2.bin"
+    entry.write_bytes(damage(entry.read_bytes()))
     fresh_memo()
     code, out, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
     assert code == 0
     assert out == cold
-    assert entry.read_bytes() == (fresh / "closest_leaf.2.json").read_bytes()
+    assert entry.read_bytes() == (fresh / "closest_leaf.2.bin").read_bytes()
 
 
-def test_indented_cache_entries_load_with_identical_output(capsys, fresh_memo, tmp_path):
-    # entries are written compact, one JSON value a line; whitespace within
-    # and before a line does not change what it reads as
+def _format_2_text(kind, k, expr):
+    # an entry of the previous format: JSON lines, a head and one hex term a line
+    items, den = expr.parts()
+    head = {"count": len(items), "den": f"{den:x}", "format": "ranktree-plexpr/2", "k": k, "kind": kind}
+    return json.dumps(head, sort_keys=True) + "\n" + "".join(f'[{b}, {c}, "{n:x}"]\n' for (b, c), n in items)
+
+
+def test_format_2_entries_are_neither_loaded_nor_removed(capsys, fresh_memo, tmp_path):
     fresh, old = tmp_path / "fresh", tmp_path / "old"
     _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
     old.mkdir()
-    names = sorted(p.name for p in fresh.glob("*.json"))
-    for name in names:
-        lines = (fresh / name).read_text().splitlines()
-        assert len(lines) == 1 + json.loads(lines[0])["count"]
-        spaced = [json.dumps(json.loads(line), separators=(" , ", " : ")) for line in lines]
-        (old / name).write_text("".join(f"  {line}\n" for line in spaced))
-    indented = {name: (old / name).read_text() for name in names}
-    built = genfun.cache_snapshot()
+    # a canonical but wrong g_2 entry (the constant term one larger), and one cut short
+    items, den = genfun.closest_leaf_gf(2).parts()
+    wrong = PLExpr.from_parts([(key, n + (key == (0, 0))) for key, n in items], den)
+    assert wrong != genfun.closest_leaf_gf(2)
+    texts = {
+        "closest_leaf.2.json": _format_2_text("closest_leaf", 2, wrong),
+        "root_rank.2.json": _format_2_text("root_rank", 2, genfun.root_rank_gf(2))[:40],
+    }
+    for name, text in texts.items():
+        (old / name).write_text(text)
     fresh_memo()
-    assert cli.load_cache(old) == len(names)
-    assert genfun.cache_snapshot() == {key: built[key] for key in genfun.cache_snapshot()}
-    fresh_memo()
-    code, warm, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(old))
+    assert cli.load_cache(old) == 0
+    code, out, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(old))
     assert code == 0
-    assert warm == cold
-    # accepted entries are left as they were
-    assert {name: (old / name).read_text() for name in names} == indented
+    assert out == cold
+    assert {name: (old / name).read_text() for name in texts} == texts
+    assert sorted(p.name for p in old.glob("*.bin")) == sorted(p.name for p in fresh.iterdir())
 
 
 def test_misnamed_cache_entry_is_not_accepted(tmp_path):
     genfun.root_rank_gf(2)
     cli.save_cache(tmp_path)
-    (tmp_path / "root_rank.2.json").rename(tmp_path / "root_rank.9.json")
+    (tmp_path / "root_rank.2.bin").rename(tmp_path / "root_rank.9.bin")
     accepted = set()
     loaded = cli.load_cache(tmp_path, accepted)
-    assert tmp_path / "root_rank.9.json" not in accepted
+    assert tmp_path / "root_rank.9.bin" not in accepted
     assert loaded == len(accepted)
 
 
@@ -330,8 +363,8 @@ def test_values_beyond_the_int_digit_limit(capsys, monkeypatch, tmp_path):
 
 
 def test_load_cache_ignores_foreign_files(tmp_path):
-    (tmp_path / "junk.json").write_text("{not json")
-    (tmp_path / "other.json").write_text('{"format": "something-else"}')
+    (tmp_path / "junk.bin").write_text("{not json")
+    (tmp_path / "other.bin").write_text('{"format": "something-else"}\n')
     assert cli.load_cache(tmp_path) == 0
 
 
@@ -360,6 +393,27 @@ def test_a_rho_past_the_float_range_is_a_usage_error(capsys):
     assert out == ""
     assert err.startswith("usage error: ") and "past the float range" in err
     assert err.count("\n") == 1
+
+
+def test_a_rho_whose_ratio_must_be_past_the_float_range_is_refused_before_any_dp(capsys, monkeypatch):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran before --rho was refused")
+
+    for name in ("moment_gf_ratio", "expected_rank_counts", "root_rank_tail"):
+        monkeypatch.setattr(cli.oracle, name, no_dp)
+    code, out, err = run(capsys, "oracle", "--n", "10", "--kmax", "1", "--rho", "1e400")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: the moment ratio, at least 2^11942, is past the float range\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 40])
+def test_the_early_rho_refusal_rests_on_a_bound_below_the_ratio(n):
+    # rho^(n-1)·2^(n-1)/(n·n!) is one term of the ratio, and the others are >= 0
+    rho = Rational(7, 5)
+    bound = rho ** (n - 1) * 2 ** (n - 1) / (n * math.factorial(n))
+    assert cli.oracle.moment_gf_ratio(n, rho) >= bound
+    assert cli.oracle.expected_rank_counts(n, n)[n - 1] == Rational(2 ** (n - 1), math.factorial(n))
 
 
 OUT_OF_RANGE = {
@@ -464,15 +518,21 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     assert "internal inconsistency" in err
 
 
+def _damage_entry(entry, damage):
+    entry.write_bytes(_terms(damage)(entry.read_bytes()))
+
+
 def test_a_divergent_cache_entry_exits_3(capsys, fresh_memo, tmp_path):
     # a canonical entry with a wrong exponent: c_3's integral of u·B_3 then
     # diverges, which valid input never makes happen
     cache = tmp_path / "cache"
     run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
-    entry = cache / "root_rank.3.json"
-    text = entry.read_text()
-    assert text.count('\n[1, 0, "5f172aeb742c"]\n') == 1
-    entry.write_text(text.replace('\n[1, 0, "5f172aeb742c"]\n', '\n[-3, 0, "5f172aeb742c"]\n'))
+
+    def move_to_u_cubed_below(head, terms):
+        i = terms.index([1, 0, 0x5F172AEB742C])
+        return head, [*terms[:i], [-3, *terms[i][1:]], *terms[i + 1 :]]
+
+    _damage_entry(cache / "root_rank.3.bin", move_to_u_cubed_below)
     fresh_memo()
     code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert code == cli.EXIT_INCONSISTENT
@@ -481,9 +541,27 @@ def test_a_divergent_cache_entry_exits_3(capsys, fresh_memo, tmp_path):
     assert "usage error" not in err
 
 
+def test_a_changed_divergent_tail_term_exits_3(capsys, fresh_memo, tmp_path):
+    # f_2 integrates the tails Bcal_{>1} and Bcal_{>2} apart; their terms at
+    # u^-2, whose integrals against u diverge, must be equal, and one is not
+    cache = tmp_path / "cache"
+    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+
+    def one_more_at_u_squared_below(head, terms):
+        assert terms[0][:2] == [-2, 0]
+        return _first_term(head, terms, n=terms[0][2] + 1)
+
+    _damage_entry(cache / "leaf_pair_tail.2.bin", one_more_at_u_squared_below)
+    fresh_memo()
+    code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert "internal inconsistency: term u^-1 v^0 diverges on [0, 1]" in err
+
+
 def _one_more(head, terms):
     # the first numerator one larger: still canonical, so the loader takes it
-    return _first_term(head, terms, n=f"{int(terms[0][2], 16) + 1:x}")
+    return _first_term(head, terms, n=terms[0][2] + 1)
 
 
 def _u_cubed_below(head, terms):
@@ -496,10 +574,10 @@ def _u_cubed_below(head, terms):
     "entry, damage, message",
     [
         # the integral route reads B_3, the partial-sum route B_{<=2}
-        ("root_rank.3.json", _one_more, "c_3: the partial-sum route disagrees modulo "),
-        ("root_rank_cdf.2.json", _one_more, "c_3: the partial-sum route disagrees modulo "),
+        ("root_rank.3.bin", _one_more, "c_3: the partial-sum route disagrees modulo "),
+        ("root_rank_cdf.2.bin", _one_more, "c_3: the partial-sum route disagrees modulo "),
         # u·B_{<=2} then has a term at u^-2, whose square is at u^-4
-        ("root_rank_cdf.2.json", _u_cubed_below, "term u^-4 v^0 diverges on [0, 1]"),
+        ("root_rank_cdf.2.bin", _u_cubed_below, "term u^-4 v^0 diverges on [0, 1]"),
     ],
     ids=["root-rank-numerator", "cdf-numerator", "cdf-divergent"],
 )
@@ -508,7 +586,7 @@ def test_a_cache_entry_that_breaks_a_route_to_c_k_exits_3(
 ):
     cache = tmp_path / "cache"
     run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
-    _write(cache / entry, *damage(*_read(cache / entry)))
+    _damage_entry(cache / entry, damage)
     fresh_memo()
     code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert code == cli.EXIT_INCONSISTENT

@@ -298,6 +298,19 @@ def test_trial_streams_are_independent_of_order():
     assert not np.array_equal(a, mc.trial_rng(42, 4).random(4))
 
 
+def test_the_seeded_stream_is_pinned():
+    # NumPy keeps the bit generators' raw output stable (NEP 19), but not the
+    # Generator methods estimate draws with, in its order: a permutation,
+    # then the walk's uniforms.  The golden simulate and verify files rest on
+    # both, so a numpy whose methods changed fails here, with that cause
+    raw = mc.trial_rng(0, 0).bit_generator.random_raw(2).tolist()
+    assert raw == [17394127715520444142, 5835390491061343638], "trial_rng's seeding changed"
+    rng = mc.trial_rng(0, 0)
+    numpy = f"numpy {np.__version__}"
+    assert rng.permutation(8).tolist() == [5, 3, 0, 1, 2, 4, 7, 6], f"{numpy} changed Generator.permutation"
+    assert rng.random() == 0.6480380975872828, f"{numpy} changed Generator.random"
+
+
 def test_estimate_is_deterministic():
     r1 = mc.estimate(40, 30, seed=7, kmax=3)
     r2 = mc.estimate(40, 30, seed=7, kmax=3)

@@ -1,7 +1,7 @@
 """Kernel tests: exact arithmetic, calculus, series, and serialization."""
 
+import io
 import itertools
-import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -148,9 +148,7 @@ def test_cache_entry_round_trips_the_canonical_parts(e):
     assert [key for key, _ in items] == sorted(e.exponents)
     assert den == e.denominator
     assert PLExpr.from_parts(items, den) == e
-    lines = list(cli._entry_text("root_rank", 0, e))
-    assert [json.loads(line) for line in lines[1:]] == [[b, c, f"{n:x}"] for (b, c), n in items]
-    head, back = cli._read_entry(iter(lines))
+    head, back = cli._read_entry(io.BytesIO(b"".join(cli._entry_bytes("root_rank", 0, e))))
     assert head == {"count": len(e), "den": f"{den:x}", "format": cli.CACHE_FORMAT, "k": 0, "kind": "root_rank"}
     assert back == e
 
@@ -343,6 +341,23 @@ def test_checked_gcd_matches_math_gcd(common, cofactor, values):
 @example({key: f for key, f in CALCULUS_CASES["mixed"].items() if key[0] >= 0})
 def test_integral01_matches_reference(a):
     assert PLExpr(a).integral01() == ref.integral01(a)
+
+
+@given(ref_exprs, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+@example({(-3, 1): Fraction(2), (-3, 0): Fraction(-1), (2, 2): Fraction(1, 3)}, 3)
+def test_weighted_integral01_matches_reference(a, s):
+    weight = {(s, 0): Fraction(1)}
+    divergent = {key: f for key, f in a.items() if key[0] + s < 0}
+    value, rest = PLExpr(a).integral01(s, split=True)
+    assert rest == PLExpr(divergent)
+    assert value == ref.integral01(ref.mul(weight, ref.sub(a, divergent)))
+    if divergent:
+        b, c = min(divergent)
+        with pytest.raises(DivergentIntegral, match=rf"^term u\^{b + s} v\^{c} diverges on \[0, 1\]$"):
+            PLExpr(a).integral01(s)
+    else:
+        assert PLExpr(a).integral01(s) == ref.integral01(ref.mul(weight, a))
 
 
 @given(ref_convergent)
