@@ -29,12 +29,22 @@ It holds the expression's canonical parts (PLExpr.parts): one positive
 denominator and the nonzero numerators over it.  Writing and reading
 them takes no gcd per term and no text conversion.  The writer streams
 one numerator at a time, and the reader reads each numerator from the
-buffered file, so neither holds a whole entry's bytes.  An entry is
-loaded only if its body holds exactly the terms its head counts, with no
-byte missing or left over, and its parts are canonical
-(PLExpr.from_parts); any other entry is treated as missing and
-rewritten.  Entries of the earlier formats are <kind>.<k>.json files:
-they are neither read nor removed.
+buffered file, so neither holds a whole entry's bytes.
+
+The top level K of `constants` and `bounds` builds no entry: its
+constants integrate the right-hand sides of level K (genfun's module
+docstring).  Each right-hand side the memo holds is the file
+<kind>.<k>.rhs.bin, laid out as an entry whose head also carries
+"rhs": true; it takes about half the bytes of its entry.  A later run
+that needs the entry antidifferentiates the cached right-hand side, with
+no product, and then writes the entry and removes the right-hand side's
+file.
+
+An entry or a right-hand side is loaded only if its body holds exactly
+the terms its head counts, with no byte missing or left over, its parts
+are canonical (PLExpr.from_parts), and its head names its file; any
+other file is treated as missing and rewritten.  Entries of the earlier
+formats are <kind>.<k>.json files: they are neither read nor removed.
 """
 
 from __future__ import annotations
@@ -150,15 +160,18 @@ def _check_kmax(k: int) -> None:
 # Expression cache
 
 
-def _cache_path(cache_dir: Path, kind: str, k: int) -> Path:
-    return cache_dir / f"{kind}.{k}.bin"
+def _cache_path(cache_dir: Path, kind: str, k: int, rhs: bool = False) -> Path:
+    return cache_dir / f"{kind}.{k}.rhs.bin" if rhs else cache_dir / f"{kind}.{k}.bin"
 
 
-def _entry_bytes(kind: str, k: int, expr: PLExpr):
-    """The bytes of the cache entry of one expression, in pieces: the head
-    line, the keys, the signed lengths, then one magnitude at a time."""
+def _entry_bytes(kind: str, k: int, expr: PLExpr, rhs: bool = False):
+    """The bytes of the cache file of one expression, in pieces: the head
+    line, the keys, the signed lengths, then one magnitude at a time.  The
+    head of a right-hand side (``rhs``) says so."""
     items, den = expr.parts()
     head = {"count": len(items), "den": f"{den:x}", "format": CACHE_FORMAT, "k": k, "kind": kind}
+    if rhs:
+        head["rhs"] = True
     yield (json.dumps(head, sort_keys=True) + "\n").encode()
     yield np.array([key for key, _ in items], _INT32).tobytes()
     sizes = [(abs(n).bit_length() + 7) // 8 for _, n in items]
@@ -200,10 +213,11 @@ def _read_entry(fh) -> tuple[dict, PLExpr]:
 
 
 def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
-    """Seed the in-memory memo from disk; returns the number of entries.
+    """Seed the in-memory memo from disk; returns the number of files loaded,
+    entries and right-hand sides.
 
-    An entry is accepted when it reads (_read_entry) and its kind and k
-    match its file name.  Accepted paths are added to ``accepted`` when
+    A file is accepted when it reads (_read_entry) and its head's kind, k
+    and "rhs" flag name it.  Accepted paths are added to ``accepted`` when
     given, so that save_cache can rewrite the others.
     """
     loaded = 0
@@ -213,12 +227,14 @@ def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
         try:
             with path.open("rb") as fh:
                 head, expr = _read_entry(fh)
+            kind, k, rhs = head.get("kind"), head.get("k"), head.get("rhs", False)
+            if kind not in KINDS or type(k) is not int or type(rhs) is not bool:
+                continue
+            if path != _cache_path(cache_dir, kind, k, rhs):
+                continue
+            genfun.cache_insert(kind, k, expr, rhs)
         except (OSError, ValueError, TypeError, KeyError):
-            continue  # truncated or malformed: like a missing entry
-        kind, k = head.get("kind"), head.get("k")
-        if kind not in KINDS or not isinstance(k, int) or path != _cache_path(cache_dir, kind, k):
-            continue
-        genfun.cache_insert(kind, k, expr)
+            continue  # truncated or malformed: like a missing file
         loaded += 1
         if accepted is not None:
             accepted.add(path)
@@ -226,23 +242,28 @@ def load_cache(cache_dir: Path, accepted: set[Path] | None = None) -> int:
 
 
 def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
-    """Write every memoized expression; returns the number written.
+    """Write every memoized entry and right-hand side; returns the number of
+    files written.
 
-    Paths in ``keep`` (the entries load_cache accepted) are left alone, and
-    every other entry is replaced, so an unreadable file is repaired.  Each
+    Paths in ``keep`` (the files load_cache accepted) are left alone, and
+    every other file is replaced, so an unreadable file is repaired.  Each
     file is written under a temporary name and renamed into place, so a
-    reader never sees a partial entry.
+    reader never sees a partial file.  The right-hand-side file of each
+    memoized entry is removed.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     written = 0
-    for (kind, k), expr in sorted(genfun.cache_snapshot().items()):
-        path = _cache_path(cache_dir, kind, k)
+    for key, expr in sorted(genfun.cache_snapshot().items()):
+        kind, k, rhs = key[0], key[1], len(key) == 3  # (kind, k, "rhs") for a right-hand side
+        path = _cache_path(cache_dir, kind, k, rhs)
+        if not rhs:
+            _cache_path(cache_dir, kind, k, rhs=True).unlink(missing_ok=True)
         if path in keep:
             continue
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with tmp.open("wb") as fh:
-                fh.writelines(_entry_bytes(kind, k, expr))
+                fh.writelines(_entry_bytes(kind, k, expr, rhs))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

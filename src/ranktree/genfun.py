@@ -17,8 +17,9 @@ value there, the order of its differential equation in x, and the
 right-hand side of that equation as a function of k.  One generic build
 (gf_by_kind) antidifferentiates the right-hand side ``order`` times from
 0, and ode_residual differentiates ``order`` times and subtracts the same
-right-hand side.  That residual therefore checks the calculus layer, not
-the recurrences themselves; each family keeps an independent guard:
+right-hand side, computed afresh.  That residual therefore checks the
+calculus layer and the memo, not the recurrences themselves; each family
+keeps an independent guard:
 
 * B_k: the partial-sum route to c_k (rank_constant), and B_{<=k} equal
   to the sum of the levels B_0..B_k;
@@ -31,6 +32,21 @@ the recurrences themselves; each family keeps an independent guard:
 Whenever two independent routes to the same exact value exist (the tail
 moments exactly, c_k modulo three fixed primes, product about 2^78), both
 are computed and compared; any mismatch raises InternalInconsistency.
+
+Level K of a run.  Nothing reads the top-level entries B_K, Bcal_{>K} and
+Bhat_K of ``constants_table(K)`` or ``tail_report(K)`` but their
+constants, and half of each entry's cost is its antiderivative.  So level
+K's constants integrate the entry when the memo holds it, and otherwise
+level K's right-hand side, which is memoized until gf_by_kind builds the
+entry from it: no product is computed twice.  Each entry is
+antidifferentiated from 0 and u²·F_K vanishes at x = 1, so by parts
+2∫u·F_K = ∫u²·F_K′, and
+
+* c_K = ∫u²·rhs_K,  g_K = ∫u²·rhs^hat_K,
+* f_K = ∫u²·(Bcal′_{>K-1} − rhs^cal_K), where each term diverges alone
+  and their divergent parts must be equal.
+
+Every k < K integrates its entry, which level k+1 needs anyway.
 """
 
 from __future__ import annotations
@@ -119,36 +135,63 @@ _FAMILIES: dict[str, _Family] = {
 KINDS = tuple(_FAMILIES)
 
 
-# In-memory memo, keyed by (kind, k).  Idempotent fill: recomputation is
+# In-memory memo.  F_k is kept under (kind, k), and a right-hand side whose
+# F_k is not built yet under (kind, k, "rhs"): gf_by_kind takes it out to
+# build F_k, so no F_k has both.  Idempotent fill: recomputation is
 # deterministic, so concurrent duplicate writes store identical values.
-_CACHE: dict[tuple[str, int], PLExpr] = {}
+_CACHE: dict[tuple, PLExpr] = {}
 
 
-def cache_snapshot() -> dict[tuple[str, int], PLExpr]:
+def _family(kind: str) -> _Family:
+    try:
+        return _FAMILIES[kind]
+    except KeyError:
+        raise ValueError(f"unknown GF kind {kind!r}") from None
+
+
+def cache_snapshot() -> dict[tuple, PLExpr]:
+    """The memo: F_k under (kind, k), a right-hand side under (kind, k, "rhs")."""
     return dict(_CACHE)
 
 
-def cache_insert(kind: str, k: int, expr: PLExpr) -> None:
-    """Seed the memo (e.g. from an on-disk cache)."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown GF kind {kind!r}")
-    _CACHE.setdefault((kind, k), expr)
+def cache_insert(kind: str, k: int, expr: PLExpr, rhs: bool = False) -> None:
+    """Seed the memo (e.g. from an on-disk cache) with F_k, which drops a
+    memoized right-hand side of F_k, or with that right-hand side (``rhs``,
+    for k above the family's first), which is ignored once F_k is memoized."""
+    first = _family(kind).first
+    if not rhs:
+        _CACHE.setdefault((kind, k), expr)
+        _CACHE.pop((kind, k, "rhs"), None)
+    elif k <= first:
+        raise ValueError(f"{kind} has no right-hand side at k = {k}")
+    elif (kind, k) not in _CACHE:
+        _CACHE.setdefault((kind, k, "rhs"), expr)
+
+
+def _memo_rhs(kind: str, k: int) -> PLExpr:
+    """The right-hand side of F_k, memoized until gf_by_kind builds F_k;
+    for a k above the family's first whose F_k is not memoized."""
+    key = (kind, k, "rhs")
+    hit = _CACHE.get(key)
+    if hit is None:
+        hit = _CACHE.setdefault(key, _FAMILIES[kind].rhs(k))
+    return hit
 
 
 def gf_by_kind(kind: str, k: int) -> PLExpr:
-    """F_k of one family: its base value, or its right-hand side
-    antidifferentiated ``order`` times from 0; memoized."""
-    try:
-        first, expr, order, rhs = _FAMILIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown GF kind {kind!r}") from None
+    """F_k of one family: its base value, or its right-hand side (taken out
+    of the memo when there) antidifferentiated ``order`` times from 0;
+    memoized."""
+    first, expr, order, rhs = _family(kind)
     if k < first:
         raise ValueError(f"k must be >= {first}")
     key = (kind, k)
     hit = _CACHE.get(key)
     if hit is None:
         if k > first:
-            expr = rhs(k)
+            expr = _CACHE.pop((kind, k, "rhs"), None)
+            if expr is None:
+                expr = rhs(k)
             for _ in range(order):
                 expr = expr.antiderivative()
         hit = _CACHE.setdefault(key, expr)
@@ -161,7 +204,8 @@ def ode_residual(kind: str, k: int) -> PLExpr:
     Returns the ``order``-th derivative minus the right-hand side (at the
     first k, the value minus the base value), which must be the zero
     element: any nonzero residual means the calculus layer, or a memo
-    entry, is broken.
+    entry, is broken.  The right-hand side is recomputed, never read from
+    the memo, from which the entry may have been built.
     """
     expr = gf_by_kind(kind, k)  # rejects an unknown kind or k
     first, base, order, rhs = _FAMILIES[kind]
@@ -195,15 +239,27 @@ def _check_moduli() -> Moduli:  # three primes near 2^26, far above 2^(k+1)+1
     return Moduli(2**40)
 
 
-def _constant_and_sum(k: int) -> tuple[Rational, Rational]:
-    """(c_k, S_k), memoized: c_k = 2∫u·B_k, and S_k = S_{k-1} + c_k checked
-    against 4/3 - ∫(1 - u·B_{<=k-1})² modulo each prime of _check_moduli."""
+def _u_integral(kind: str, k: int, top: bool = False) -> Rational:
+    """2∫u·F_k over [0, 1], for a family of order 1.
+
+    At the top level of a run (``top``), with no F_k memoized, it is
+    ∫u²·rhs_k from the memoized right-hand side instead, and F_k is not
+    built (see the module docstring).
+    """
+    if top and k > _FAMILIES[kind].first and (kind, k) not in _CACHE:
+        return _memo_rhs(kind, k).integral01(2)
+    return 2 * gf_by_kind(kind, k).integral01(1)
+
+
+def _constant_and_sum(k: int, top: bool = False) -> tuple[Rational, Rational]:
+    """(c_k, S_k), memoized: c_k = 2∫u·B_k (_u_integral), and S_k = S_{k-1} + c_k
+    checked against 4/3 - ∫(1 - u·B_{<=k-1})² modulo each prime of _check_moduli."""
     hit = _PARTIAL_SUMS.get(k)
     if hit is None:
         # B_{<=k-1}'s route first: with B_k built first, a cold k = 7 run peaked 1.5 MB higher
         moduli = _check_moduli()
         square = square_integral01(ONE - U * root_rank_cdf_gf(k - 1), moduli)
-        c = 2 * root_rank_gf(k).integral01(1)
+        c = _u_integral("root_rank", k, top)
         s = c + (_constant_and_sum(k - 1)[1] if k else 0)
         t = Rational(4, 3) - s
         for p, r in zip(moduli.q.tolist(), square):
@@ -260,6 +316,17 @@ def _tail_integral(k: int) -> tuple[Rational, PLExpr]:
     return hit
 
 
+def _difference(above: tuple[Rational, PLExpr], below: tuple[Rational, PLExpr], s: int) -> Rational:
+    """∫u^s·(F - G) from the split integrals of F and G (integral01(s,
+    split=True)).  Their divergent parts must be equal: DivergentIntegral
+    names the least term of u^s·(F - G) that diverges otherwise."""
+    (value_above, divergent_above), (value, divergent) = above, below
+    if divergent_above != divergent:
+        b, c = min((divergent_above - divergent).exponents)
+        raise DivergentIntegral(f"term u^{b + s} v^{c} diverges on [0, 1]")
+    return value_above - value
+
+
 def leaf_pair_constant(k: int) -> Rational:
     """Exact f_k = 2∫u·Bcal_k = 2(J_{k-1} - J_k), Bcal_k = Bcal_{>k-1} - Bcal_{>k}.
 
@@ -270,11 +337,24 @@ def leaf_pair_constant(k: int) -> Rational:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    (above, divergent_above), (value, divergent) = _tail_integral(k - 1), _tail_integral(k)
-    if divergent_above != divergent:
-        b, c = min((divergent_above - divergent).exponents)
-        raise DivergentIntegral(f"term u^{b + 1} v^{c} diverges on [0, 1]")
-    return 2 * (above - value)
+    return 2 * _difference(_tail_integral(k - 1), _tail_integral(k), 1)
+
+
+def _leaf_pair_constant(k: int, top: bool) -> Rational:
+    """f_k; at the top level of a run with no Bcal_{>k} memoized, it is
+    ∫u²·(Bcal′_{>k-1} - rhs^cal_k), and Bcal_{>k} is not built.
+
+    Bcal′_{>k-1} is not formed (its canonical form took 40 ms at k = 7):
+    with Bcal_{>k-1} = G + D split as in J_{k-1}, the divergent terms of
+    its derivative against u² are those of D′, and by parts, since
+    Bcal_{>k-1}(0) = 0 and u²G vanishes at x = 1, the integral of the
+    others is 2J_{k-1} + D(0).
+    """
+    if not top or ("leaf_pair_tail", k) in _CACHE:
+        return leaf_pair_constant(k)
+    value, divergent = _tail_integral(k - 1)
+    above = 2 * value + divergent.series(0)[0], divergent.differentiate()
+    return _difference(above, _memo_rhs("leaf_pair_tail", k).integral01(2, split=True), 2)
 
 
 def closest_leaf_gf(k: int) -> PLExpr:
@@ -284,7 +364,7 @@ def closest_leaf_gf(k: int) -> PLExpr:
 
 def closest_leaf_constant(k: int) -> Rational:
     """Exact g_k = 2 * integral of (1-x) Bhat_k over [0, 1]."""
-    return 2 * closest_leaf_gf(k).integral01(1)
+    return _u_integral("closest_leaf", k)
 
 
 def per_vertex_ratios(k: int) -> tuple[Rational, Rational]:
@@ -375,7 +455,8 @@ class TailTable:
 
 def tail_report(kmax: int) -> TailTable:
     """Exact tails 1 - S_k next to both proven upper bounds, and the
-    moments I_{k,t} for t = 1..4.
+    moments I_{k,t} for t = 1..4.  c_kmax is taken as at the top level of
+    constants_table, and B_kmax is not built.
 
     Asserts 1 - S_k <= 2 I_{k,1} and 1 - S_k <= (6k+7)/3 (1/3)^k for every
     computed k; the exponential lower envelope is attached as a floating
@@ -387,7 +468,7 @@ def tail_report(kmax: int) -> TailTable:
     for k in range(kmax + 1):
         for t in range(1, 5):
             moments[(k, t)] = tail_moment(k, t)
-        tail = 1 - partial_sum(k)
+        tail = 1 - _constant_and_sum(k, top=k == kmax)[1]
         tail_prev = 1 - partial_sum(k - 1)
         bound2i = 2 * tail_moment(k, 1)
         theorem = tail_envelope(k)
@@ -426,14 +507,16 @@ class ConstantsRow:
 def constants_table(kmax: int) -> list[ConstantsRow]:
     """The rows k = 0..kmax of c_k, f_k, g_k, S_k and the per-vertex ratios.
 
-    InternalInconsistency unless every c_k > 0 and every S_k < 1.
+    Level kmax is the top level of the module docstring: its entries are
+    not built unless the memo holds them.  InternalInconsistency unless
+    every c_k > 0 and every S_k < 1.
     """
     rows = []
     for k in range(kmax + 1):
-        c = rank_constant(k)
-        f = leaf_pair_constant(k)
-        g = closest_leaf_constant(k)
-        s = partial_sum(k)
+        top = k == kmax
+        c, s = _constant_and_sum(k, top)
+        f = _leaf_pair_constant(k, top)
+        g = _u_integral("closest_leaf", k, top)
         if not 0 < c or not s < 1:
             raise InternalInconsistency(f"c_{k} or S_{k} out of range")
         rows.append(

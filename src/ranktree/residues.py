@@ -30,8 +30,9 @@ int.from_bytes.  Both products are exact by one lemma: a value below
 terms sum below 2^53 in any order.  Moduli enforces it rather than round:
 it refuses, with CapacityExceeded, a bound that needs 2^11 CRT primes or
 more, and integers of 2^11 limbs or more.  A rebuild takes 64 rows at a
-time and a reduction 512 integers, which bounds the memory of their
-float64 matrices.  The products are numpy's `@`, a BLAS dgemm, which the
+time, gathered from the caller's table when it names the rows to rebuild,
+and a reduction 512 integers, which bounds the memory of their float64
+matrices.  The products are numpy's `@`, a BLAS dgemm, which the
 lemma keeps exact whatever order and blocking the BLAS sums in, on the
 one OpenBLAS thread the package sets (see ranktree/__init__.py).  On a
 k = 8 rebuild block it is about 8 times faster than numpy's einsum.
@@ -164,18 +165,21 @@ class Moduli:
             out[start : start + _REDUCE_BLOCK] = np.mod(rows, q, out=rows)
         return out
 
-    def rebuild(self, rows: np.ndarray, bound: int) -> list[int]:
+    def rebuild(self, rows: np.ndarray, bound: int, cells: np.ndarray | None = None) -> list[int]:
         """The integers in [-bound, bound] with these residue rows, one per row.
 
-        Each row is rebuilt by CRT into (-M/2, M/2] from its CRT columns; a
-        value above `bound` in absolute value, or one that disagrees with
-        the row's check-prime column, raises InternalInconsistency.
+        With ``cells``, only the rows at those indices are rebuilt, in their
+        order; they are gathered one block at a time, so no copy of all of
+        them is made.  Each row is rebuilt by CRT into (-M/2, M/2] from its
+        CRT columns; a value above `bound` in absolute value, or one that
+        disagrees with the row's check-prime column, raises
+        InternalInconsistency.
         """
         modulus, half, check = self.modulus, self.half, self.check
         step = 2 * self.coeffs.shape[1]  # bytes in a row of limbs
         out = []
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start : start + _BLOCK]
+        for start in range(0, len(rows) if cells is None else len(cells), _BLOCK):
+            block = rows[start : start + _BLOCK] if cells is None else rows[cells[start : start + _BLOCK]]
             # column j of the sums is sum_i r_i · (limb j of e_i), below 2^53;
             # its 16-bit piece m weighs 2^(16(j+m)), so the pieces m of a row
             # read back as one integer, shifted by 16m bits

@@ -103,11 +103,12 @@ def test_factor_passes_for_low_k(capsys):
 
 
 def test_cache_cold_then_warm_identical_bytes(capsys, tmp_path):
+    # B_2 is an entry below the top level of a --kmax 3 run
     cache = tmp_path / "cache"
-    _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
+    _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     files = sorted(p.name for p in cache.glob("*.bin"))
     assert "root_rank.2.bin" in files
-    _, warm, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
+    _, warm, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert cold == warm
 
 
@@ -224,16 +225,116 @@ def _first_length(data, size):
     ],
 )
 def test_malformed_cache_entry_is_rewritten(capsys, fresh_memo, tmp_path, damage):
+    # Bhat_2 is an entry below the top level of a --kmax 3 run
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
+    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    entry = cache / "closest_leaf.2.bin"
+    entry.write_bytes(damage(entry.read_bytes()))
+    fresh_memo()
+    code, out, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert entry.read_bytes() == (fresh / "closest_leaf.2.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _terms(lambda head, terms: ({**head, "den": "0"}, terms)),
+        _terms(_times_three),
+        _terms(lambda head, terms: ({k: v for k, v in head.items() if k != "rhs"}, terms)),
+        _terms(lambda head, terms: ({**head, "rhs": 1}, terms)),
+        lambda data: data[:-1],
+    ],
+    ids=["zero-den", "shared-factor", "no-rhs-flag", "int-rhs-flag", "short-body"],
+)
+def test_malformed_right_hand_side_is_rewritten(capsys, fresh_memo, tmp_path, damage):
+    # the top level of a --kmax 2 run caches the right-hand side of Bhat_2
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(fresh))
     run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
-    entry = cache / "closest_leaf.2.bin"
+    entry = cache / "closest_leaf.2.rhs.bin"
+    assert _decode(entry.read_bytes())[0]["rhs"] is True
     entry.write_bytes(damage(entry.read_bytes()))
     fresh_memo()
     code, out, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
     assert code == 0
     assert out == cold
-    assert entry.read_bytes() == (fresh / "closest_leaf.2.bin").read_bytes()
+    assert entry.read_bytes() == (fresh / "closest_leaf.2.rhs.bin").read_bytes()
+    assert not (cache / "closest_leaf.2.bin").exists()
+
+
+def test_a_right_hand_side_and_an_entry_under_each_other_s_name_are_rejected(
+    capsys, fresh_memo, tmp_path
+):
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(fresh))
+    run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
+    (cache / "closest_leaf.2.rhs.bin").rename(cache / "closest_leaf.2.bin")
+    (cache / "closest_leaf.1.bin").rename(cache / "closest_leaf.1.rhs.bin")
+    fresh_memo()
+    accepted = set()
+    loaded = cli.load_cache(cache, accepted)
+    assert cache / "closest_leaf.2.bin" not in accepted
+    assert cache / "closest_leaf.1.rhs.bin" not in accepted
+    assert loaded == len(accepted) == len(list(fresh.iterdir())) - 2
+    assert ("closest_leaf", 1) not in genfun.cache_snapshot()
+    assert ("closest_leaf", 2, "rhs") not in genfun.cache_snapshot()
+    fresh_memo()
+    code, out, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    # both are rewritten where they belong; the one misnamed as a right-hand
+    # side is removed, since the memo holds its entry, and the one misnamed
+    # as an entry is left, unread, as any foreign file is
+    names = sorted(p.name for p in cache.iterdir())
+    assert names == sorted(["closest_leaf.2.bin", *(p.name for p in fresh.iterdir())])
+    for path in fresh.iterdir():
+        assert (cache / path.name).read_bytes() == path.read_bytes()
+
+
+def test_an_entries_only_cache_gives_identical_stdout(capsys, fresh_memo, tmp_path):
+    # a cache written before right-hand sides were cached holds level 3's entries
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
+    for kind in ("root_rank", "leaf_pair_tail", "closest_leaf"):
+        genfun.gf_by_kind(kind, 3)
+    assert cli.save_cache(cache) == len(genfun.cache_snapshot())
+    names = sorted(p.name for p in cache.iterdir())
+    assert not any(name.endswith(".rhs.bin") for name in names)
+    fresh_memo()
+    code, out, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert sorted(p.name for p in cache.iterdir()) == names
+
+
+def test_a_run_one_level_higher_builds_the_entry_from_the_cached_right_hand_side(
+    capsys, fresh_memo, monkeypatch, tmp_path
+):
+    cache = tmp_path / "cache"
+    run(capsys, "constants", "--kmax", "6", "--cache-dir", str(cache))
+    assert (cache / "root_rank.6.rhs.bin").exists() and not (cache / "root_rank.6.bin").exists()
+    fresh_memo()
+    built = []
+    for kind, family in genfun._FAMILIES.items():
+        def rhs(k, kind=kind, real=family.rhs):
+            built.append((kind, k))
+            return real(k)
+
+        monkeypatch.setitem(genfun._FAMILIES, kind, family._replace(rhs=rhs))
+    code, out, _ = run(capsys, "constants", "--kmax", "7", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == (GOLDEN / "constants-kmax7.json").read_text()
+    # level 6's entries come from the cached right-hand sides; B_{<=6}, which
+    # a --kmax 6 run does not need, and level 7 are the only products
+    assert sorted(built) == [
+        ("closest_leaf", 7), ("leaf_pair_tail", 7), ("root_rank", 7), ("root_rank_cdf", 6)
+    ]
+    for kind in ("root_rank", "leaf_pair_tail", "closest_leaf"):
+        assert (cache / f"{kind}.6.bin").exists() and not (cache / f"{kind}.6.rhs.bin").exists()
+        assert (cache / f"{kind}.7.rhs.bin").exists()
 
 
 def _format_2_text(kind, k, expr):
@@ -524,9 +625,10 @@ def _damage_entry(entry, damage):
 
 def test_a_divergent_cache_entry_exits_3(capsys, fresh_memo, tmp_path):
     # a canonical entry with a wrong exponent: c_3's integral of u·B_3 then
-    # diverges, which valid input never makes happen
+    # diverges, which valid input never makes happen; B_3 is an entry below
+    # the top level of a --kmax 4 run
     cache = tmp_path / "cache"
-    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    run(capsys, "constants", "--kmax", "4", "--cache-dir", str(cache))
 
     def move_to_u_cubed_below(head, terms):
         i = terms.index([1, 0, 0x5F172AEB742C])
@@ -534,7 +636,7 @@ def test_a_divergent_cache_entry_exits_3(capsys, fresh_memo, tmp_path):
 
     _damage_entry(cache / "root_rank.3.bin", move_to_u_cubed_below)
     fresh_memo()
-    code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    code, out, err = run(capsys, "constants", "--kmax", "4", "--cache-dir", str(cache))
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""
     assert "internal inconsistency: term u^-2 v^0 diverges on [0, 1]" in err
@@ -578,17 +680,20 @@ def _u_cubed_below(head, terms):
         ("root_rank_cdf.2.bin", _one_more, "c_3: the partial-sum route disagrees modulo "),
         # u·B_{<=2} then has a term at u^-2, whose square is at u^-4
         ("root_rank_cdf.2.bin", _u_cubed_below, "term u^-4 v^0 diverges on [0, 1]"),
+        # c_4 integrates the cached right-hand side of B_4
+        ("root_rank.4.rhs.bin", _one_more, "c_4: the partial-sum route disagrees modulo "),
     ],
-    ids=["root-rank-numerator", "cdf-numerator", "cdf-divergent"],
+    ids=["root-rank-numerator", "cdf-numerator", "cdf-divergent", "root-rank-rhs-numerator"],
 )
 def test_a_cache_entry_that_breaks_a_route_to_c_k_exits_3(
     capsys, fresh_memo, tmp_path, entry, damage, message
 ):
+    # B_3 and B_{<=2} are entries below the top level of a --kmax 4 run
     cache = tmp_path / "cache"
-    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    run(capsys, "constants", "--kmax", "4", "--cache-dir", str(cache))
     _damage_entry(cache / entry, damage)
     fresh_memo()
-    code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    code, out, err = run(capsys, "constants", "--kmax", "4", "--cache-dir", str(cache))
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""
     assert f"internal inconsistency: {message}" in err

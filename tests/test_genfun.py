@@ -12,7 +12,7 @@ from exact_values import (
     cdf_square,
     square_integral,
 )
-from ranktree import checks, genfun, oracle
+from ranktree import checks, genfun, oracle, plring
 from ranktree.plring import ONE, PLExpr, Rational, U, UINV, X, square_integral01
 from ranktree.residues import Moduli
 
@@ -203,3 +203,85 @@ def test_cache_insert_is_idempotent():
     expr = genfun.root_rank_gf(1)
     genfun.cache_insert("root_rank", 1, PLExpr({}))  # ignored: already present
     assert genfun.root_rank_gf(1) == expr
+
+
+# the families whose level-K entry constants_table(K) does not build
+_TOP_KINDS = ("root_rank", "leaf_pair_tail", "closest_leaf")
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_top_level_identities_equal_the_entry_route(fresh_memo, k):
+    # c_k = ∫u²·rhs_k, f_k = ∫u²·(Bcal′_{>k-1} - rhs^cal_k), g_k = ∫u²·rhs^hat_k
+    row = genfun.constants_table(k)[k]
+    memo = genfun.cache_snapshot()
+    for kind in _TOP_KINDS:
+        if k > genfun._FAMILIES[kind].first:
+            assert (kind, k) not in memo and (kind, k, "rhs") in memo
+    # the entry route, from the entries built now out of the memoized right-hand sides
+    assert row.c == 2 * genfun.root_rank_gf(k).integral01(1)
+    assert row.f == genfun.leaf_pair_constant(k)
+    assert row.g == genfun.closest_leaf_constant(k)
+    assert row.partial_sum == Rational(4, 3) - square_integral(k)
+    if k in C_EXACT:
+        assert row.c == C_EXACT[k]
+    if k < len(F_EXACT):
+        assert (row.f, row.g) == (F_EXACT[k], G_EXACT[k])
+    assert not any(len(key) == 3 for key in genfun.cache_snapshot())
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_tail_report_takes_c_k_from_the_top_level_right_hand_side(fresh_memo, k):
+    table = genfun.tail_report(k)
+    assert ("root_rank", k) not in genfun.cache_snapshot()
+    assert table.rows[k].exact_tail == square_integral(k) - Rational(1, 3)
+
+
+def test_constants_table_computes_no_product_twice(fresh_memo, monkeypatch):
+    # every product of two operands of two terms or more is recorded; the
+    # entries of level 6, built after the table, reuse its right-hand sides
+    monkeypatch.setattr(plring, "_RESIDUE_PAIRS", 1)
+    real, seen = plring._product_table, []
+
+    def product_table(a, b, moduli):
+        seen.append(tuple(sorted(hash(frozenset(x.items())) for x in (a, b))))
+        return real(a, b, moduli)
+
+    monkeypatch.setattr(plring, "_product_table", product_table)
+    genfun.constants_table(6)
+    table_products = len(seen)
+    for kind in _TOP_KINDS:
+        genfun.gf_by_kind(kind, 6)
+    assert len(seen) == table_products > 20
+    assert len(set(seen)) == len(seen)
+
+
+def test_fresh_memo_empties_the_memoized_right_hand_sides(fresh_memo):
+    genfun.constants_table(2)
+    assert ("root_rank", 2, "rhs") in genfun.cache_snapshot()
+    fresh_memo()
+    assert genfun.cache_snapshot() == {}
+
+
+@pytest.mark.parametrize("kind", genfun.KINDS)
+def test_ode_residual_sees_a_corrupted_memoized_right_hand_side(fresh_memo, kind):
+    # the entry is built from the memoized right-hand side, and the residual
+    # recomputes the right one
+    k = min(checks.ODE_RESIDUAL_RANGES[kind]) + 1
+    wrong = genfun._FAMILIES[kind].rhs(k) + PLExpr.term(1, 5, 0)
+    fresh_memo()
+    genfun.cache_insert(kind, k, wrong, rhs=True)
+    assert not genfun.ode_residual(kind, k).is_zero()
+    assert (kind, k, "rhs") not in genfun.cache_snapshot()
+
+
+def test_cache_insert_of_a_right_hand_side_defers_to_the_entry(fresh_memo):
+    genfun.root_rank_gf(1)
+    genfun.cache_insert("root_rank", 1, ONE, rhs=True)  # ignored: B_1 is memoized
+    genfun.cache_insert("root_rank", 2, ONE, rhs=True)
+    assert genfun.cache_snapshot()[("root_rank", 2, "rhs")] == ONE
+    genfun.cache_insert("root_rank", 2, X)  # the entry drops it
+    memo = genfun.cache_snapshot()
+    assert memo[("root_rank", 2)] == X
+    assert not any(len(key) == 3 for key in memo)
+    with pytest.raises(ValueError):
+        genfun.cache_insert("root_rank", 0, X, rhs=True)  # B_0 is the base value

@@ -70,6 +70,13 @@ def test_integral01_closed_form():
             assert got == Rational(math.factorial(c)) / (b + 1) ** (c + 1)
 
 
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**12)), max_size=9))
+def test_pairwise_sum_is_the_exact_sum(fractions):
+    num, den = plring._pairwise_sum(fractions)
+    assert den > 0
+    assert Fraction(num, den) == sum((Fraction(n, d) for n, d in fractions), Fraction(0))
+
+
 def test_integral01_rejects_divergent_terms():
     with pytest.raises(DivergentIntegral):
         UINV.integral01()

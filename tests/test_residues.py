@@ -127,6 +127,17 @@ def test_blocks_of_the_largest_sums_are_exact(bound):
     assert moduli.rebuild(got, bound) == values
 
 
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_the_rows_named_by_cells_are_rebuilt_in_their_order(bound):
+    # more than two blocks of cells, out of order and with a row twice
+    moduli = Moduli(bound)
+    values = [(-1) ** i * (bound // (i + 2)) for i in range(3 * residues._BLOCK)]
+    table = _rows(moduli, values)
+    cells = np.array([*range(len(values) - 1, 0, -2), 5, 5])
+    assert moduli.rebuild(table, bound, cells) == [values[i] for i in cells.tolist()]
+    assert moduli.rebuild(table, bound, cells[:0]) == []
+
+
 def test_reduction_memory_stays_bounded_on_wide_integers():
     # 3,000 integers of 8,000 bits: their limbs as one float64 matrix take
     # 12 MB; a block of rows at a time keeps the peak well under that
