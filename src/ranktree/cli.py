@@ -14,6 +14,14 @@ generating functions (constants, bounds, factor, oracle --series-order)
 is checked next, before the cache loads.  An oracle --rho whose moment
 ratio is provably past the float range is refused before any DP.
 
+oracle --rho fills the table's root-rank levels first and then streams
+the rank counts that the moment ratio needs in one forked worker
+(oracle.rank_counts_in_background), while the pair levels and the
+series check run in this process; the counts are rebuilt and checked
+here.  Where no second CPU is free to the process, or os.fork is
+missing, the stream runs in process; stdout is the same either way, and
+no worker outlives the command.
+
 An optional on-disk cache (--cache-dir) stores one expression per
 (kind, k), so repeated runs skip the symbolic recurrences entirely.  An
 entry is the file <kind>.<k>.bin: one JSON head line, then a binary body
@@ -50,6 +58,7 @@ formats are <kind>.<k>.json files: they are neither read nor removed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -352,39 +361,43 @@ def _refuse_a_ratio_past_the_float_range(n: int, rho: Rational) -> None:
 def cmd_oracle(args) -> int:
     n = args.n
     kmax = args.kmax
-    if args.rho is not None:
-        _refuse_a_ratio_past_the_float_range(n, checks.parse_rational(args.rho))
+    rho = None if args.rho is None else checks.parse_rational(args.rho)
+    if rho is not None:
+        _refuse_a_ratio_past_the_float_range(n, rho)
     if n > oracle.DEFAULT_N_CAP:
         print(
             f"warning: n={n} exceeds the default cap {oracle.DEFAULT_N_CAP}; "
             "the rows grow about like n^3 and --rho like n^4 "
-            "(about 6 s and 40 s at n = 1000)",
+            "(about 4.5 s and 25 s at n = 1000)",
             file=sys.stderr,
         )
-    rows_json, rows_csv = _table(
-        (
-            k,
-            [
-                ("root_rank_tail", oracle.root_rank_tail(n, k), "frac"),
-                ("root_rank_prob", oracle.root_rank_prob(n, k), "approx"),
-                ("rank_count", e_k, "approx"),
-                ("leaf_pairs", oracle.expected_leaf_pairs(n, k), "approx"),
-                ("closest_pairs", oracle.expected_closest_pairs(n, k), "approx"),
-            ],
-        )
-        for k, e_k in enumerate(oracle.expected_rank_counts(n, kmax))
-    )
-    payload: dict = {"command": "oracle", "n": n, "kmax": kmax, "rows": rows_json}
-    if args.rho is not None:
-        rho = checks.parse_rational(args.rho)
-        payload["moment_ratio"] = {"rho": args.rho, **_rat(oracle.moment_gf_ratio(n, rho))}
-    if args.series_order is not None:
-        order = args.series_order
-        if not checks.cdf_series_vs_oracle(kmax, order)[1]:
-            raise InternalInconsistency(
-                "generating-function series disagrees with the exact DP"
+    # the root-rank levels 0..kmax first: the --rho stream reads them, in a
+    # worker that runs beside the rest of the table and the series check
+    counts = oracle.expected_rank_counts(n, kmax)
+    with oracle.rank_counts_in_background(n) if rho is not None else contextlib.nullcontext():
+        rows_json, rows_csv = _table(
+            (
+                k,
+                [
+                    ("root_rank_tail", oracle.root_rank_tail(n, k), "frac"),
+                    ("root_rank_prob", oracle.root_rank_prob(n, k), "approx"),
+                    ("rank_count", e_k, "approx"),
+                    ("leaf_pairs", oracle.expected_leaf_pairs(n, k), "approx"),
+                    ("closest_pairs", oracle.expected_closest_pairs(n, k), "approx"),
+                ],
             )
-        payload["series_check"] = {"order": order, "agree": True}
+            for k, e_k in enumerate(counts)
+        )
+        payload: dict = {"command": "oracle", "n": n, "kmax": kmax, "rows": rows_json}
+        if args.series_order is not None:
+            order = args.series_order
+            if not checks.cdf_series_vs_oracle(kmax, order)[1]:
+                raise InternalInconsistency(
+                    "generating-function series disagrees with the exact DP"
+                )
+            payload["series_check"] = {"order": order, "agree": True}
+        if rho is not None:
+            payload["moment_ratio"] = {"rho": args.rho, **_rat(oracle.moment_gf_ratio(n, rho))}
     _emit(payload, rows_csv, args.format)
     return EXIT_OK
 

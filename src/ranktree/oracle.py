@@ -47,18 +47,49 @@ reduced middle term times 1/m, is below 3·2^52.
 
 Cost: level k at size n takes about (n - 2k)^2/4 products per prime, with
 about n log2(n)/26 primes, and from k >= (n-2)/2 on no product at all.
-moment_gf_ratio(n, rho) needs all n levels; it streams them on the primes
-for n, writing them into two preallocated level buffers in turn and
-keeping one residue row of E_{n,k} per level, and reads the levels
-already held, on the engine's basis if it was built for n.  The exact
-E_{n,k} are kept per n, so another rho at the same n costs no DP.  In
-process the stream takes about 0.7 s at n = 400, nearly all of it in the
-pair loop, and 31-40 s at n = 1000 (2-core Xeon, Python 3.11.7, numpy 2.4.6).
+moment_gf_ratio(n, rho) needs all n levels, about n^3/24 products per
+prime; it streams them on the primes for n, writing them into two
+preallocated level buffers in turn and keeping one residue row of
+E_{n,k} per level, and reads the levels already held, on the engine's
+basis if it was built for n.  The exact E_{n,k} are kept per n, so
+another rho at the same n costs no DP.  The stream takes 0.45-0.5 s at
+n = 400, nearly all of it in the pair loop at numpy's int64 speed (about
+1.35 ns a product and its add), and about 24 s at n = 1000 (2-core Xeon,
+Python 3.11.7, numpy 2.4.6).  The counts are kept as the integers
+n!·E_{n,k}, and the moment ratio sums them in integers with one division
+at the end.
+
+The stream in a worker.  rank_counts_in_background(n) forks one child
+that runs the stream on the levels the engine holds at the fork and
+writes its n residue rows (int64, one per k) into an anonymous shared
+mmap.  `oracle --rho` fills the table's root-rank levels 0..kmax first
+and then fills its pair levels and runs the series check in the parent
+meanwhile, since neither reads the stream; the first rank_counts(n) or
+moment_gf_ratio(n, rho) waits for the child and does the CRT rebuild and
+the check-prime test, so every check runs in the parent.  It forks only
+where os.fork exists, the affinity mask holds two CPUs or more and no
+other thread runs; otherwise, and when the child exits non-zero, the
+stream runs in process.  A child not
+joined is killed and reaped however the body ends, and a child whose
+parent is gone stops at its next level.  The child calls private kernels
+only and leaves through os._exit, so it runs no exit handler and flushes
+nothing of the parent's.  At n = 400 the parent's pair levels and series
+check (about 0.2 s) overlap the child's stream: `oracle --n 400 --kmax 5
+--rho 7/5 --series-order 50` takes 7-22 % less wall time, and from 2 %
+less to 17 % more CPU time, the child's included (medians of four rounds
+of 10 alternating pairs of benchmark runs).  How much depends on the
+second CPU: single pairs ranged from 2 % slower with 25 % more CPU time
+to 22 % faster with none.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -77,13 +108,15 @@ __all__ = [
     "expected_subtrees_atleast",
     "moment_gf_ratio",
     "max_root_rank",
+    "rank_counts_in_background",
 ]
 
 # The CLI warns above this n.  A level costs O(n^2) residue products per
 # prime and there are about n log2(n)/26 primes, so the rows k <= kmax grow
 # about like n^3; --rho needs all n levels, about n^4.  Measured (2-core
-# Xeon, Python 3.11.7): `oracle --kmax 5` takes 0.6-1.1 s at n = 500 and
-# 5.4-5.8 s at n = 1000, and 2.6 s and 37-41 s with --rho 7/5.
+# Xeon, Python 3.11.7): `oracle --kmax 5` takes 0.5-1.1 s at n = 500 and
+# 4.2-4.7 s at n = 1000, and with --rho 7/5, whose stream runs in a worker
+# beside the table, 1.3-1.8 s and 25-26 s (28 s with the stream in process).
 DEFAULT_N_CAP = 500
 
 
@@ -125,13 +158,18 @@ class _Basis:
     def ones(self) -> np.ndarray:
         return np.ones((self.rows, len(self.q)), np.int32)
 
+    def scaled(self, residues: np.ndarray, n: int) -> list[int]:
+        """n! times the exact values at size n, from their residue rows, one row each."""
+        bound = max(n, 1) * math.factorial(n)
+        scaled = self.moduli.rebuild(residues * self.fact[n] % self.q, bound)
+        if min(scaled) < 0:
+            raise InternalInconsistency(f"oracle residues at n={n} give a negative value")
+        return scaled
+
     def values(self, residues: np.ndarray, n: int) -> list[Rational]:
         """Exact values at size n from their residue rows, one row each."""
         fact = math.factorial(n)
-        scaled = self.moduli.rebuild(residues * self.fact[n] % self.q, max(n, 1) * fact)
-        if min(scaled) < 0:
-            raise InternalInconsistency(f"oracle residues at n={n} give a negative value")
-        return [Rational(x) / fact for x in scaled]
+        return [Rational(x) / fact for x in self.scaled(residues, n)]
 
 
 def _p_level(
@@ -228,7 +266,8 @@ class RankDP:
         self._g: dict[int, np.ndarray] = {}
         self._e: dict[int, np.ndarray] = {}  # always empty, as _x; perfbench/tracing.py reads both
         self._x: dict[int, np.ndarray] = {}
-        self._counts: dict[int, list[Rational]] = {}  # rank_counts(n), by n
+        self._counts: dict[int, list[int]] = {}  # n! times rank_counts(n), by n
+        self._background: dict[int, _StreamWorker] = {}  # rank_counts(n) in a worker, by n
 
     def _value(self, row, k: int, n: int, top: int) -> Rational:
         """Level k at size n from row(k); 0 above top, the last level that can be nonzero."""
@@ -302,24 +341,44 @@ class RankDP:
         for n alone, the engine's basis if it was built for n: those primes
         are the first columns of any basis that covers n.  Each n is
         streamed once per engine, and the values are kept for the next
-        call, e.g. the moment ratio at another rho.
+        call, e.g. the moment ratio at another rho.  Under
+        rank_counts_in_background(n) the residue rows come from the worker,
+        and the rebuild and its checks run here all the same.
         """
+        counts, fact = self._scaled_counts(n), math.factorial(n)
+        return [Rational(x) / fact for x in counts]
+
+    def _scaled_counts(self, n: int) -> list[int]:
+        """n! E_{n,k} for k = 0..n-1, integers."""
         if n < 1:
             raise ValueError("n must be >= 1")
         counts = self._counts.get(n)
         if counts is None:
             counts = self._counts[n] = self._stream_counts(n)
-        return list(counts)
+        return counts
 
-    def _stream_counts(self, n: int) -> list[Rational]:
-        b = self._basis if self._basis is not None and self._basis.cap == n else _Basis(n)
+    def _stream_counts(self, n: int) -> list[int]:
+        worker = self._background.pop(n, None)
+        rows = worker.join() if worker is not None else None
+        if rows is not None:
+            return worker.basis.scaled(rows, n)
+        b = self._stream_basis(n)
+        return b.scaled(self._stream_rows(n, b, np.empty((n, len(b.q)), np.int64)), n)
+
+    def _stream_basis(self, n: int) -> _Basis:
+        return self._basis if self._basis is not None and self._basis.cap == n else _Basis(n)
+
+    def _stream_rows(self, n: int, b: _Basis, out: np.ndarray, each_level=None) -> np.ndarray:
+        """E_{n,k} mod b.q for k = 0..n-1 into the int64 rows of out, calling
+        each_level(), if given, before each level."""
         rows, width = n + 1, len(b.q)
         w = b.w[:n]
         prev = b.ones()
         prev_sum = _weighted(prev[:n], w, b.q)
         buffers = (np.empty((rows, width), np.int64), np.empty((rows, width), np.int64))
-        out = np.empty((n, width), np.int64)
         for k in range(n):
+            if each_level is not None:
+                each_level()
             held = self._p.get(k)
             if held is not None and len(held) >= rows:
                 cur = held[:rows, :width].astype(np.int64)
@@ -329,7 +388,7 @@ class RankDP:
             cur_sum = (w[0] + _weighted(cur[k + 2 : n], w[k + 2 :], b.q)) % b.q
             out[k] = (prev[n] - cur[n] + 2 * (n + 1) * (prev_sum - cur_sum)) % b.q
             prev, prev_sum = cur, cur_sum
-        return b.values(out, n)
+        return out
 
     # -- descendant-leaf pairs ---------------------------------------------
 
@@ -374,7 +433,113 @@ class RankDP:
         return self._value(lambda k: self._g_rows(k)[n : n + 1], k, n, max_root_rank(n))
 
 
+class _StreamWorker:
+    """A forked child that streams an engine's rank_counts(n) residue rows.
+
+    The child inherits the engine as it stands at the fork, its held levels
+    included, runs RankDP._stream_rows on the basis chosen here, and writes
+    the rows into an anonymous shared mmap; the parent keeps the basis and
+    does the rebuild and its checks.  The child leaves through os._exit: 0
+    once the rows are written, 1 on any exception, and 1 at the next level
+    once its parent is gone.  SIGINT is blocked across the fork, so the
+    child cannot raise out of the parent's frames before its try, and the
+    parent raises a KeyboardInterrupt only once pid is set for kill.
+    """
+
+    def __init__(self, dp: RankDP, n: int):
+        self.dp, self.n = dp, n
+        self.basis = dp._stream_basis(n)
+        self.pid = 0  # 0 before the fork, in the child, and once the worker is reaped
+        self._memory: mmap.mmap | None = None
+
+    def start(self) -> None:
+        self._memory = mmap.mmap(-1, 8 * self.n * len(self.basis.q))
+        parent = os.getpid()
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                self._work(parent)
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+    def _work(self, parent: int) -> None:
+        code = 1
+        try:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+            def stop_if_orphaned():
+                if os.getppid() != parent:
+                    os._exit(1)
+
+            out = np.frombuffer(self._memory, np.int64).reshape(self.n, -1)
+            self.dp._stream_rows(self.n, self.basis, out, stop_if_orphaned)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def join(self) -> np.ndarray | None:
+        """The rows once the worker exits 0, else None; it is reaped either way."""
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = 0
+        if os.waitstatus_to_exitcode(status) != 0:
+            return None
+        return np.frombuffer(self._memory, np.int64).reshape(self.n, -1).copy()
+
+    def kill(self) -> None:
+        """SIGKILL and reap the worker unless join has reaped it."""
+        if self.pid > 0:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        if self._memory is not None:
+            self._memory.close()
+
+
+def _may_fork() -> bool:
+    """fork exists, this process may run on two CPUs, and no other thread
+    runs (a fork copies the calling thread alone)."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
 _DEFAULT = RankDP()
+
+
+@contextmanager
+def rank_counts_in_background(n: int):
+    """Stream the shared engine's rank_counts(n) in a forked worker while the
+    body runs, where a second CPU is free for it.
+
+    The worker starts from the levels the engine holds on entry, so the
+    body should not need the counts before it has filled what it reads
+    anyway; the first rank_counts(n) or moment_gf_ratio(n, rho) joins the
+    worker, and runs the stream in process if the worker did not exit 0.
+    On every way out of the body a worker not joined is killed and reaped.
+    Without fork, a second CPU in the affinity mask, or with another thread
+    running, nothing is forked, and a fork or mmap that fails leaves the
+    stream in process too.
+    """
+    dp = _DEFAULT
+    worker = None
+    if n >= 1 and n not in dp._counts and n not in dp._background and _may_fork():
+        worker = _StreamWorker(dp, n)
+    try:
+        if worker is not None:
+            try:
+                worker.start()
+                dp._background[n] = worker
+            except OSError:  # no process or no shared memory to be had: in process
+                pass
+        yield
+    finally:
+        if worker is not None:
+            dp._background.pop(n, None)
+            worker.kill()
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +607,12 @@ def moment_gf_ratio(n: int, rho) -> Rational:
     rho = Rational(rho)
     if not rho > 0:
         raise ValueError("rho must be positive")
-    total = Rational(0)
-    for count in reversed(_DEFAULT.rank_counts(n)):  # Horner in rho
-        total = total * rho + count
-    return total / n
+    p, q = int(rho.numerator), int(rho.denominator)
+    # with x_k = n! E_{n,k}, the ratio is sum_k x_k p^k q^(n-1-k) / (n n! q^(n-1)),
+    # summed in integers by Horner in q: one gcd in all, where a sum of
+    # rationals takes two a term
+    total, power = 0, 1
+    for x in _DEFAULT._scaled_counts(n):
+        total = total * q + x * power
+        power *= p
+    return Rational(total) / (n * math.factorial(n) * q ** (n - 1))

@@ -96,22 +96,30 @@ def primes_upto(bound: int) -> tuple[int, ...]:
 def _largest_primes(count: int) -> list[int]:
     """The `count` largest primes below _PRIME_BOUND, in decreasing order.
 
-    Sieved in windows going down from the bound; every prime returned is
-    above _PRIME_BOUND / 2, so each adds more than 25 bits to a product.
+    Read from windows going down from the bound, each sieved once per
+    process; every prime returned is above _PRIME_BOUND / 2, so each adds
+    more than 25 bits to a product.
     """
-    small_primes = primes_upto(math.isqrt(_PRIME_BOUND))
     found: list[int] = []
     hi = _PRIME_BOUND
     while len(found) < count:
         lo = hi - _SIEVE_WINDOW
         if lo < _PRIME_BOUND // 2:
             raise CapacityExceeded("too many primes asked for below 2^26")
-        sieve = np.ones(hi - lo, bool)
-        for p in small_primes:
-            sieve[-lo % p :: p] = False
-        found.extend(reversed((lo + np.flatnonzero(sieve)).tolist()))
+        found.extend(_window_primes(lo)[: count - len(found)].tolist())
         hi = lo
-    return found[:count]
+    return found
+
+
+@lru_cache(maxsize=None)
+def _window_primes(lo: int) -> np.ndarray:
+    """The primes in [lo, lo + _SIEVE_WINDOW), in decreasing order (read-only)."""
+    sieve = np.ones(_SIEVE_WINDOW, bool)
+    for p in primes_upto(math.isqrt(_PRIME_BOUND)):
+        sieve[-lo % p :: p] = False
+    primes = lo + np.flatnonzero(sieve)[::-1]
+    primes.flags.writeable = False
+    return primes
 
 
 class Moduli:

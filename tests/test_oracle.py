@@ -3,6 +3,13 @@ big-integer reference DP (the checks against the GF series are in
 ranktree.checks, run by the acceptance tests)."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,3 +412,237 @@ def test_a_wrong_crt_coefficient_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INCONSISTENT
     assert captured.out == ""
     assert "check prime" in captured.err
+
+
+# -- the rank-count stream in a forked worker (oracle --rho) -----------------
+
+GOLDEN = Path(__file__).parent / "golden"
+N200 = ["oracle", "--n", "200", "--kmax", "6", "--rho", "7/5"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to this test, which may fork: two CPUs in the
+    affinity mask, and a fresh shared engine, so no count is held from an
+    earlier test."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(oracle, "_DEFAULT", oracle.RankDP())
+    return pids
+
+
+def _assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def _parent_streams(monkeypatch):
+    """The n of each RankDP._stream_rows call made in this process, not in a worker."""
+    parent, stream, calls = os.getpid(), oracle.RankDP._stream_rows, []
+
+    def recorded(self, n, *args):
+        if os.getpid() == parent:
+            calls.append(n)
+        return stream(self, n, *args)
+
+    monkeypatch.setattr(oracle.RankDP, "_stream_rows", recorded)
+    return calls
+
+
+def _cli(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out
+
+
+@pytest.mark.parametrize("basis", ["own", "wider"])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 157])
+def test_the_worker_streams_the_in_process_counts(forks, monkeypatch, n, basis):
+    expected = oracle.RankDP().rank_counts(n)
+    dp = oracle._DEFAULT
+    dp.e_count(n if basis == "own" else n + 40, 0)  # a basis, and levels 0 and 1 held
+    streams = _parent_streams(monkeypatch)
+    with oracle.rank_counts_in_background(n):
+        assert dp.rank_counts(n) == expected
+    assert streams == []
+    _assert_reaped(forks)
+    assert dp._background == {}
+
+
+def test_a_cli_run_joins_the_worker(capsys, forks, monkeypatch):
+    streams = _parent_streams(monkeypatch)
+    assert _cli(capsys, N200) == (0, (GOLDEN / "oracle-n200.json").read_text())
+    assert streams == []
+    _assert_reaped(forks)
+
+
+def test_a_failing_series_check_kills_the_worker(capsys, forks, monkeypatch):
+    monkeypatch.setattr(cli.checks, "cdf_series_vs_oracle", lambda kmax, order: ("", False, ""))
+    argv = [*N200, "--kmax", "3", "--series-order", "12"]
+    assert _cli(capsys, argv) == (cli.EXIT_INCONSISTENT, "")
+    _assert_reaped(forks)
+
+
+def test_an_interrupt_kills_the_worker(capsys, forks, monkeypatch):
+    def interrupted(kmax, order):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.checks, "cdf_series_vs_oracle", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([*N200, "--kmax", "3", "--series-order", "12"])
+    _assert_reaped(forks)
+
+
+def test_an_interrupt_as_the_fork_returns_kills_the_worker(forks, monkeypatch):
+    # SIGINT is blocked across the fork; one that arrived meanwhile is raised
+    # as the parent unblocks it
+    parent, mask = os.getpid(), signal.pthread_sigmask
+
+    def interrupted(how, signals):
+        old = mask(how, signals)
+        if how == signal.SIG_UNBLOCK and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return old
+
+    monkeypatch.setattr(signal, "pthread_sigmask", interrupted)
+    oracle.expected_rank_counts(60, 0)
+    with pytest.raises(KeyboardInterrupt):
+        with oracle.rank_counts_in_background(60):
+            raise AssertionError("the body ran")
+    _assert_reaped(forks)
+    assert oracle._DEFAULT._background == {}
+
+
+def test_a_failed_worker_leaves_the_stream_to_the_parent(capsys, forks, monkeypatch):
+    parent, level = os.getpid(), oracle._p_level
+
+    def fails_in_the_worker(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("injected")
+        return level(*args)
+
+    monkeypatch.setattr(oracle, "_p_level", fails_in_the_worker)
+    streams = _parent_streams(monkeypatch)
+    assert _cli(capsys, N200) == (0, (GOLDEN / "oracle-n200.json").read_text())
+    assert streams == [200]
+    _assert_reaped(forks)
+
+
+def test_a_wrong_row_from_the_worker_fails_the_check_prime_in_the_parent(forks, monkeypatch):
+    parent, stream = os.getpid(), oracle.RankDP._stream_rows
+
+    def off_by_one(self, n, b, out, each_level=None):
+        stream(self, n, b, out, each_level)
+        if os.getpid() != parent:
+            out[n // 2, 0] = (out[n // 2, 0] + 1) % b.q[0]
+        return out
+
+    monkeypatch.setattr(oracle.RankDP, "_stream_rows", off_by_one)
+    oracle.expected_rank_counts(60, 2)
+    with oracle.rank_counts_in_background(60):
+        with pytest.raises(InternalInconsistency, match="check prime"):
+            oracle.moment_gf_ratio(60, 1)
+    _assert_reaped(forks)
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        (
+            "oracle-n40.json",
+            ["oracle", "--n", "40", "--kmax", "3", "--rho", "7/5", "--series-order", "12"],
+        ),
+        ("oracle-n200.json", N200),
+        ("oracle-n200.csv", [*N200, "--format", "csv"]),
+    ],
+)
+def test_one_cpu_forks_nothing_and_prints_the_same(capsys, monkeypatch, golden, argv):
+    def no_fork():
+        raise AssertionError("forked with one CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(oracle, "_DEFAULT", oracle.RankDP())
+    assert _cli(capsys, argv) == (0, (GOLDEN / golden).read_text())
+
+
+def test_a_failed_fork_leaves_the_stream_in_process(capsys, forks, monkeypatch):
+    def no_process():
+        raise BlockingIOError("no process to be had")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    streams = _parent_streams(monkeypatch)
+    assert _cli(capsys, N200) == (0, (GOLDEN / "oracle-n200.json").read_text())
+    assert streams == [200]
+    assert oracle._DEFAULT._background == {}
+
+
+def test_another_thread_forbids_the_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert oracle._may_fork()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not oracle._may_fork()
+    finally:
+        release.set()
+        thread.join()
+
+
+def _env():
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def test_a_fresh_interpreter_prints_the_golden_file():
+    done = subprocess.run(
+        [sys.executable, "-m", "ranktree.cli", *N200], env=_env(), capture_output=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "oracle-n200.json").read_bytes()
+
+
+ORPHAN = """
+import os, sys
+from ranktree import oracle
+os.sched_getaffinity = lambda pid: {0, 1}
+oracle.expected_rank_counts(1000, 0)
+with oracle.rank_counts_in_background(1000):
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(oracle._DEFAULT._background[1000].pid))
+    os._exit(0)  # as if killed: no join, no kill
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_an_orphaned_worker_stops(tmp_path):
+    # the worker holds no pipe of the parent's, so run returns as the parent exits
+    subprocess.run(
+        [sys.executable, "-c", ORPHAN, str(tmp_path / "pid")],
+        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=60, check=True,
+    )
+    pid = int((tmp_path / "pid").read_text())
+    deadline = time.monotonic() + 5  # the whole stream at n = 1000 takes over 30 s
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)

@@ -74,6 +74,29 @@ def test_smaller_bounds_use_the_first_columns_of_larger_ones():
         assert large[: len(small)] == small
 
 
+def test_a_second_moduli_sieves_nothing():
+    residues._window_primes.cache_clear()
+    Moduli(BOUNDS[-1])
+    sieved = residues._window_primes.cache_info().misses
+    assert sieved >= 1
+    for bound in [*BOUNDS, 2**7105 - 1]:
+        Moduli(bound)
+    assert residues._window_primes.cache_info().misses == sieved
+
+
+def test_the_primes_run_out_at_half_the_bound(monkeypatch):
+    # on a bound of 2^18: the primes in [2^17, 2^18), sieved in two windows
+    monkeypatch.setattr(residues, "_PRIME_BOUND", 1 << 18)
+    residues._window_primes.cache_clear()
+    try:
+        expected = [p for p in reversed(residues.primes_upto(1 << 18)) if p >= 1 << 17]
+        assert residues._largest_primes(len(expected)) == expected
+        with pytest.raises(residues.CapacityExceeded, match="too many primes"):
+            residues._largest_primes(len(expected) + 1)
+    finally:
+        residues._window_primes.cache_clear()
+
+
 def _limbs_value(row):
     return sum(int(limb) << (16 * j) for j, limb in enumerate(row.tolist()))
 
