@@ -2,11 +2,13 @@
 
 Submodules:
 
+* residues   -- word-size primes and the exact maps to and from residues
 * plring     -- exact kernel: rationals and the (1-x)^b log(1/(1-x))^c ring
 * genfun     -- generating-function recurrences, the constants c_k, f_k, g_k, alpha_0
 * oracle     -- exact finite-n dynamic programs (ground truth)
 * montecarlo -- seeded tree simulation and empirical estimates
 * conjecture -- denominator factorizations and structure checks
+* checks     -- verification criteria, each defined once
 * cli        -- batch front end (constants/bounds/oracle/simulate/factor/verify)
 
 Importing the package sets OPENBLAS_NUM_THREADS to 1 unless the caller

@@ -7,7 +7,8 @@ the table-shaped outputs.  Exit codes: 0 success, 1 usage error,
 2 verification failure, 3 internal inconsistency (a divergent integral
 included: valid input never makes one, a corrupted cache entry can) or an
 exact computation past the capacity of the residue maps (valid input can
-reach it mid-run).
+reach it mid-run).  A cache that cannot be written after the output is
+one warning line on stderr, and the exit code stays the command's.
 Option ranges are checked while parsing, so a value out of range exits 1
 before any work; the --kmax ceiling of the runs that build exact
 generating functions (constants, bounds, factor, oracle --series-order)
@@ -39,14 +40,14 @@ them takes no gcd per term and no text conversion.  The writer streams
 one numerator at a time, and the reader reads each numerator from the
 buffered file, so neither holds a whole entry's bytes.
 
-The top level K of `constants` and `bounds` builds no entry: its
-constants integrate the right-hand sides of level K (genfun's module
-docstring).  Each right-hand side the memo holds is the file
+A constant whose entry the memo does not hold integrates its level's
+right-hand side instead (genfun's module docstring), so `constants` and
+`bounds` build no entry of their level K.  Each (kind, k) is one file: its
+entry if the memo holds it, else its right-hand side, the file
 <kind>.<k>.rhs.bin, laid out as an entry whose head also carries
-"rhs": true; it takes about half the bytes of its entry.  A later run
-that needs the entry antidifferentiates the cached right-hand side, with
-no product, and then writes the entry and removes the right-hand side's
-file.
+"rhs": true; it takes about half the bytes of its entry.  Writing either
+file removes the other.  A later run that needs the entry
+antidifferentiates the cached right-hand side, with no product.
 
 An entry or a right-hand side is loaded only if its body holds exactly
 the terms its head counts, with no byte missing or left over, its parts
@@ -257,16 +258,16 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
     Paths in ``keep`` (the files load_cache accepted) are left alone, and
     every other file is replaced, so an unreadable file is repaired.  Each
     file is written under a temporary name and renamed into place, so a
-    reader never sees a partial file.  The right-hand-side file of each
-    memoized entry is removed.
+    reader never sees a partial file.  Each (kind, k) keeps one file: its
+    entry or its right-hand side, whichever the memo holds, and the other
+    is removed.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     for key, expr in sorted(genfun.cache_snapshot().items()):
         kind, k, rhs = key[0], key[1], len(key) == 3  # (kind, k, "rhs") for a right-hand side
         path = _cache_path(cache_dir, kind, k, rhs)
-        if not rhs:
-            _cache_path(cache_dir, kind, k, rhs=True).unlink(missing_ok=True)
+        _cache_path(cache_dir, kind, k, not rhs).unlink(missing_ok=True)
         if path in keep:
             continue
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -591,7 +592,10 @@ def main(argv=None) -> int:
             load_cache(cache_dir, accepted)
         code = args.func(args)
         if cache_dir is not None:
-            save_cache(cache_dir, accepted)
+            try:
+                save_cache(cache_dir, accepted)
+            except OSError as exc:  # the printed values are complete and exact
+                print(f"warning: cache not saved: {exc}", file=sys.stderr)
         return code
     except (InternalInconsistency, DivergentIntegral) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -33,20 +33,20 @@ Whenever two independent routes to the same exact value exist (the tail
 moments exactly, c_k modulo three fixed primes, product about 2^78), both
 are computed and compared; any mismatch raises InternalInconsistency.
 
-Level K of a run.  Nothing reads the top-level entries B_K, Bcal_{>K} and
-Bhat_K of ``constants_table(K)`` or ``tail_report(K)`` but their
-constants, and half of each entry's cost is its antiderivative.  So level
-K's constants integrate the entry when the memo holds it, and otherwise
-level K's right-hand side, which is memoized until gf_by_kind builds the
-entry from it: no product is computed twice.  Each entry is
-antidifferentiated from 0 and u²·F_K vanishes at x = 1, so by parts
-2∫u·F_K = ∫u²·F_K′, and
+One rule for every constant, read off the memo.  If the memo holds F_k,
+its constant integrates it: c_k = 2∫u·B_k, g_k = 2∫u·Bhat_k and
+f_k = 2(J_{k-1} − J_k).  Otherwise it integrates level k's right-hand
+side, which is memoized until gf_by_kind builds F_k from it, so no product
+is computed twice and F_k is built only when a higher level or a caller
+needs it.  Each entry is antidifferentiated from 0 and u²·F_k vanishes at
+x = 1, so by parts 2∫u·F_k = ∫u²·F_k′, and
 
-* c_K = ∫u²·rhs_K,  g_K = ∫u²·rhs^hat_K,
-* f_K = ∫u²·(Bcal′_{>K-1} − rhs^cal_K), where each term diverges alone
+* c_k = ∫u²·rhs_k,  g_k = ∫u²·rhs^hat_k,
+* f_k = ∫u²·(Bcal′_{>k-1} − rhs^cal_k), where each term diverges alone
   and their divergent parts must be equal.
 
-Every k < K integrates its entry, which level k+1 needs anyway.
+So ``constants_table(K)`` and ``tail_report(K)`` build no entry of level
+K, which nothing else reads.
 """
 
 from __future__ import annotations
@@ -239,19 +239,16 @@ def _check_moduli() -> Moduli:  # three primes near 2^26, far above 2^(k+1)+1
     return Moduli(2**40)
 
 
-def _u_integral(kind: str, k: int, top: bool = False) -> Rational:
-    """2∫u·F_k over [0, 1], for a family of order 1.
-
-    At the top level of a run (``top``), with no F_k memoized, it is
-    ∫u²·rhs_k from the memoized right-hand side instead, and F_k is not
-    built (see the module docstring).
-    """
-    if top and k > _FAMILIES[kind].first and (kind, k) not in _CACHE:
+def _u_integral(kind: str, k: int) -> Rational:
+    """2∫u·F_k over [0, 1], for a family of order 1: with F_k not memoized,
+    ∫u²·rhs_k from the memoized right-hand side, and F_k is not built (see
+    the module docstring)."""
+    if k > _FAMILIES[kind].first and (kind, k) not in _CACHE:
         return _memo_rhs(kind, k).integral01(2)
     return 2 * gf_by_kind(kind, k).integral01(1)
 
 
-def _constant_and_sum(k: int, top: bool = False) -> tuple[Rational, Rational]:
+def _constant_and_sum(k: int) -> tuple[Rational, Rational]:
     """(c_k, S_k), memoized: c_k = 2∫u·B_k (_u_integral), and S_k = S_{k-1} + c_k
     checked against 4/3 - ∫(1 - u·B_{<=k-1})² modulo each prime of _check_moduli."""
     hit = _PARTIAL_SUMS.get(k)
@@ -259,7 +256,7 @@ def _constant_and_sum(k: int, top: bool = False) -> tuple[Rational, Rational]:
         # B_{<=k-1}'s route first: with B_k built first, a cold k = 7 run peaked 1.5 MB higher
         moduli = _check_moduli()
         square = square_integral01(ONE - U * root_rank_cdf_gf(k - 1), moduli)
-        c = _u_integral("root_rank", k, top)
+        c = _u_integral("root_rank", k)
         s = c + (_constant_and_sum(k - 1)[1] if k else 0)
         t = Rational(4, 3) - s
         for p, r in zip(moduli.q.tolist(), square):
@@ -328,30 +325,24 @@ def _difference(above: tuple[Rational, PLExpr], below: tuple[Rational, PLExpr], 
 
 
 def leaf_pair_constant(k: int) -> Rational:
-    """Exact f_k = 2∫u·Bcal_k = 2(J_{k-1} - J_k), Bcal_k = Bcal_{>k-1} - Bcal_{>k}.
+    """Exact f_k = 2∫u·Bcal_k, Bcal_k = Bcal_{>k-1} - Bcal_{>k}.
 
-    Each tail is integrated once (J_k is memoized and shared by f_k and
-    f_{k+1}), and no difference expression is built.  The divergent parts
-    of the two tails must be equal, so that Bcal_k has none: DivergentIntegral
+    With Bcal_{>k} memoized it is 2(J_{k-1} - J_k): each tail is integrated
+    once (J_k is memoized and shared by f_k and f_{k+1}), and no difference
+    expression is built.  Otherwise it is ∫u²·(Bcal′_{>k-1} - rhs^cal_k),
+    and Bcal_{>k} is not built.  Bcal′_{>k-1} is not formed (its canonical
+    form took 40 ms at k = 7): with Bcal_{>k-1} = G + D split as in J_{k-1},
+    the divergent terms of its derivative against u² are those of D′, and
+    by parts, since Bcal_{>k-1}(0) = 0 and u²G vanishes at x = 1, the
+    integral of the others is 2J_{k-1} + D(0).
+
+    The divergent parts of the two terms must be equal: DivergentIntegral
     names the least term where they differ otherwise.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return 2 * _difference(_tail_integral(k - 1), _tail_integral(k), 1)
-
-
-def _leaf_pair_constant(k: int, top: bool) -> Rational:
-    """f_k; at the top level of a run with no Bcal_{>k} memoized, it is
-    ∫u²·(Bcal′_{>k-1} - rhs^cal_k), and Bcal_{>k} is not built.
-
-    Bcal′_{>k-1} is not formed (its canonical form took 40 ms at k = 7):
-    with Bcal_{>k-1} = G + D split as in J_{k-1}, the divergent terms of
-    its derivative against u² are those of D′, and by parts, since
-    Bcal_{>k-1}(0) = 0 and u²G vanishes at x = 1, the integral of the
-    others is 2J_{k-1} + D(0).
-    """
-    if not top or ("leaf_pair_tail", k) in _CACHE:
-        return leaf_pair_constant(k)
+    if ("leaf_pair_tail", k) in _CACHE:
+        return 2 * _difference(_tail_integral(k - 1), _tail_integral(k), 1)
     value, divergent = _tail_integral(k - 1)
     above = 2 * value + divergent.series(0)[0], divergent.differentiate()
     return _difference(above, _memo_rhs("leaf_pair_tail", k).integral01(2, split=True), 2)
@@ -455,8 +446,7 @@ class TailTable:
 
 def tail_report(kmax: int) -> TailTable:
     """Exact tails 1 - S_k next to both proven upper bounds, and the
-    moments I_{k,t} for t = 1..4.  c_kmax is taken as at the top level of
-    constants_table, and B_kmax is not built.
+    moments I_{k,t} for t = 1..4.
 
     Asserts 1 - S_k <= 2 I_{k,1} and 1 - S_k <= (6k+7)/3 (1/3)^k for every
     computed k; the exponential lower envelope is attached as a floating
@@ -468,7 +458,7 @@ def tail_report(kmax: int) -> TailTable:
     for k in range(kmax + 1):
         for t in range(1, 5):
             moments[(k, t)] = tail_moment(k, t)
-        tail = 1 - _constant_and_sum(k, top=k == kmax)[1]
+        tail = 1 - partial_sum(k)
         tail_prev = 1 - partial_sum(k - 1)
         bound2i = 2 * tail_moment(k, 1)
         theorem = tail_envelope(k)
@@ -507,16 +497,12 @@ class ConstantsRow:
 def constants_table(kmax: int) -> list[ConstantsRow]:
     """The rows k = 0..kmax of c_k, f_k, g_k, S_k and the per-vertex ratios.
 
-    Level kmax is the top level of the module docstring: its entries are
-    not built unless the memo holds them.  InternalInconsistency unless
-    every c_k > 0 and every S_k < 1.
+    InternalInconsistency unless every c_k > 0 and every S_k < 1.
     """
     rows = []
     for k in range(kmax + 1):
-        top = k == kmax
-        c, s = _constant_and_sum(k, top)
-        f = _leaf_pair_constant(k, top)
-        g = _u_integral("closest_leaf", k, top)
+        c, s = rank_constant(k), partial_sum(k)
+        f, g = leaf_pair_constant(k), closest_leaf_constant(k)
         if not 0 < c or not s < 1:
             raise InternalInconsistency(f"c_{k} or S_{k} out of range")
         rows.append(

@@ -103,7 +103,7 @@ def test_factor_passes_for_low_k(capsys):
 
 
 def test_cache_cold_then_warm_identical_bytes(capsys, tmp_path):
-    # B_2 is an entry below the top level of a --kmax 3 run
+    # B_2 is an entry of a --kmax 3 run: rhs_3 of B_3 reads it
     cache = tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     files = sorted(p.name for p in cache.glob("*.bin"))
@@ -225,17 +225,38 @@ def _first_length(data, size):
     ],
 )
 def test_malformed_cache_entry_is_rewritten(capsys, fresh_memo, tmp_path, damage):
-    # Bhat_2 is an entry below the top level of a --kmax 3 run
+    # f_3 reads J_2, the integral of the entry Bcal_{>2}, so a --kmax 3 run rebuilds it
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
     run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
-    entry = cache / "closest_leaf.2.bin"
+    entry = cache / "leaf_pair_tail.2.bin"
     entry.write_bytes(damage(entry.read_bytes()))
     fresh_memo()
     code, out, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert code == 0
     assert out == cold
-    assert entry.read_bytes() == (fresh / "closest_leaf.2.bin").read_bytes()
+    assert entry.read_bytes() == (fresh / "leaf_pair_tail.2.bin").read_bytes()
+
+
+def test_a_malformed_entry_no_level_needs_gives_way_to_its_right_hand_side(
+    capsys, fresh_memo, tmp_path
+):
+    # Bhat_3's cached right-hand side spares a --kmax 3 run Bhat_2, so g_2
+    # integrates rhs^hat_2 in its place, as a --kmax 2 run does
+    top, fresh, cache = tmp_path / "top", tmp_path / "fresh", tmp_path / "cache"
+    run(capsys, "constants", "--kmax", "2", "--cache-dir", str(top))
+    fresh_memo()
+    _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
+    run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    entry = cache / "closest_leaf.2.bin"
+    entry.write_bytes(entry.read_bytes()[:-1])
+    fresh_memo()
+    code, out, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert not entry.exists()
+    rhs = "closest_leaf.2.rhs.bin"
+    assert (cache / rhs).read_bytes() == (top / rhs).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -250,7 +271,7 @@ def test_malformed_cache_entry_is_rewritten(capsys, fresh_memo, tmp_path, damage
     ids=["zero-den", "shared-factor", "no-rhs-flag", "int-rhs-flag", "short-body"],
 )
 def test_malformed_right_hand_side_is_rewritten(capsys, fresh_memo, tmp_path, damage):
-    # the top level of a --kmax 2 run caches the right-hand side of Bhat_2
+    # a --kmax 2 run caches the right-hand side of Bhat_2, not the entry
     fresh, cache = tmp_path / "fresh", tmp_path / "cache"
     _, cold, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(fresh))
     run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
@@ -285,11 +306,10 @@ def test_a_right_hand_side_and_an_entry_under_each_other_s_name_are_rejected(
     code, out, _ = run(capsys, "constants", "--kmax", "2", "--cache-dir", str(cache))
     assert code == 0
     assert out == cold
-    # both are rewritten where they belong; the one misnamed as a right-hand
-    # side is removed, since the memo holds its entry, and the one misnamed
-    # as an entry is left, unread, as any foreign file is
+    # both are rewritten where they belong, and each misnamed file is removed
+    # by the file of the same (kind, k) that the memo holds
     names = sorted(p.name for p in cache.iterdir())
-    assert names == sorted(["closest_leaf.2.bin", *(p.name for p in fresh.iterdir())])
+    assert names == sorted(p.name for p in fresh.iterdir())
     for path in fresh.iterdir():
         assert (cache / path.name).read_bytes() == path.read_bytes()
 
@@ -365,6 +385,18 @@ def test_format_2_entries_are_neither_loaded_nor_removed(capsys, fresh_memo, tmp
     assert out == cold
     assert {name: (old / name).read_text() for name in texts} == texts
     assert sorted(p.name for p in old.glob("*.bin")) == sorted(p.name for p in fresh.iterdir())
+
+
+def test_a_cache_that_cannot_be_written_is_one_warning(capsys, fresh_memo, tmp_path):
+    # the values are printed, complete and exact, before the cache is written
+    _, cold, _ = run(capsys, "constants", "--kmax", "1")
+    cache = tmp_path / "cache"
+    (cache / "root_rank.0.bin").mkdir(parents=True)
+    fresh_memo()
+    code, out, err = run(capsys, "constants", "--kmax", "1", "--cache-dir", str(cache))
+    assert code == cli.EXIT_OK
+    assert out == cold
+    assert err.startswith("warning: cache not saved: ") and err.count("\n") == 1
 
 
 def test_misnamed_cache_entry_is_not_accepted(tmp_path):
@@ -509,8 +541,10 @@ def test_a_rho_whose_ratio_must_be_past_the_float_range_is_refused_before_any_dp
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 40])
-def test_the_early_rho_refusal_rests_on_a_bound_below_the_ratio(n):
-    # rho^(n-1)·2^(n-1)/(n·n!) is one term of the ratio, and the others are >= 0
+def test_the_early_rho_refusal_rests_on_a_bound_below_the_ratio(monkeypatch, n):
+    # rho^(n-1)·2^(n-1)/(n·n!) is one term of the ratio, and the others are >= 0;
+    # a fresh engine, since an earlier test may leave the shared one on a large n
+    monkeypatch.setattr(cli.oracle, "_DEFAULT", cli.oracle.RankDP())
     rho = Rational(7, 5)
     bound = rho ** (n - 1) * 2 ** (n - 1) / (n * math.factorial(n))
     assert cli.oracle.moment_gf_ratio(n, rho) >= bound
@@ -625,8 +659,8 @@ def _damage_entry(entry, damage):
 
 def test_a_divergent_cache_entry_exits_3(capsys, fresh_memo, tmp_path):
     # a canonical entry with a wrong exponent: c_3's integral of u·B_3 then
-    # diverges, which valid input never makes happen; B_3 is an entry below
-    # the top level of a --kmax 4 run
+    # diverges, which valid input never makes happen; B_3 is an entry of a
+    # --kmax 4 run, since rhs_4 of B_4 reads it
     cache = tmp_path / "cache"
     run(capsys, "constants", "--kmax", "4", "--cache-dir", str(cache))
 
@@ -688,7 +722,7 @@ def _u_cubed_below(head, terms):
 def test_a_cache_entry_that_breaks_a_route_to_c_k_exits_3(
     capsys, fresh_memo, tmp_path, entry, damage, message
 ):
-    # B_3 and B_{<=2} are entries below the top level of a --kmax 4 run
+    # B_3 and B_{<=2} are entries of a --kmax 4 run: rhs_4 and c_3's square read them
     cache = tmp_path / "cache"
     run(capsys, "constants", "--kmax", "4", "--cache-dir", str(cache))
     _damage_entry(cache / entry, damage)

@@ -205,8 +205,8 @@ def test_cache_insert_is_idempotent():
     assert genfun.root_rank_gf(1) == expr
 
 
-# the families whose level-K entry constants_table(K) does not build
-_TOP_KINDS = ("root_rank", "leaf_pair_tail", "closest_leaf")
+# the families of c_k, f_k and g_k, whose level-k entry they do not build
+_CONSTANT_KINDS = ("root_rank", "leaf_pair_tail", "closest_leaf")
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -214,10 +214,13 @@ def test_the_top_level_identities_equal_the_entry_route(fresh_memo, k):
     # c_k = ∫u²·rhs_k, f_k = ∫u²·(Bcal′_{>k-1} - rhs^cal_k), g_k = ∫u²·rhs^hat_k
     row = genfun.constants_table(k)[k]
     memo = genfun.cache_snapshot()
-    for kind in _TOP_KINDS:
+    for kind in _CONSTANT_KINDS:
         if k > genfun._FAMILIES[kind].first:
             assert (kind, k) not in memo and (kind, k, "rhs") in memo
-    # the entry route, from the entries built now out of the memoized right-hand sides
+    # the entry route, from the entries built now out of the memoized
+    # right-hand sides: with them memoized, the public constants integrate them
+    for kind in _CONSTANT_KINDS:
+        genfun.gf_by_kind(kind, k)
     assert row.c == 2 * genfun.root_rank_gf(k).integral01(1)
     assert row.f == genfun.leaf_pair_constant(k)
     assert row.g == genfun.closest_leaf_constant(k)
@@ -227,6 +230,17 @@ def test_the_top_level_identities_equal_the_entry_route(fresh_memo, k):
     if k < len(F_EXACT):
         assert (row.f, row.g) == (F_EXACT[k], G_EXACT[k])
     assert not any(len(key) == 3 for key in genfun.cache_snapshot())
+
+
+@pytest.mark.parametrize("k", range(len(F_EXACT)))
+def test_each_public_constant_on_a_fresh_memo_builds_no_entry_of_its_level(fresh_memo, k):
+    assert genfun.rank_constant(k) == C_EXACT[k]
+    assert genfun.leaf_pair_constant(k) == F_EXACT[k]
+    assert genfun.closest_leaf_constant(k) == G_EXACT[k]
+    memo = genfun.cache_snapshot()
+    for kind in _CONSTANT_KINDS:
+        if k > genfun._FAMILIES[kind].first:
+            assert (kind, k) not in memo and (kind, k, "rhs") in memo
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -249,7 +263,7 @@ def test_constants_table_computes_no_product_twice(fresh_memo, monkeypatch):
     monkeypatch.setattr(plring, "_product_table", product_table)
     genfun.constants_table(6)
     table_products = len(seen)
-    for kind in _TOP_KINDS:
+    for kind in _CONSTANT_KINDS:
         genfun.gf_by_kind(kind, 6)
     assert len(seen) == table_products > 20
     assert len(set(seen)) == len(seen)
