@@ -7,8 +7,9 @@ the table-shaped outputs.  Exit codes: 0 success, 1 usage error,
 2 verification failure, 3 internal inconsistency (a divergent integral
 included: valid input never makes one, a corrupted cache entry can) or an
 exact computation past the capacity of the residue maps (valid input can
-reach it mid-run).  A cache that cannot be written after the output is
-one warning line on stderr, and the exit code stays the command's.
+reach it mid-run).  A cache file that cannot be written after the
+output is skipped, the others are still written, and the run prints one
+warning line on stderr; the exit code stays the command's.
 Option ranges are checked while parsing, so a value out of range exits 1
 before any work; the --kmax ceiling of the runs that build exact
 generating functions (constants, bounds, factor, oracle --series-order)
@@ -41,13 +42,16 @@ one numerator at a time, and the reader reads each numerator from the
 buffered file, so neither holds a whole entry's bytes.
 
 A constant whose entry the memo does not hold integrates its level's
-right-hand side instead (genfun's module docstring), so `constants` and
-`bounds` build no entry of their level K.  Each (kind, k) is one file: its
-entry if the memo holds it, else its right-hand side, the file
-<kind>.<k>.rhs.bin, laid out as an entry whose head also carries
-"rhs": true; it takes about half the bytes of its entry.  Writing either
-file removes the other.  A later run that needs the entry
-antidifferentiates the cached right-hand side, with no product.
+right-hand side instead (genfun's module docstring), so `constants`
+builds no level-K entry of root_rank, leaf_pair_tail or closest_leaf, and
+`bounds` none of root_rank; `bounds` does build greedy_tail's for K <= 6,
+where the tail moments are checked against their direct integral.  Each
+(kind, k) is one file: its entry if the memo holds it, else its
+right-hand side, the file <kind>.<k>.rhs.bin, laid out as an entry whose
+head also carries "rhs": true; it takes about half the bytes of its
+entry.  Writing either file removes the other.  A later run that needs
+the entry antidifferentiates the cached right-hand side, with no
+product.
 
 An entry or a right-hand side is loaded only if its body holds exactly
 the terms its head counts, with no byte missing or left over, its parts
@@ -260,25 +264,33 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
     file is written under a temporary name and renamed into place, so a
     reader never sees a partial file.  Each (kind, k) keeps one file: its
     entry or its right-hand side, whichever the memo holds, and the other
-    is removed.
+    is removed once it is written.
+
+    A file that cannot be written is skipped, its other file left in
+    place, and the rest are still written; the first OSError is raised
+    after them.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
+    written, error = 0, None
     for key, expr in sorted(genfun.cache_snapshot().items()):
         kind, k, rhs = key[0], key[1], len(key) == 3  # (kind, k, "rhs") for a right-hand side
         path = _cache_path(cache_dir, kind, k, rhs)
-        _cache_path(cache_dir, kind, k, not rhs).unlink(missing_ok=True)
-        if path in keep:
-            continue
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with tmp.open("wb") as fh:
-                fh.writelines(_entry_bytes(kind, k, expr, rhs))
-            os.replace(tmp, path)
+            if path not in keep:
+                with tmp.open("wb") as fh:
+                    fh.writelines(_entry_bytes(kind, k, expr, rhs))
+                os.replace(tmp, path)
+                written += 1
+            _cache_path(cache_dir, kind, k, not rhs).unlink(missing_ok=True)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            error = error or exc
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        written += 1
+    if error is not None:
+        raise error
     return written
 
 

@@ -13,13 +13,12 @@ I_{k,t} = integral of (1-y)^t P_{>k}(y), the tail-bound tables and the
 shortest-path constant alpha_0 of their lower reference.
 
 Each family is described once, in the table _FAMILIES: its first k, its
-value there, the order of its differential equation in x, and the
-right-hand side of that equation as a function of k.  One generic build
-(gf_by_kind) antidifferentiates the right-hand side ``order`` times from
-0, and ode_residual differentiates ``order`` times and subtracts the same
-right-hand side, computed afresh.  That residual therefore checks the
-calculus layer and the memo, not the recurrences themselves; each family
-keeps an independent guard:
+value there, and the right-hand side of its first-order equation in x as
+a function of k.  One generic build (gf_by_kind) antidifferentiates the
+right-hand side once from 0, and ode_residual differentiates once and
+subtracts the same right-hand side, computed afresh.  That residual
+therefore checks the calculus layer and the memo, not the recurrences
+themselves; each family keeps an independent guard:
 
 * B_k: the partial-sum route to c_k (rank_constant), and B_{<=k} equal
   to the sum of the levels B_0..B_k;
@@ -45,8 +44,11 @@ x = 1, so by parts 2∫u·F_k = ∫u²·F_k′, and
 * f_k = ∫u²·(Bcal′_{>k-1} − rhs^cal_k), where each term diverges alone
   and their divergent parts must be equal.
 
-So ``constants_table(K)`` and ``tail_report(K)`` build no entry of level
-K, which nothing else reads.
+So ``constants_table(K)`` builds no entry of level K of the three
+families behind c_k, f_k and g_k (root_rank, leaf_pair_tail,
+closest_leaf), and neither does ``tail_report(K)`` of root_rank.
+tail_report does build P_{>K} for K <= 6, where tail_moment checks its
+recurrence against the direct integral.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ __all__ = [
     "rank_constant",
     "partial_sum",
     "leaf_pair_tail_gf",
-    "leaf_pair_gf",
     "leaf_pair_constant",
     "closest_leaf_gf",
     "closest_leaf_constant",
@@ -95,8 +96,7 @@ __all__ = [
 class _Family(NamedTuple):
     first: int                      # smallest k of the family
     base: PLExpr                    # its value at k = first
-    order: int                      # order of the equation in x
-    rhs: Callable[[int], PLExpr]    # d^order/dx^order F_k, for k > first
+    rhs: Callable[[int], PLExpr]    # d/dx F_k, for k > first
 
 
 def _root_rank_rhs(k: int) -> PLExpr:
@@ -108,28 +108,30 @@ def _root_rank_rhs(k: int) -> PLExpr:
 
 
 def _greedy_tail_rhs(k: int) -> PLExpr:
-    prev = greedy_tail_gf(k - 1)
-    return 2 * prev.differentiate() + 2 * PLExpr.term(1, -2, 0) * prev
+    # P″_{>k} = 2P′_{>k-1} + 2u^{-2}P_{>k-1} integrated once from 0, where
+    # P′_{>k}(0) = [x^1]P_{>k} = 0 and P_{>k-1}(0) = 0
+    prev = 2 * greedy_tail_gf(k - 1)
+    return prev + (PLExpr.term(1, -2, 0) * prev).antiderivative()
 
 
 _FAMILIES: dict[str, _Family] = {
-    "root_rank": _Family(0, X, 1, _root_rank_rhs),
+    "root_rank": _Family(0, X, _root_rank_rhs),
     # d/dx(1/(1-x) - B_{<=k}) = (1/(1-x) - B_{<=k-1})^2 - 1
     "root_rank_cdf": _Family(
-        -1, ZERO, 1,
+        -1, ZERO,
         lambda k: UINV * UINV - ((UINV - root_rank_cdf_gf(k - 1)) ** 2 - ONE),
     ),
     # base: the GF of E[L_n] = (n+1)/3 for n >= 2, 1 for n = 1
     "leaf_pair_tail": _Family(
-        -1, PLExpr({(-2, 0): Rational(1, 3), (1, 0): Rational(-1, 3)}), 1,
+        -1, PLExpr({(-2, 0): Rational(1, 3), (1, 0): Rational(-1, 3)}),
         lambda k: 2 * (UINV - root_rank_cdf_gf(k - 1)) * leaf_pair_tail_gf(k - 1),
     ),
     # bracket 1 + B_{>=k-1}(x) read as 1/(1-x) - B_{<=k-2}(x)
     "closest_leaf": _Family(
-        0, X, 1,
+        0, X,
         lambda k: 2 * (UINV - root_rank_cdf_gf(k - 2)) * closest_leaf_gf(k - 1),
     ),
-    "greedy_tail": _Family(-1, UINV - ONE, 2, _greedy_tail_rhs),
+    "greedy_tail": _Family(-1, UINV - ONE, _greedy_tail_rhs),
 }
 
 KINDS = tuple(_FAMILIES)
@@ -180,9 +182,8 @@ def _memo_rhs(kind: str, k: int) -> PLExpr:
 
 def gf_by_kind(kind: str, k: int) -> PLExpr:
     """F_k of one family: its base value, or its right-hand side (taken out
-    of the memo when there) antidifferentiated ``order`` times from 0;
-    memoized."""
-    first, expr, order, rhs = _family(kind)
+    of the memo when there) antidifferentiated from 0; memoized."""
+    first, expr, rhs = _family(kind)
     if k < first:
         raise ValueError(f"k must be >= {first}")
     key = (kind, k)
@@ -192,8 +193,7 @@ def gf_by_kind(kind: str, k: int) -> PLExpr:
             expr = _CACHE.pop((kind, k, "rhs"), None)
             if expr is None:
                 expr = rhs(k)
-            for _ in range(order):
-                expr = expr.antiderivative()
+            expr = expr.antiderivative()
         hit = _CACHE.setdefault(key, expr)
     return hit
 
@@ -201,19 +201,16 @@ def gf_by_kind(kind: str, k: int) -> PLExpr:
 def ode_residual(kind: str, k: int) -> PLExpr:
     """Plug the computed F_k back into its defining equation.
 
-    Returns the ``order``-th derivative minus the right-hand side (at the
-    first k, the value minus the base value), which must be the zero
-    element: any nonzero residual means the calculus layer, or a memo
-    entry, is broken.  The right-hand side is recomputed, never read from
+    Returns the derivative minus the right-hand side (at the first k, the
+    value minus the base value), which must be the zero element: any
+    nonzero residual means the calculus layer, or a memo entry, is broken.  The right-hand side is recomputed, never read from
     the memo, from which the entry may have been built.
     """
     expr = gf_by_kind(kind, k)  # rejects an unknown kind or k
-    first, base, order, rhs = _FAMILIES[kind]
+    first, base, rhs = _FAMILIES[kind]
     if k == first:
         return expr - base
-    for _ in range(order):
-        expr = expr.differentiate()
-    return expr - rhs(k)
+    return expr.differentiate() - rhs(k)
 
 
 # ---------------------------------------------------------------------------
@@ -230,40 +227,35 @@ def root_rank_cdf_gf(k: int) -> PLExpr:
     return gf_by_kind("root_rank_cdf", k)
 
 
-# k -> (c_k, S_k), stored once c_k has passed the check
-_PARTIAL_SUMS: dict[int, tuple[Rational, Rational]] = {}
-
-
 @functools.cache
 def _check_moduli() -> Moduli:  # three primes near 2^26, far above 2^(k+1)+1
     return Moduli(2**40)
 
 
 def _u_integral(kind: str, k: int) -> Rational:
-    """2∫u·F_k over [0, 1], for a family of order 1: with F_k not memoized,
-    ∫u²·rhs_k from the memoized right-hand side, and F_k is not built (see
-    the module docstring)."""
+    """2∫u·F_k over [0, 1]: with F_k not memoized, ∫u²·rhs_k from the
+    memoized right-hand side, and F_k is not built (see the module
+    docstring)."""
     if k > _FAMILIES[kind].first and (kind, k) not in _CACHE:
         return _memo_rhs(kind, k).integral01(2)
     return 2 * gf_by_kind(kind, k).integral01(1)
 
 
+@functools.cache
 def _constant_and_sum(k: int) -> tuple[Rational, Rational]:
-    """(c_k, S_k), memoized: c_k = 2∫u·B_k (_u_integral), and S_k = S_{k-1} + c_k
-    checked against 4/3 - ∫(1 - u·B_{<=k-1})² modulo each prime of _check_moduli."""
-    hit = _PARTIAL_SUMS.get(k)
-    if hit is None:
-        # B_{<=k-1}'s route first: with B_k built first, a cold k = 7 run peaked 1.5 MB higher
-        moduli = _check_moduli()
-        square = square_integral01(ONE - U * root_rank_cdf_gf(k - 1), moduli)
-        c = _u_integral("root_rank", k)
-        s = c + (_constant_and_sum(k - 1)[1] if k else 0)
-        t = Rational(4, 3) - s
-        for p, r in zip(moduli.q.tolist(), square):
-            if not t.denominator % p or (t.numerator - r * t.denominator) % p:
-                raise InternalInconsistency(f"c_{k}: the partial-sum route disagrees modulo {p}")
-        hit = _PARTIAL_SUMS.setdefault(k, (c, s))
-    return hit
+    """(c_k, S_k), memoized once c_k has passed the check: c_k = 2∫u·B_k
+    (_u_integral), and S_k = S_{k-1} + c_k checked against
+    4/3 - ∫(1 - u·B_{<=k-1})² modulo each prime of _check_moduli."""
+    # B_{<=k-1}'s route first: with B_k built first, a cold k = 7 run peaked 1.5 MB higher
+    moduli = _check_moduli()
+    square = square_integral01(ONE - U * root_rank_cdf_gf(k - 1), moduli)
+    c = _u_integral("root_rank", k)
+    s = c + (_constant_and_sum(k - 1)[1] if k else 0)
+    t = Rational(4, 3) - s
+    for p, r in zip(moduli.q.tolist(), square):
+        if not t.denominator % p or (t.numerator - r * t.denominator) % p:
+            raise InternalInconsistency(f"c_{k}: the partial-sum route disagrees modulo {p}")
+    return c, s
 
 
 def partial_sum(k: int) -> Rational:
@@ -294,23 +286,11 @@ def leaf_pair_tail_gf(k: int) -> PLExpr:
     return gf_by_kind("leaf_pair_tail", k)
 
 
-def leaf_pair_gf(k: int) -> PLExpr:
-    """Bcal_k = Bcal_{>k-1} - Bcal_{>k}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return leaf_pair_tail_gf(k - 1) - leaf_pair_tail_gf(k)
-
-
-# k -> (J_k, D_k): J_k = ∫u·G_k over [0, 1], where Bcal_{>k} = G_k + D_k and
-# D_k holds the terms u^b v^c with b <= -2, whose integrals against u diverge
-_TAIL_INTEGRALS: dict[int, tuple[Rational, PLExpr]] = {}
-
-
+@functools.cache
 def _tail_integral(k: int) -> tuple[Rational, PLExpr]:
-    hit = _TAIL_INTEGRALS.get(k)
-    if hit is None:
-        hit = _TAIL_INTEGRALS.setdefault(k, leaf_pair_tail_gf(k).integral01(1, split=True))
-    return hit
+    """(J_k, D_k), memoized: J_k = ∫u·G_k over [0, 1], where Bcal_{>k} = G_k + D_k
+    and D_k holds the terms u^b v^c with b <= -2, whose integrals against u diverge."""
+    return leaf_pair_tail_gf(k).integral01(1, split=True)
 
 
 def _difference(above: tuple[Rational, PLExpr], below: tuple[Rational, PLExpr], s: int) -> Rational:
@@ -373,8 +353,6 @@ def greedy_tail_gf(k: int) -> PLExpr:
     return gf_by_kind("greedy_tail", k)
 
 
-_TAIL_MOMENTS: dict[tuple[int, int], Rational] = {}
-
 # the recurrence route is checked against the direct integral up to here
 _TAIL_MOMENT_CHECK_KMAX = 6
 
@@ -385,25 +363,26 @@ def tail_moment(k: int, t: int) -> Rational:
         raise ValueError("k must be >= -1")
     if t < 1:
         raise ValueError("t must be >= 1")
-    key = (k, t)
-    hit = _TAIL_MOMENTS.get(key)
-    if hit is not None:
-        return hit
+    return _tail_moment(k, t)
+
+
+@functools.cache
+def _tail_moment(k: int, t: int) -> Rational:
     if k == -1:
         value = Rational(1) / (t * (t + 1))
     else:
         # I_{k,t} = 2/((t+2)(t+1)) [I_{k-1,t} + (t+2) I_{k-1,t+1}]
         value = (
-            2 * (tail_moment(k - 1, t) + (t + 2) * tail_moment(k - 1, t + 1))
+            2 * (_tail_moment(k - 1, t) + (t + 2) * _tail_moment(k - 1, t + 1))
             / Rational((t + 2) * (t + 1))
         )
-    if -1 <= k <= _TAIL_MOMENT_CHECK_KMAX:
+    if k <= _TAIL_MOMENT_CHECK_KMAX:
         direct = greedy_tail_gf(k).integral01(t)
         if direct != value:
             raise InternalInconsistency(
                 f"I_{{{k},{t}}}: recurrence {value} != integral {direct}"
             )
-    return _TAIL_MOMENTS.setdefault(key, value)
+    return value
 
 
 def tail_envelope(k: int) -> Rational:

@@ -4,21 +4,29 @@ import pytest
 
 from ranktree import genfun
 
+# the memos derived from genfun's memo: c_k with S_k, the tail integrals
+# behind f_k, and the tail moments
+_DERIVED = (genfun._constant_and_sum, genfun._tail_integral, genfun._tail_moment)
+
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
     """Empty genfun's memo of generating functions (and of the right-hand
-    sides whose entry is not built yet) and the three memos derived from it
-    (c_k with S_k, the tail integrals behind f_k, and the tail moments), for
-    this test only.
+    sides whose entry is not built yet) and the three memos derived from it,
+    for this test only.
 
     The fixture's value empties all four again, for a test that fills them
-    and then needs a cold start, as a new process would have.
+    and then needs a cold start, as a new process would have.  The derived
+    memos are emptied once more after the test, so that nothing it computed
+    from a memo it corrupted outlives it.
     """
 
     def empty():
-        for name in ("_CACHE", "_PARTIAL_SUMS", "_TAIL_INTEGRALS", "_TAIL_MOMENTS"):
-            monkeypatch.setattr(genfun, name, {})
+        monkeypatch.setattr(genfun, "_CACHE", {})
+        for memo in _DERIVED:
+            memo.cache_clear()
 
     empty()
-    return empty
+    yield empty
+    for memo in _DERIVED:
+        memo.cache_clear()

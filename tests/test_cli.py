@@ -389,14 +389,22 @@ def test_format_2_entries_are_neither_loaded_nor_removed(capsys, fresh_memo, tmp
 
 def test_a_cache_that_cannot_be_written_is_one_warning(capsys, fresh_memo, tmp_path):
     # the values are printed, complete and exact, before the cache is written
-    _, cold, _ = run(capsys, "constants", "--kmax", "1")
-    cache = tmp_path / "cache"
-    (cache / "root_rank.0.bin").mkdir(parents=True)
+    fresh, cache = tmp_path / "fresh", tmp_path / "cache"
+    _, cold, _ = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(fresh))
+    (cache / "closest_leaf.0.bin").mkdir(parents=True)  # the first file written
     fresh_memo()
-    code, out, err = run(capsys, "constants", "--kmax", "1", "--cache-dir", str(cache))
+    code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert code == cli.EXIT_OK
     assert out == cold
     assert err.startswith("warning: cache not saved: ") and err.count("\n") == 1
+    # every other file of the memo is written, and a second run loads them all
+    others = {p.name for p in fresh.iterdir()} - {"closest_leaf.0.bin"}
+    assert {p.name for p in cache.iterdir() if p.is_file()} == others
+    assert all((cache / name).read_bytes() == (fresh / name).read_bytes() for name in others)
+    fresh_memo()
+    accepted = set()
+    assert cli.load_cache(cache, accepted) == len(others)
+    assert {p.name for p in accepted} == others
 
 
 def test_misnamed_cache_entry_is_not_accepted(tmp_path):

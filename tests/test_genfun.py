@@ -108,7 +108,7 @@ def test_ode_residuals_identically_zero(kind, ks):
 @pytest.mark.parametrize("step", [0, 1])
 def test_ode_residual_sees_a_perturbed_memo_entry(fresh_memo, kind, step):
     # the residual shares its right-hand side with the build, so it must
-    # still catch a wrong F_k; u^5 survives two differentiations
+    # still catch a wrong F_k; u^5 survives the differentiation
     k = min(checks.ODE_RESIDUAL_RANGES[kind]) + step
     wrong = genfun.gf_by_kind(kind, k) + PLExpr.term(1, 5, 0)
     fresh_memo()
@@ -121,6 +121,16 @@ def test_greedy_tail_base_and_first_level():
     assert genfun.greedy_tail_gf(-1) == UINV - ONE
     # P_{>0} = 1/(1-x) - 2 + (1-x)
     assert genfun.greedy_tail_gf(0) == UINV - 2 * ONE + U
+
+
+def test_greedy_tail_equals_its_second_order_reference(fresh_memo):
+    # the reference: P″_{>k} = 2P′_{>k-1} + 2u^{-2}P_{>k-1}, integrated twice
+    # from 0, on its own chain of levels
+    prev = UINV - ONE
+    for k in range(9):
+        want = 2 * prev.differentiate() + 2 * PLExpr.term(1, -2, 0) * prev
+        prev = want.antiderivative().antiderivative()
+        assert genfun.greedy_tail_gf(k) == prev
 
 
 def test_tail_moment_base_and_values():
