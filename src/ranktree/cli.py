@@ -9,7 +9,8 @@ included: valid input never makes one, a corrupted cache entry can) or an
 exact computation past the capacity of the residue maps (valid input can
 reach it mid-run).  A cache file that cannot be written after the
 output is skipped, the others are still written, and the run prints one
-warning line on stderr; the exit code stays the command's.
+warning line on stderr that names the first such file and counts the
+files saved; the exit code stays the command's.
 Option ranges are checked while parsing, so a value out of range exits 1
 before any work; the --kmax ceiling of the runs that build exact
 generating functions (constants, bounds, factor, oracle --series-order)
@@ -19,10 +20,11 @@ ratio is provably past the float range is refused before any DP.
 oracle --rho fills the table's root-rank levels first and then streams
 the rank counts that the moment ratio needs in one forked worker
 (oracle.rank_counts_in_background), while the pair levels and the
-series check run in this process; the counts are rebuilt and checked
-here.  Where no second CPU is free to the process, or os.fork is
-missing, the stream runs in process; stdout is the same either way, and
-no worker outlives the command.
+series check run in this process; the end of that block waits for the
+worker and rebuilds and checks the counts here, and the moment ratio is
+formed after it.  Where no second CPU is free to the process, or os.fork
+is missing, the stream runs in process; stdout is the same either way,
+and no worker outlives the command.
 
 An optional on-disk cache (--cache-dir) stores one expression per
 (kind, k), so repeated runs skip the symbolic recurrences entirely.  An
@@ -267,30 +269,35 @@ def save_cache(cache_dir: Path, keep: Collection[Path] = ()) -> int:
     is removed once it is written.
 
     A file that cannot be written is skipped, its other file left in
-    place, and the rest are still written; the first OSError is raised
-    after them.
+    place, and the rest are still written; then one OSError names the
+    first file that failed, how many more did, and how many were saved.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
-    written, error = 0, None
-    for key, expr in sorted(genfun.cache_snapshot().items()):
+    snapshot = genfun.cache_snapshot()
+    written, failures = 0, []
+    for key, expr in sorted(snapshot.items()):
         kind, k, rhs = key[0], key[1], len(key) == 3  # (kind, k, "rhs") for a right-hand side
         path = _cache_path(cache_dir, kind, k, rhs)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        failure = f"{path} not written"
         try:
             if path not in keep:
                 with tmp.open("wb") as fh:
                     fh.writelines(_entry_bytes(kind, k, expr, rhs))
                 os.replace(tmp, path)
                 written += 1
-            _cache_path(cache_dir, kind, k, not rhs).unlink(missing_ok=True)
+            other = _cache_path(cache_dir, kind, k, not rhs)
+            failure = f"{other} not removed"
+            other.unlink(missing_ok=True)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
-            error = error or exc
+            failures.append(f"{failure} ({exc.strerror or exc})")
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-    if error is not None:
-        raise error
+    if failures:
+        more = f", and {len(failures) - 1} more" if len(failures) > 1 else ""
+        raise OSError(f"{failures[0]}{more}; {len(snapshot) - len(failures)} other files saved")
     return written
 
 
@@ -385,7 +392,8 @@ def cmd_oracle(args) -> int:
             file=sys.stderr,
         )
     # the root-rank levels 0..kmax first: the --rho stream reads them, in a
-    # worker that runs beside the rest of the table and the series check
+    # worker that runs beside the rest of the table and the series check;
+    # the block's end waits for it, so the moment ratio after it runs no DP
     counts = oracle.expected_rank_counts(n, kmax)
     with oracle.rank_counts_in_background(n) if rho is not None else contextlib.nullcontext():
         rows_json, rows_csv = _table(
@@ -409,8 +417,8 @@ def cmd_oracle(args) -> int:
                     "generating-function series disagrees with the exact DP"
                 )
             payload["series_check"] = {"order": order, "agree": True}
-        if rho is not None:
-            payload["moment_ratio"] = {"rho": args.rho, **_rat(oracle.moment_gf_ratio(n, rho))}
+    if rho is not None:
+        payload["moment_ratio"] = {"rho": args.rho, **_rat(oracle.moment_gf_ratio(n, rho))}
     _emit(payload, rows_csv, args.format)
     return EXIT_OK
 
@@ -607,7 +615,7 @@ def main(argv=None) -> int:
             try:
                 save_cache(cache_dir, accepted)
             except OSError as exc:  # the printed values are complete and exact
-                print(f"warning: cache not saved: {exc}", file=sys.stderr)
+                print(f"warning: cache incomplete: {exc}", file=sys.stderr)
         return code
     except (InternalInconsistency, DivergentIntegral) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

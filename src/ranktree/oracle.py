@@ -63,16 +63,17 @@ The stream in a worker.  rank_counts_in_background(n) forks one child
 that runs the stream on the levels the engine holds at the fork and
 writes its n residue rows (int64, one per k) into an anonymous shared
 mmap.  `oracle --rho` fills the table's root-rank levels 0..kmax first
-and then fills its pair levels and runs the series check in the parent
-meanwhile, since neither reads the stream; the first rank_counts(n) or
-moment_gf_ratio(n, rho) waits for the child and does the CRT rebuild and
-the check-prime test, so every check runs in the parent.  It forks only
-where os.fork exists, the affinity mask holds two CPUs or more and no
-other thread runs; otherwise, and when the child exits non-zero, the
-stream runs in process.  A child not
-joined is killed and reaped however the body ends, and a child whose
-parent is gone stops at its next level.  The child calls private kernels
-only and leaves through os._exit, so it runs no exit handler and flushes
+and then, inside the block, fills its pair levels and runs the series
+check meanwhile, since neither reads the stream.  The block's end waits
+for the child and does the CRT rebuild and the check-prime test in the
+parent, so every check runs there, and moment_gf_ratio(n, rho) after
+the block finds the counts held.  It forks only where os.fork exists,
+the affinity mask holds two CPUs or more and no other thread runs;
+otherwise, and when the child exits non-zero, the first rank_counts(n)
+or moment_gf_ratio(n, rho) streams in process.  A body that raises,
+an interrupt included, kills and reaps the child, and a child whose
+parent is gone stops at its next level.  The child calls private kernels only and
+leaves through os._exit, so it runs no exit handler and flushes
 nothing of the parent's.  At n = 400 the parent's pair levels and series
 check (about 0.2 s) overlap the child's stream: `oracle --n 400 --kmax 5
 --rho 7/5 --series-order 50` takes 7-22 % less wall time, and from 2 %
@@ -267,7 +268,6 @@ class RankDP:
         self._e: dict[int, np.ndarray] = {}  # always empty, as _x; perfbench/tracing.py reads both
         self._x: dict[int, np.ndarray] = {}
         self._counts: dict[int, list[int]] = {}  # n! times rank_counts(n), by n
-        self._background: dict[int, _StreamWorker] = {}  # rank_counts(n) in a worker, by n
 
     def _value(self, row, k: int, n: int, top: int) -> Rational:
         """Level k at size n from row(k); 0 above top, the last level that can be nonzero."""
@@ -341,9 +341,10 @@ class RankDP:
         for n alone, the engine's basis if it was built for n: those primes
         are the first columns of any basis that covers n.  Each n is
         streamed once per engine, and the values are kept for the next
-        call, e.g. the moment ratio at another rho.  Under
-        rank_counts_in_background(n) the residue rows come from the worker,
-        and the rebuild and its checks run here all the same.
+        call, e.g. the moment ratio at another rho.  After a
+        rank_counts_in_background(n) block whose worker exited 0 they are
+        held already: the block rebuilt and checked the worker's rows in
+        this process, as the stream's own are.
         """
         counts, fact = self._scaled_counts(n), math.factorial(n)
         return [Rational(x) / fact for x in counts]
@@ -354,16 +355,10 @@ class RankDP:
             raise ValueError("n must be >= 1")
         counts = self._counts.get(n)
         if counts is None:
-            counts = self._counts[n] = self._stream_counts(n)
+            b = self._stream_basis(n)
+            rows = self._stream_rows(n, b, np.empty((n, len(b.q)), np.int64))
+            counts = self._counts[n] = b.scaled(rows, n)
         return counts
-
-    def _stream_counts(self, n: int) -> list[int]:
-        worker = self._background.pop(n, None)
-        rows = worker.join() if worker is not None else None
-        if rows is not None:
-            return worker.basis.scaled(rows, n)
-        b = self._stream_basis(n)
-        return b.scaled(self._stream_rows(n, b, np.empty((n, len(b.q)), np.int64)), n)
 
     def _stream_basis(self, n: int) -> _Basis:
         return self._basis if self._basis is not None and self._basis.cap == n else _Basis(n)
@@ -433,67 +428,24 @@ class RankDP:
         return self._value(lambda k: self._g_rows(k)[n : n + 1], k, n, max_root_rank(n))
 
 
-class _StreamWorker:
-    """A forked child that streams an engine's rank_counts(n) residue rows.
+def _stream_in_child(dp: RankDP, n: int, b: _Basis, memory: mmap.mmap, parent: int) -> None:
+    """The worker's body: dp's rank_counts(n) residue rows on b into memory.
 
-    The child inherits the engine as it stands at the fork, its held levels
-    included, runs RankDP._stream_rows on the basis chosen here, and writes
-    the rows into an anonymous shared mmap; the parent keeps the basis and
-    does the rebuild and its checks.  The child leaves through os._exit: 0
-    once the rows are written, 1 on any exception, and 1 at the next level
-    once its parent is gone.  SIGINT is blocked across the fork, so the
-    child cannot raise out of the parent's frames before its try, and the
-    parent raises a KeyboardInterrupt only once pid is set for kill.
+    It leaves through os._exit: 0 once the rows are written, 1 on any
+    exception, and 1 at the next level once its parent is gone.
     """
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
-    def __init__(self, dp: RankDP, n: int):
-        self.dp, self.n = dp, n
-        self.basis = dp._stream_basis(n)
-        self.pid = 0  # 0 before the fork, in the child, and once the worker is reaped
-        self._memory: mmap.mmap | None = None
+        def stop_if_orphaned():
+            if os.getppid() != parent:
+                os._exit(1)
 
-    def start(self) -> None:
-        self._memory = mmap.mmap(-1, 8 * self.n * len(self.basis.q))
-        parent = os.getpid()
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                self._work(parent)
-        finally:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-
-    def _work(self, parent: int) -> None:
-        code = 1
-        try:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-
-            def stop_if_orphaned():
-                if os.getppid() != parent:
-                    os._exit(1)
-
-            out = np.frombuffer(self._memory, np.int64).reshape(self.n, -1)
-            self.dp._stream_rows(self.n, self.basis, out, stop_if_orphaned)
-            code = 0
-        finally:
-            os._exit(code)
-
-    def join(self) -> np.ndarray | None:
-        """The rows once the worker exits 0, else None; it is reaped either way."""
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = 0
-        if os.waitstatus_to_exitcode(status) != 0:
-            return None
-        return np.frombuffer(self._memory, np.int64).reshape(self.n, -1).copy()
-
-    def kill(self) -> None:
-        """SIGKILL and reap the worker unless join has reaped it."""
-        if self.pid > 0:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-        if self._memory is not None:
-            self._memory.close()
+        dp._stream_rows(n, b, np.frombuffer(memory, np.int64).reshape(n, -1), stop_if_orphaned)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _may_fork() -> bool:
@@ -517,29 +469,51 @@ def rank_counts_in_background(n: int):
 
     The worker starts from the levels the engine holds on entry, so the
     body should not need the counts before it has filled what it reads
-    anyway; the first rank_counts(n) or moment_gf_ratio(n, rho) joins the
-    worker, and runs the stream in process if the worker did not exit 0.
-    On every way out of the body a worker not joined is killed and reaped.
-    Without fork, a second CPU in the affinity mask, or with another thread
-    running, nothing is forked, and a fork or mmap that fails leaves the
-    stream in process too.
+    anyway.  When the body returns, the block waits for the worker; if it
+    exited 0, its residue rows are rebuilt and checked here, check prime
+    included, and kept as the engine's counts at n, so rank_counts(n) and
+    moment_gf_ratio(n, rho) after the block run no DP.  A worker that
+    failed leaves the stream to the first of those, in process.  On every
+    other way out of the body the worker is killed and reaped.  Nothing is
+    forked where n is counted already, without fork, without a second CPU
+    in the affinity mask, or with another thread running, and a fork or
+    mmap that fails leaves the stream in process too.  SIGINT is blocked
+    across the fork, so the child cannot raise out of this frame, and an
+    interrupt that arrived meanwhile is raised here once pid is set.
     """
     dp = _DEFAULT
-    worker = None
-    if n >= 1 and n not in dp._counts and n not in dp._background and _may_fork():
-        worker = _StreamWorker(dp, n)
-    try:
-        if worker is not None:
-            try:
-                worker.start()
-                dp._background[n] = worker
-            except OSError:  # no process or no shared memory to be had: in process
-                pass
+    if n < 1 or n in dp._counts or not _may_fork():
         yield
+        return
+    b = dp._stream_basis(n)
+    pid, memory = 0, None
+    try:
+        try:
+            memory = mmap.mmap(-1, 8 * n * len(b.q))
+            parent = os.getpid()
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _stream_in_child(dp, n, b, memory, parent)
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        except OSError:  # no process or no shared memory to be had: in process
+            pass
+        yield
+        if pid:
+            status = os.waitpid(pid, 0)[1]
+            pid = 0
+            if os.waitstatus_to_exitcode(status) == 0:
+                # a copy: a view of memory still held, say by a traceback, would stop its close
+                rows = np.frombuffer(memory, np.int64).reshape(n, -1).copy()
+                dp._counts[n] = b.scaled(rows, n)
     finally:
-        if worker is not None:
-            dp._background.pop(n, None)
-            worker.kill()
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if memory is not None:
+            memory.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
 
 from ranktree import genfun
@@ -30,3 +32,17 @@ def fresh_memo(monkeypatch):
     yield empty
     for memo in _DERIVED:
         memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "a running child process" if pid == 0 else f"the unreaped child process {pid}"
+    pytest.fail(f"the test left {state} behind")

@@ -1,7 +1,9 @@
 """Front-end: schemas, exit codes, determinism, and the disk cache."""
 
+import errno
 import json
 import math
+import os
 import struct
 import sys
 from pathlib import Path
@@ -396,15 +398,32 @@ def test_a_cache_that_cannot_be_written_is_one_warning(capsys, fresh_memo, tmp_p
     code, out, err = run(capsys, "constants", "--kmax", "3", "--cache-dir", str(cache))
     assert code == cli.EXIT_OK
     assert out == cold
-    assert err.startswith("warning: cache not saved: ") and err.count("\n") == 1
-    # every other file of the memo is written, and a second run loads them all
+    # one line, naming the file not written by its final path and counting the others
     others = {p.name for p in fresh.iterdir()} - {"closest_leaf.0.bin"}
+    assert err.startswith(f"warning: cache incomplete: {cache / 'closest_leaf.0.bin'} not written (")
+    assert err.endswith(f"); {len(others)} other files saved\n") and err.count("\n") == 1
+    assert ".tmp" not in err
+    # every other file of the memo is written, and a second run loads them all
     assert {p.name for p in cache.iterdir() if p.is_file()} == others
     assert all((cache / name).read_bytes() == (fresh / name).read_bytes() for name in others)
     fresh_memo()
     accepted = set()
     assert cli.load_cache(cache, accepted) == len(others)
     assert {p.name for p in accepted} == others
+
+
+def test_several_cache_files_that_fail_are_counted_in_the_one_warning(capsys, fresh_memo, tmp_path):
+    # a directory where an entry goes, and one where a right-hand side's stale entry is removed
+    (tmp_path / "closest_leaf.0.bin").mkdir()
+    (tmp_path / "closest_leaf.1.bin" / "x").mkdir(parents=True)
+    code, _, err = run(capsys, "constants", "--kmax", "1", "--cache-dir", str(tmp_path))
+    assert code == cli.EXIT_OK
+    saved = len(genfun.cache_snapshot()) - 2
+    assert err == (
+        f"warning: cache incomplete: {tmp_path / 'closest_leaf.0.bin'} not written "
+        f"({os.strerror(errno.EISDIR)}), and 1 more; {saved} other files saved\n"
+    )
+    assert (tmp_path / "closest_leaf.1.rhs.bin").is_file()
 
 
 def test_misnamed_cache_entry_is_not_accepted(tmp_path):

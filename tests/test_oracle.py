@@ -473,10 +473,10 @@ def test_the_worker_streams_the_in_process_counts(forks, monkeypatch, n, basis):
     dp.e_count(n if basis == "own" else n + 40, 0)  # a basis, and levels 0 and 1 held
     streams = _parent_streams(monkeypatch)
     with oracle.rank_counts_in_background(n):
-        assert dp.rank_counts(n) == expected
-    assert streams == []
+        pass
     _assert_reaped(forks)
-    assert dp._background == {}
+    assert dp.rank_counts(n) == expected
+    assert streams == []
 
 
 def test_a_cli_run_joins_the_worker(capsys, forks, monkeypatch):
@@ -520,7 +520,6 @@ def test_an_interrupt_as_the_fork_returns_kills_the_worker(forks, monkeypatch):
         with oracle.rank_counts_in_background(60):
             raise AssertionError("the body ran")
     _assert_reaped(forks)
-    assert oracle._DEFAULT._background == {}
 
 
 def test_a_failed_worker_leaves_the_stream_to_the_parent(capsys, forks, monkeypatch):
@@ -549,10 +548,29 @@ def test_a_wrong_row_from_the_worker_fails_the_check_prime_in_the_parent(forks, 
 
     monkeypatch.setattr(oracle.RankDP, "_stream_rows", off_by_one)
     oracle.expected_rank_counts(60, 2)
-    with oracle.rank_counts_in_background(60):
-        with pytest.raises(InternalInconsistency, match="check prime"):
-            oracle.moment_gf_ratio(60, 1)
+    with pytest.raises(InternalInconsistency, match="check prime"):
+        with oracle.rank_counts_in_background(60):
+            pass  # the rows are rebuilt and checked as the block exits
     _assert_reaped(forks)
+    assert 60 not in oracle._DEFAULT._counts
+
+
+def test_a_block_whose_n_is_counted_forks_nothing(forks):
+    counts = oracle._DEFAULT.rank_counts(30)
+    with oracle.rank_counts_in_background(30):
+        pass
+    assert forks == []
+    assert oracle._DEFAULT.rank_counts(30) == counts
+
+
+def test_a_body_that_counts_in_process_still_reaps_the_worker(forks, monkeypatch):
+    expected = oracle.RankDP().rank_counts(60)
+    streams = _parent_streams(monkeypatch)
+    with oracle.rank_counts_in_background(60):
+        assert oracle._DEFAULT.rank_counts(60) == expected
+    _assert_reaped(forks)
+    assert streams == [60]
+    assert oracle._DEFAULT.rank_counts(60) == expected
 
 
 @pytest.mark.parametrize(
@@ -584,7 +602,6 @@ def test_a_failed_fork_leaves_the_stream_in_process(capsys, forks, monkeypatch):
     streams = _parent_streams(monkeypatch)
     assert _cli(capsys, N200) == (0, (GOLDEN / "oracle-n200.json").read_text())
     assert streams == [200]
-    assert oracle._DEFAULT._background == {}
 
 
 def test_another_thread_forbids_the_fork(monkeypatch):
@@ -618,10 +635,19 @@ ORPHAN = """
 import os, sys
 from ranktree import oracle
 os.sched_getaffinity = lambda pid: {0, 1}
+fork, pids = os.fork, []
+
+def recorded():
+    pid = fork()
+    if pid:
+        pids.append(pid)
+    return pid
+
+os.fork = recorded
 oracle.expected_rank_counts(1000, 0)
 with oracle.rank_counts_in_background(1000):
     with open(sys.argv[1], "w") as fh:
-        fh.write(str(oracle._DEFAULT._background[1000].pid))
+        fh.write(str(pids[0]))
     os._exit(0)  # as if killed: no join, no kill
 """
 
